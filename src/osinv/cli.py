@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,7 @@ from .spaces import SpaceDescriptor, descriptor_from_json, descriptor_to_json
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = [
+    "MAX_N",
     "RunConfig",
     "cmd_fit",
     "cmd_pi1",
@@ -57,6 +59,10 @@ _PI1_HEADER = (
     "lambda3_mp,lambda3_pm,s_break,t_break"
 )
 _FIT_HEADER = "quantity,slope,r_squared"
+
+#: Largest dimension an n-grid may hold: the top of the range over which
+#: the invariants are checked exact (OH ``pi1`` against its closed form).
+MAX_N = 2**60
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,13 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
     """Grid from ``"16,64,256"`` or ``"geometric:a:b:count"``.
 
     Geometric grids are rounded to integers; duplicates collapse and
-    the result is sorted.
+    the result is sorted.  Points may not exceed :data:`MAX_N`.
 
     Raises
     ------
     ParseError
-        Malformed syntax, an empty grid, or a point below 1.
+        Malformed syntax, non-finite geometric bounds, an empty grid, or
+        a point below 1 or above :data:`MAX_N`.
     """
     s = text.strip()
     ns: list[int]
@@ -122,6 +129,11 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
             a, b, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ParseError(f"bad geometric grid {text!r}: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)) or b > MAX_N:
+            raise ParseError(
+                f"geometric grid bounds must be finite and at most "
+                f"2**60 = {MAX_N}, got {text!r}"
+            )
         if not (0.0 < a <= b) or count < 1:
             raise ParseError(
                 f"need 0 < a <= b and count >= 1, got {text!r}"
@@ -143,6 +155,10 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
         raise ParseError(f"empty n-grid {text!r}")
     if ns[0] < 1:
         raise ParseError(f"grid points must be >= 1, got {ns[0]}")
+    if ns[-1] > MAX_N:
+        raise ParseError(
+            f"grid points must be at most 2**60 = {MAX_N}, got {ns[-1]}"
+        )
     return tuple(ns)
 
 

@@ -19,7 +19,8 @@ view of the same function for callers that need a :class:`MonotoneFn`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -35,6 +36,7 @@ from .errors import (
     Unbounded,
 )
 from .monotone_fn import (
+    _KNOT_MERGE_RTOL,
     MonotoneFn,
     _local_power,
     _merge_close,
@@ -67,6 +69,10 @@ DEFAULT_REG_WINDOW = (0.02, 0.98)
 _BISECT_REL_TOL = 1e-13
 _MAX_DOUBLINGS = 200
 
+#: Segment pieces with ``|q| ln(t1/t0)`` below this are evaluated through
+#: ``_segment_integral``, whose series in ``q`` covers the same range.
+_NEAR_LOG = 1e-3
+
 
 @dataclass(frozen=True)
 class TailIntegral:
@@ -81,10 +87,16 @@ class TailIntegral:
         span from `lo` to the next piece's `lo`,
         ``H(t) = const + coef (t/anchor)^q``, with ``q = None`` meaning
         ``H(t) = const + coef ln(t/anchor)``.
+    near_log:
+        Pairs ``(k, h)`` for the segment pieces whose ``q`` is so close to
+        0 that ``const`` and ``coef`` (both of order ``1/q``) cancel: `h`
+        is ``H`` at the right end of piece `k`, and :meth:`eval` adds the
+        density's integral up to there (``_segment_integral``'s series).
     """
 
     density: MonotoneFn
     pieces: tuple[tuple[float, float, float, float | None, float], ...]
+    near_log: tuple[tuple[int, float], ...] = ()
 
     @classmethod
     def from_density(cls, w: MonotoneFn) -> "TailIntegral":
@@ -106,6 +118,7 @@ class TailIntegral:
         knots, vals = w.knots, w.values
         m = len(knots)
         pieces: list[tuple[float, float, float, float | None, float]] = []
+        near_log: list[tuple[int, float]] = []
         # Beyond the last knot: H(t) = coef (t/t_m)^q with q = e_inf + 1 < 0.
         q_inf = w.right_exponent + 1.0
         h_right = -vals[-1] * knots[-1] / q_inf
@@ -126,16 +139,24 @@ class TailIntegral:
                 q = e + 1.0
                 const = h_next + (v0 * t0 / q) * (t1 / t0) ** q
                 pieces.append((t0, const, -v0 * t0 / q, q, t0))
-                h_next = const - v0 * t0 / q
+                if abs(q) * math.log(t1 / t0) < _NEAR_LOG:
+                    near_log.append((i + 1, h_next))
+                    h_next = h_next + _segment_integral(v0, t0, e, t0, t1)
+                else:
+                    h_next = const - v0 * t0 / q
         # Constant head: H(t) = H(t_1) + v_1 (t_1 - t) on (0, t_1].
         pieces.append((0.0, h_next + vals[0] * knots[0], -vals[0] * knots[0],
                        1.0, knots[0]))
         pieces.reverse()
-        return cls(density=w, pieces=tuple(pieces))
+        return cls(density=w, pieces=tuple(pieces), near_log=tuple(near_log))
 
     @cached_property
     def _los(self) -> list[float]:
         return [p[0] for p in self.pieces]
+
+    @cached_property
+    def _near_log_right(self) -> dict[int, float]:
+        return dict(self.near_log)
 
     @property
     def mass(self) -> float:
@@ -155,7 +176,14 @@ class TailIntegral:
         t = float(t)
         if not (math.isfinite(t) and t > 0.0):
             raise DomainError(f"abscissa must be a positive real, got {t}")
-        _, const, coef, q, anchor = self._piece_at(t)
+        k = bisect_right(self._los, t) - 1
+        right = self._near_log_right.get(k)
+        if right is not None:
+            w, i = self.density, k - 1
+            return right + _segment_integral(
+                w.values[i], w.knots[i], w.segment_exponents[i], t, w.knots[i + 1]
+            )
+        _, const, coef, q, anchor = self.pieces[k]
         if q is None:
             return const + coef * math.log(t / anchor)
         return const + coef * (t / anchor) ** q
@@ -172,7 +200,9 @@ class TailIntegral:
             mask = idx == k
             if not np.any(mask):
                 continue
-            if q is None:
+            if k in self._near_log_right:
+                out[mask] = [self.eval(float(t)) for t in arr[mask]]
+            elif q is None:
                 out[mask] = const + coef * np.log(arr[mask] / anchor)
             else:
                 out[mask] = const + coef * (arr[mask] / anchor) ** q
@@ -184,7 +214,8 @@ class TailIntegral:
         `tau` must be nondecreasing.  The range is split at `tau`'s knots
         and at the preimages under `tau` of this integral's piece edges, so
         each sub-segment composes one power piece of `tau` with one piece
-        of ``H`` and integrates in closed form.
+        of ``H`` and integrates in closed form.  The cuts come from
+        :meth:`composed_table`, built once per `tau`.
         """
         if tau.direction != "nondecreasing":
             raise DirectionError("composed integral needs nondecreasing inner fn")
@@ -192,34 +223,93 @@ class TailIntegral:
         hi = float(hi)
         if not (0.0 <= lo < hi) or not math.isfinite(hi):
             raise DomainError(f"need 0 <= lo < hi (finite), got {lo}, {hi}")
-        cuts = {lo, hi}
-        for t in tau.knots:
-            if lo < t < hi:
-                cuts.add(t)
-        for edge in self.boundaries:
+        return self.composed_table(tau).integral(self, lo, hi)
+
+    def composed_table(self, tau: MonotoneFn) -> "_ComposedTable":
+        """The cut table of ``H(tau(s))`` (see :class:`_ComposedTable`).
+
+        The table of the most recent `tau` is kept on this object, so
+        repeated integrals against one `tau` share their cuts.
+        """
+        table = self.__dict__.get("_composed_table")
+        if table is None or table.tau is not tau:
+            table = _ComposedTable(self, tau)
+            # Frozen dataclass: store beside the fields, as cached_property does.
+            self.__dict__["_composed_table"] = table
+        return table
+
+    def _composed_segment(self, tau: MonotoneFn, x: float, y: float) -> float:
+        """``integral of H(tau(s))`` over ``[x, y]``, a span on which `tau`
+        is one power piece and ``tau(s)`` stays in one piece of ``H``."""
+        mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
+        v0, t0, m_exp = _local_power(tau, mid)
+        tau_mid = v0 * (mid / t0) ** m_exp
+        _, const, coef, q, anchor = self._piece_at(tau_mid)
+        if q is None:
+            # H(tau(s)) = const + coef ln(v0/anchor) + coef m ln(s/t0)
+            base = const + coef * math.log(v0 / anchor)
+            return base * (y - x) + coef * m_exp * (
+                (y * math.log(y / t0) - y) - (x * math.log(x / t0) - x)
+            )
+        return const * (y - x) + _segment_integral(
+            coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
+        )
+
+
+class _ComposedTable:
+    """Cut points of ``H(tau(s))`` on the half line, with running integrals.
+
+    ``raw`` holds, sorted, `tau`'s knots and the positive preimages under
+    `tau` of ``H``'s piece edges; none depends on the integration range.
+    ``merged`` is ``raw`` behind a leading 0 with near-duplicates dropped,
+    and ``prefix[j]`` is the integral over ``[0, merged[j]]`` summed one
+    segment at a time from the left.  Greedy merging of a prefix of the
+    cuts gives a prefix of ``merged``, so an integral from 0 is a prefix
+    value plus at most one partial segment, with the same float
+    operations in the same order as splitting ``[0, hi]`` afresh.
+    ``prefix`` grows only as far as queries reach, so no segment is
+    evaluated that the range asked for does not contain; a lock keeps
+    concurrent extensions from interleaving.  The table is kept on its
+    tail integral and so takes that as an argument rather than holding
+    it, which would make a reference cycle.
+    """
+
+    def __init__(self, hh: TailIntegral, tau: MonotoneFn) -> None:
+        self.tau = tau
+        cuts = list(tau.knots)
+        for edge in hh.boundaries:
             try:
                 pre = generalized_inverse(tau, edge)
             except Unbounded:
                 continue
-            if lo < pre < hi:
-                cuts.add(pre)
-        pts = _merge_close(sorted(cuts))
-        total = 0.0
-        for x, y in zip(pts, pts[1:]):
-            mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
-            v0, t0, m_exp = _local_power(tau, mid)
-            tau_mid = v0 * (mid / t0) ** m_exp
-            _, const, coef, q, anchor = self._piece_at(tau_mid)
-            if q is None:
-                # H(tau(s)) = const + coef ln(v0/anchor) + coef m ln(s/t0)
-                base = const + coef * math.log(v0 / anchor)
-                total += base * (y - x) + coef * m_exp * (
-                    (y * math.log(y / t0) - y) - (x * math.log(x / t0) - x)
-                )
-            else:
-                total += const * (y - x) + _segment_integral(
-                    coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
-                )
+            if pre > 0.0:
+                cuts.append(pre)
+        self.raw = sorted(cuts)
+        self.merged = _merge_close([0.0] + self.raw)
+        self.prefix = [0.0]
+        self._lock = threading.Lock()
+
+    def integral(self, hh: TailIntegral, lo: float, hi: float) -> float:
+        """``integral of H(tau(s))`` over ``[lo, hi]``, ``0 <= lo < hi``,
+        for the tail integral ``H = hh`` this table was built from."""
+        if lo > 0.0:
+            inner = self.raw[bisect_right(self.raw, lo):bisect_left(self.raw, hi)]
+            pts = _merge_close([lo] + inner + [hi])
+            total = 0.0
+            for x, y in zip(pts, pts[1:]):
+                total += hh._composed_segment(self.tau, x, y)
+            return total
+        merged, prefix = self.merged, self.prefix
+        k = bisect_left(merged, hi) - 1
+        if len(prefix) <= k:
+            with self._lock:
+                while len(prefix) <= k:
+                    j = len(prefix)
+                    prefix.append(prefix[-1] + hh._composed_segment(
+                        self.tau, merged[j - 1], merged[j]))
+        total = prefix[k]
+        if hi > merged[k] * (1.0 + _KNOT_MERGE_RTOL):
+            total += hh._composed_segment(self.tau, merged[k], hi)
         return total
 
 

@@ -140,7 +140,7 @@ class _Quadrant:
         w_a: MonotoneFn,
         w_b: MonotoneFn,
     ) -> "_Quadrant":
-        return cls(
+        quad = cls(
             a=a,
             b=b,
             tail_a=TailIntegral.from_density(w_a),
@@ -148,6 +148,10 @@ class _Quadrant:
             tau_ab=compose(b, inverse_fn(a)),
             tau_ba=compose(a, inverse_fn(b)),
         )
+        # The cuts of both composed integrals do not depend on n.
+        quad.tail_b.composed_table(quad.tau_ab)
+        quad.tail_a.composed_table(quad.tau_ba)
+        return quad
 
     def contributions(
         self, n: int
@@ -229,20 +233,48 @@ def pi1_fundamental(
     return _report(_pair_quadrants(domain, codomain), n)
 
 
-def _clipped_mass(flat: float, scale: float, w: MonotoneFn) -> float:
+def _clipped_mass(flat: float, scale: float, tail: TailIntegral) -> float:
     """Exact ``integral over (0, inf) of min(flat, scale * w(s)) ds``.
 
-    `w` is a nonincreasing density whose tail integral converges.  When
-    ``flat/scale`` reaches the sup of `w` the flat level never binds and
-    the integral is ``scale * mass(w)``; otherwise the crossing point
-    splits the integral into a flat part and a tail part.
+    `w` is the nonincreasing density of `tail`.  When ``flat/scale``
+    reaches the sup of `w` the flat level never binds and the integral
+    is ``scale * mass(w)``; otherwise the crossing point splits the
+    integral into a flat part and a tail part.
     """
-    tail = TailIntegral.from_density(w)
+    w = tail.density
     ratio = flat / scale
     if ratio >= w.left_value:
         return scale * tail.mass
     s_star = crossing_below(w, ratio)
     return flat * s_star + scale * tail.eval(s_star)
+
+
+@dataclass(frozen=True)
+class _Exactness:
+    """What the exactness constant of one structure needs at every `n`:
+    the tail integrals of its canonical densities, and the antidual's
+    fundamental functions."""
+
+    tail_c: TailIntegral
+    tail_r: TailIntegral
+    anti: SpaceDescriptor
+
+    @classmethod
+    def build(cls, desc: SpaceDescriptor) -> "_Exactness":
+        w = canonical_weights(desc)
+        anti = dual(desc)
+        return cls(
+            tail_r=TailIntegral.from_density(w.ur_fn),
+            tail_c=TailIntegral.from_density(w.uc_fn),
+            anti=anti,
+        )
+
+    def at(self, n: int) -> float:
+        col_level = evaluate(self.anti.phi_c, float(n))
+        row_level = evaluate(self.anti.phi_r, float(n))
+        i_plus = _clipped_mass(col_level, row_level, self.tail_r)
+        i_minus = _clipped_mass(row_level, col_level, self.tail_c)
+        return math.sqrt(i_plus + i_minus)
 
 
 def exactness(desc: SpaceDescriptor, n: int) -> float:
@@ -265,13 +297,7 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
         ``n`` is not a positive integer.
     """
     n = _check_dimension(n)
-    w = canonical_weights(desc)
-    anti = dual(desc)
-    col_level = evaluate(anti.phi_c, float(n))
-    row_level = evaluate(anti.phi_r, float(n))
-    i_plus = _clipped_mass(col_level, row_level, w.ur_fn)
-    i_minus = _clipped_mass(row_level, col_level, w.uc_fn)
-    return math.sqrt(i_plus + i_minus)
+    return _Exactness.build(desc).at(n)
 
 
 def _power_eval(f: MonotoneFn, x: float) -> float:
@@ -392,12 +418,12 @@ def sweep(
         raise BadParameter(f"grid points must be >= 1, got {ns[0]}")
     self_sweep = codomain is None
     quads = _pair_quadrants(domain, domain if self_sweep else codomain)
+    ex = _Exactness.build(domain) if self_sweep else None
     reports: list[InvariantReport] = []
     for n in ns:
         rep = _report(quads, n)
-        if self_sweep:
-            ex = exactness(domain, n)
-            rep = replace(rep, ex=ex, proj=n / rep.pi1)
+        if ex is not None:
+            rep = replace(rep, ex=ex.at(n), proj=n / rep.pi1)
         reports.append(rep)
     upper = reports[-max(3, (len(reports) + 1) // 2):]
     slopes: dict[str, tuple[float, float]] = {

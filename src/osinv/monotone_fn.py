@@ -455,6 +455,21 @@ def crossing_below(f: MonotoneFn, y: float) -> float:
     return _solve_on_segment(f.knots[j], vals[j], e, y)
 
 
+def _log_ratio(x: float, t0: float) -> float:
+    """``log(x / t0)`` for ``x > 0``, also where ``x / t0`` underflows to 0."""
+    r = x / t0
+    return math.log(r) if r > 0.0 else math.log(x) - math.log(t0)
+
+
+def _ratio_pow(x: float, t0: float, p: float) -> float:
+    """``(x / t0) ** p``, taken through logarithms where ``x / t0``
+    underflows to 0 although ``x > 0`` (a subnormal `x`)."""
+    r = x / t0
+    if r > 0.0 or x == 0.0:
+        return r**p
+    return math.exp(p * _log_ratio(x, t0))
+
+
 def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> float:
     """Exact ``integral of v0 (t/t0)^e`` over ``[x, y]`` (y may be inf if e < -1).
 
@@ -465,11 +480,11 @@ def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> flo
     """
     p = e + 1.0
     if y == math.inf:
-        return -v0 * t0 * (x / t0) ** p / p
+        return -v0 * t0 * _ratio_pow(x, t0, p) / p
     if x == 0.0:
-        return v0 * t0 * (y / t0) ** p / p
-    big = math.log(y / t0)
-    small = math.log(x / t0)
+        return v0 * t0 * _ratio_pow(y, t0, p) / p
+    big = _log_ratio(y, t0)
+    small = _log_ratio(x, t0)
     if abs(p) * max(abs(big), abs(small)) < 1e-3:
         return v0 * t0 * (
             (big - small)
@@ -477,7 +492,7 @@ def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> flo
             + p * p * (big**3 - small**3) / 6.0
             + p**3 * (big**4 - small**4) / 24.0
         )
-    return v0 * t0 * ((y / t0) ** p - (x / t0) ** p) / p
+    return v0 * t0 * (_ratio_pow(y, t0, p) - _ratio_pow(x, t0, p)) / p
 
 
 def _pieces(f: MonotoneFn) -> list[tuple[float, float, float, float, float]]:
@@ -527,11 +542,18 @@ def integral(f: MonotoneFn, a: float, b: float) -> float:
 
 
 def _local_power(f: MonotoneFn, t: float) -> tuple[float, float, float]:
-    """Anchor ``(v0, t0, e)`` of the piece of `f` containing abscissa `t`."""
-    for lo, hi, v0, t0, e in _pieces(f):
-        if lo <= t < hi or (hi == math.inf and t >= lo):
-            return v0, t0, e
-    raise AssertionError("unreachable: pieces cover (0, inf)")  # pragma: no cover
+    """Anchor ``(v0, t0, e)`` of the piece of `f` containing abscissa `t`.
+
+    The constant head ``(v_1, t_1, 0)`` below the first knot, the segment
+    starting at ``t_i`` for ``t_i <= t < t_{i+1}``, and the tail at and
+    beyond the last knot: the pieces of :func:`_pieces`, found by bisection.
+    """
+    i = bisect_right(f.knots, t) - 1
+    if i < 0:
+        return f.values[0], f.knots[0], 0.0
+    if i == len(f.knots) - 1:
+        return f.values[i], f.knots[i], f.right_exponent
+    return f.values[i], f.knots[i], f.segment_exponents[i]
 
 
 def integral_min(f: MonotoneFn, g: MonotoneFn, a: float, b: float) -> float:

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import BadParameter, DomainError
-from .invariants import pi1_fundamental
+from .invariants import sweep
 from .orlicz import OrliczFn, from_fundamental_sequence, sequence_norm
 from .spaces import SpaceDescriptor
 
@@ -104,20 +104,22 @@ def schatten_orlicz_norm(x: object, phi: OrliczFn) -> float:
     return sequence_norm(phi, singular_values(x))
 
 
-@functools.lru_cache(maxsize=None)
+# Descriptor pairs whose Orlicz functions stay cached; a bound on memory
+# (each entry holds two descriptors and a 21-point table), not a tuning knob.
+_SUMMING_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_SUMMING_CACHE_SIZE)
 def _summing_orlicz_fn(
     domain: SpaceDescriptor, codomain: SpaceDescriptor
 ) -> OrliczFn:
     """Orlicz function whose fundamental sequence matches the pair's
     summing sequence on the geometric grid (cached by descriptor value;
     entries are deterministic, so concurrent recomputation is benign).
+    The grid is swept over one pair of quadrants.
     """
-    return from_fundamental_sequence(
-        {
-            float(n): pi1_fundamental(domain, codomain, n).pi1
-            for n in _PHI_GRID
-        }
-    )
+    reports = sweep(domain, codomain, _PHI_GRID).reports
+    return from_fundamental_sequence({float(r.n): r.pi1 for r in reports})
 
 
 def pi1_of_map(

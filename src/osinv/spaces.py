@@ -508,6 +508,13 @@ def descriptor_to_json(desc: SpaceDescriptor) -> dict[str, Any]:
     return out
 
 
+def _reject_booleans(where: str, *items: Any) -> None:
+    """JSON ``true``/``false`` load as ``bool``, a subclass of ``int``;
+    they are not numbers here."""
+    if any(isinstance(x, bool) for x in items):
+        raise ParseError(f"{where} must be numbers, not booleans")
+
+
 def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     sub = obj.get(key)
     if not isinstance(sub, Mapping):
@@ -515,6 +522,8 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     knots = sub.get("knots")
     values = sub.get("values")
     exponent = sub.get("right_exponent")
+    if isinstance(knots, list) and isinstance(values, list):
+        _reject_booleans(f"{key!r} entries", *knots, *values, exponent)
     if (
         not isinstance(knots, list)
         or not isinstance(values, list)
@@ -563,6 +572,7 @@ def descriptor_from_json(obj: Mapping[str, Any]) -> SpaceDescriptor:
         desc = from_fundamental(phi_c, phi_r)
     elif kind in _P_FAMILIES or kind in _PLAIN_FAMILIES:
         p = obj.get("p")
+        _reject_booleans("'p'", p)
         if kind in _P_FAMILIES and not isinstance(p, (int, float)):
             raise ParseError(f"family {kind!r} needs a numeric 'p'")
         try:

@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,38 @@ class TestParseNGrid:
     def test_rejects_malformed_grids(self, bad: str) -> None:
         with pytest.raises(ParseError):
             parse_n_grid(bad)
+
+    def test_largest_dimension_is_accepted(self) -> None:
+        assert parse_n_grid(f"16,{2**60}") == (16, 2**60)
+        assert parse_n_grid("geometric:16:1152921504606846976:2")[-1] == 2**60
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "geometric:1:1e300:3",
+            f"16,{2**60 + 1}",
+            "geometric:1:inf:3",
+            "geometric:1:nan:3",
+            "geometric:inf:inf:1",
+        ],
+    )
+    def test_rejects_dimensions_beyond_the_limit(self, bad: str) -> None:
+        with pytest.raises(ParseError, match=r"2\*\*60"):
+            parse_n_grid(bad)
+
+    def test_oversized_grid_exits_three_without_numpy_warnings(
+        self, capsys
+    ) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "table", "--space", OH_JSON, "--n",
+                "geometric:1:1e300:3",
+            )
+        assert code == 3
+        assert out == ""
+        assert "2**60" in err
+        assert "log-log" not in err
 
 
 class TestTableCommand:
@@ -336,6 +369,15 @@ class TestConsoleScript:
             entry(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == f"osinv {osinv.__version__}"
+
+    def test_declared_numpy_floor_has_trapezoid(self) -> None:
+        # oracle.riemann_integral calls np.trapezoid, added in numpy 2.0.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        floors = [d.replace(" ", "") for d in deps if d.startswith("numpy")]
+        assert floors == ["numpy>=2.0"]
 
     @pytest.mark.skipif(
         shutil.which("osinv") is None,

@@ -1,0 +1,107 @@
+"""Byte-identity of CLI stdout on a fixed golden set.
+
+Each case runs :func:`osinv.cli.main` in-process and compares the sha256
+digest of what it wrote to stdout against a committed digest.  The set
+covers ``table`` and ``pi1`` on the four catalog families and on seeded
+many-knot fundamental tables (m = 25 and m = 200), so a change to the
+evaluation path that moves any printed digit fails here.
+
+The many-knot tables are generated with :class:`random.Random` and plain
+float arithmetic, whose outputs are reproducible across platforms and
+Python versions, so the inputs (which are echoed into the header
+comment) are themselves stable.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from osinv.cli import main
+
+GRID = "geometric:16:1048576:9"
+
+OH = {"kind": "oh"}
+COLUMN = {"kind": "column_p", "p": 3.0}
+ROW = {"kind": "row_p", "p": 4.0 / 3.0}
+CR = {"kind": "cr_p", "p": 2.5}
+
+
+def _knotted_table(rng: random.Random, m: int) -> dict:
+    """Table on ``m`` log-spaced knots over ``[1, 1e6]`` with chord
+    exponents and right exponent drawn from (0.3, 0.7)."""
+    knots = [10.0 ** (6.0 * i / (m - 1)) for i in range(m)]
+    exps = [rng.uniform(0.3, 0.7) for _ in range(m)]
+    values = [1.0]
+    for i in range(m - 1):
+        values.append(values[-1] * (knots[i + 1] / knots[i]) ** exps[i])
+    return {"knots": knots, "values": values, "right_exponent": exps[-1]}
+
+
+def _knotted_space(seed: int, m: int) -> dict:
+    rng = random.Random(seed)
+    return {
+        "kind": "fundamental",
+        "phi_c": _knotted_table(rng, m),
+        "phi_r": _knotted_table(rng, m),
+    }
+
+
+def _dump(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _table(space: dict, *extra: str) -> tuple[str, ...]:
+    return ("table", "--space", _dump(space), "--n", GRID, *extra)
+
+
+def _pi1(domain: dict, codomain: dict, *extra: str) -> tuple[str, ...]:
+    return ("pi1", "--domain", _dump(domain), "--codomain", _dump(codomain),
+            "--n", GRID, *extra)
+
+
+K25_A, K25_B = _knotted_space(25, 25), _knotted_space(2025, 25)
+K200_A, K200_B = _knotted_space(200, 200), _knotted_space(2200, 200)
+
+CASES: dict[str, tuple[str, ...]] = {
+    "table-oh": _table(OH),
+    "table-column": _table(COLUMN),
+    "table-row": _table(ROW),
+    "table-cr": _table(CR, "--out", "json"),
+    "pi1-oh-column": _pi1(OH, COLUMN),
+    "pi1-column-row": _pi1(COLUMN, ROW),
+    "pi1-row-cr": _pi1(ROW, CR, "--out", "json"),
+    "pi1-cr-oh": _pi1(CR, OH),
+    "table-m25": _table(K25_A),
+    "table-m200": _table(K200_A),
+    "pi1-m25": _pi1(K25_A, K25_B),
+    "pi1-m200": _pi1(K200_A, K200_B, "--out", "json"),
+}
+
+#: sha256 of each case's stdout, recorded before the hot-path rewrite
+#: (bisect piece lookup and per-sweep composed-integral tables).
+DIGESTS = {
+    "pi1-column-row": "735e2885177ef46585e8f507e4d6a767773af41328dec66eb12219116b0a151a",
+    "pi1-cr-oh": "1eb4ce6510ad7c3a3b88fdd706f2cd2d99a4f0629ab35f4fbe43f846630c722b",
+    "pi1-m200": "e6cca76be50a0bc385d5f89c0b05a3f80be1920d5a40146650f338e851d36e0c",
+    "pi1-m25": "459b25f223a4ab35ba42bbad4c63343db4b4a64aafb4da55ba42901a157274d2",
+    "pi1-oh-column": "b8bd6efc5fff48dd86935dddc0ae8ec51ae19d66f34f1d9b5b7d076cfeb409d8",
+    "pi1-row-cr": "c191b357e3ecb6e73e400f6faf081541af57130ed55f003a369ced96bc68c67b",
+    "table-column": "a84226c518e5bfc80369144d4d5f611aa2c7a1ef7d5363be6131cce60f3d01fb",
+    "table-cr": "224875c147d7083a1db6910ad81279ba4dfcf0711c338eca71eb3278bc763e0d",
+    "table-m200": "979a14cd0d524d61e1c4d6830223b53102179a44d6b5cf654a63ceb05bfa8aec",
+    "table-m25": "1c08b95e45fa90a5c7ab8067b42df81f5693bcd55ed88a8d99eecc6bfb07b213",
+    "table-oh": "a74d1ff82565dc366ef3cbe762c7b3722d65dd7798a03a8bf8d73b8ec0ef8469",
+    "table-row": "8f7f15af2e44877973bf4abe42f335fb7721b8fc08d38d7a131a43cb5a2b5e9c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_digest(name: str, capsys) -> None:
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from osinv.errors import (
     DivergentTail,
     DomainError,
     NotRegular,
+    OsinvError,
+    Unbounded,
 )
 from osinv.growth import (
     TailIntegral,
@@ -25,8 +29,11 @@ from osinv.growth import (
     tail_fn,
 )
 from osinv.monotone_fn import (
+    _merge_close,
+    _segment_integral,
     evaluate,
     evaluate_many,
+    generalized_inverse,
     integral,
     make_piecewise,
 )
@@ -101,6 +108,21 @@ class TestTailIntegral:
             integral(w, t, math.inf), rel=1e-11
         )
 
+    def test_exponent_near_minus_one(self):
+        # Chord exponent -0.99999: the (lo, const, coef, q) closed form
+        # cancels to ~1e-11 relative, so such pieces integrate the density.
+        w = make_piecewise([math.e, math.e**2], [1.0, 0.367883119984248],
+                           right_exponent=-4.0, direction="nonincreasing")
+        hh = TailIntegral.from_density(w)
+        assert hh.near_log and not TailIntegral.from_density(
+            two_piece_weight()).near_log
+        ts = [0.5, 2.0, math.e, 4.0, 7.0, math.e**2, 9.0]
+        for t in ts:
+            assert hh.eval(t) == pytest.approx(integral(w, t, math.inf),
+                                               rel=1e-14)
+        assert list(hh.eval_many(ts)) == [hh.eval(t) for t in ts]
+        assert hh.mass == pytest.approx(integral(w, 0.0, math.inf), rel=1e-14)
+
     @given(decaying_weights())
     def test_eval_many_matches_eval(self, w):
         hh = TailIntegral.from_density(w)
@@ -161,6 +183,184 @@ class TestIntegralOfComposed:
         ident = make_piecewise([1.0], [1.0], right_exponent=1.0)
         with pytest.raises(DomainError):
             hh.integral_of_composed(ident, 1.0, math.inf)
+
+
+@st.composite
+def many_knot_fns(draw, direction: str, max_knots: int = 200):
+    """Tables with up to `max_knots` knots, some of them closer than the
+    1e-13 merge tolerance of composed-integral cuts.  Densities
+    (nonincreasing) get log pieces (exponent -1) and an integrable tail;
+    inner functions (nondecreasing) get flat runs and may be bounded."""
+    m = draw(st.integers(min_value=1, max_value=max_knots))
+    gaps = draw(st.lists(
+        st.one_of(st.floats(0.01, 0.3), st.sampled_from([3e-14, 8e-14, 2e-13])),
+        min_size=m - 1, max_size=m - 1))
+    if direction == "nonincreasing":
+        exponent = st.one_of(st.just(-1.0), st.floats(-3.0, 0.0))
+        e_inf = -draw(st.floats(min_value=1.2, max_value=4.0))
+    else:
+        exponent = st.one_of(st.just(0.0), st.floats(0.05, 2.5))
+        e_inf = draw(exponent)
+    exps = draw(st.lists(exponent, min_size=m - 1, max_size=m - 1))
+    knots = [math.exp(draw(st.floats(min_value=-1.0, max_value=1.0)))]
+    values = [draw(st.floats(min_value=0.2, max_value=5.0))]
+    for gap, e in zip(gaps, exps):
+        knots.append(knots[-1] * (1.0 + gap))
+        values.append(values[-1] * (knots[-1] / knots[-2]) ** e)
+    return make_piecewise(knots, values, right_exponent=e_inf,
+                          direction=direction)
+
+
+def _piece_table(f) -> list[tuple[float, float, float, float, float]]:
+    """Reference pieces ``(lo, hi, v0, t0, e)``: constant head, one piece
+    per segment, power tail."""
+    pieces = [(0.0, f.knots[0], f.values[0], f.knots[0], 0.0)]
+    for i, e in enumerate(f.segment_exponents):
+        pieces.append((f.knots[i], f.knots[i + 1], f.values[i], f.knots[i], e))
+    pieces.append(
+        (f.knots[-1], math.inf, f.values[-1], f.knots[-1], f.right_exponent)
+    )
+    return pieces
+
+
+def _scan_local_power(pieces, t: float) -> tuple[float, float, float]:
+    """Reference piece lookup: a linear scan of the piece table."""
+    for lo, hi, v0, t0, e in pieces:
+        if lo <= t < hi or (hi == math.inf and t >= lo):
+            return v0, t0, e
+    raise AssertionError("pieces cover (0, inf)")
+
+
+def _cuts(hh: TailIntegral, tau) -> list[float]:
+    """`tau`'s knots and the positive preimages of the tail's edges."""
+    out = list(tau.knots)
+    for edge in hh.boundaries:
+        try:
+            pre = generalized_inverse(tau, edge)
+        except Unbounded:
+            continue
+        if pre > 0.0:
+            out.append(pre)
+    return sorted(out)
+
+
+def _loop_integral_of_composed(hh: TailIntegral, tau, lo: float, hi: float):
+    """Reference: split ``[lo, hi]`` afresh at every cut inside it and
+    sum the closed-form segments left to right."""
+    cuts = {lo, hi}
+    cuts.update(c for c in _cuts(hh, tau) if lo < c < hi)
+    pts = _merge_close(sorted(cuts))
+    pieces = _piece_table(tau)
+    total = 0.0
+    for x, y in zip(pts, pts[1:]):
+        mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
+        v0, t0, m_exp = _scan_local_power(pieces, mid)
+        tau_mid = v0 * (mid / t0) ** m_exp
+        _, const, coef, q, anchor = hh._piece_at(tau_mid)
+        if q is None:
+            base = const + coef * math.log(v0 / anchor)
+            total += base * (y - x) + coef * m_exp * (
+                (y * math.log(y / t0) - y) - (x * math.log(x / t0) - x)
+            )
+        else:
+            total += const * (y - x) + _segment_integral(
+                coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
+            )
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, OsinvError) as exc:
+        return type(exc)
+
+
+class TestComposedTableMatchesLoop:
+    """The cut table must give, to the bit, what splitting each range
+    afresh gives: same cuts, same segments, same summation order."""
+
+    @given(many_knot_fns("nonincreasing"), many_knot_fns("nondecreasing"),
+           st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_bit_identical(self, w, tau, data):
+        hh = TailIntegral.from_density(w)
+        cuts = _cuts(hh, tau)
+        finite = [c for c in cuts if math.isfinite(c)]
+        near = [1.0, 1.0 + 5e-14, 1.0 - 5e-14, 1.0 + 1e-13, 1.0 - 1e-13,
+                1.0 + 2e-13, 1.0 - 2e-13]
+        his = [c * r for c in data.draw(st.lists(
+            st.sampled_from(finite), min_size=1, max_size=3)) for r in near]
+        his += [math.nextafter(c, math.inf) for c in finite[:2]]
+        his += [math.nextafter(c, 0.0) for c in finite[-2:]]
+        his += data.draw(st.lists(st.floats(1e-3, 1e8), max_size=3))
+        his.append(finite[-1] * 10.0)
+        his = data.draw(st.permutations(his))
+        for hi in his:
+            assert _outcome(hh.integral_of_composed, tau, 0.0, hi) == (
+                _outcome(_loop_integral_of_composed, hh, tau, 0.0, hi))
+        for lo, hi in zip(his, his[1:]):
+            lo, hi = min(lo, hi), max(lo, hi)
+            if lo == hi:
+                continue
+            assert _outcome(hh.integral_of_composed, tau, lo, hi) == (
+                _outcome(_loop_integral_of_composed, hh, tau, lo, hi))
+
+    def test_hi_merged_into_the_last_cut(self):
+        # hi within 1e-13 of a cut is dropped, so the range ends at the cut.
+        hh = TailIntegral.from_density(two_piece_weight())
+        tau = make_piecewise([1.0, 3.0], [1.0, 9.0], right_exponent=1.0)
+        for hi in (3.0, 3.0 * (1 + 5e-14), 3.0 * (1 - 5e-14), 3.0 * (1 + 2e-13)):
+            assert hh.integral_of_composed(tau, 0.0, hi) == (
+                _loop_integral_of_composed(hh, tau, 0.0, hi))
+        assert hh.integral_of_composed(tau, 0.0, 3.0 * (1 + 5e-14)) == (
+            hh.integral_of_composed(tau, 0.0, 3.0))
+
+    def test_concurrent_queries_share_one_table(self):
+        # Threads extending one table's running integrals at once must
+        # each get the value a table of their own gives.
+        w = make_piecewise(
+            [1.0 + 0.5 * i for i in range(120)],
+            [(1.0 + 0.5 * i) ** -1.5 for i in range(120)],
+            right_exponent=-2.5, direction="nonincreasing")
+        tau = make_piecewise([1.0 + 0.7 * i for i in range(120)],
+                             [(1.0 + 0.7 * i) ** 0.6 for i in range(120)],
+                             right_exponent=0.6)
+        his = [1.0 + 0.37 * i for i in range(1, 240)]
+        want = {h: TailIntegral.from_density(w).integral_of_composed(
+            tau, 0.0, h) for h in his}
+        shared = TailIntegral.from_density(w)
+        shared.composed_table(tau)
+        got: dict[int, list[tuple[float, float]]] = {}
+
+        def worker(k: int) -> None:
+            got[k] = [(h, shared.integral_of_composed(tau, 0.0, h))
+                      for h in his[k % 3::3] + his]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        assert all(v == want[h] for k in got for h, v in got[k])
+
+    def test_table_is_kept_per_inner_function(self):
+        hh = TailIntegral.from_density(two_piece_weight())
+        tau = make_piecewise([1.0, 3.0], [1.0, 9.0], right_exponent=1.0)
+        table = hh.composed_table(tau)
+        hh.integral_of_composed(tau, 0.0, 50.0)
+        assert hh.composed_table(tau) is table
+        assert table.merged[0] == 0.0 and len(table.prefix) <= len(table.merged)
+        other = make_piecewise([1.0], [1.0], right_exponent=0.5)
+        assert hh.composed_table(other) is not table
 
 
 class TestTailFn:

@@ -19,6 +19,7 @@ integrand is an explicit power function:
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,31 @@ class TestSweep:
         exs = [r.ex for r in res.reports]
         assert all(a <= b for a, b in zip(pi1s, pi1s[1:]))
         assert all(a <= b for a, b in zip(exs, exs[1:]))
+
+    def test_reports_equal_pointwise_invariants(self):
+        # A sweep shares one quadrant pair and one exactness setup across
+        # its grid; each value must be the pointwise one, to the bit.
+        rng = random.Random(11)
+
+        def table(m: int):
+            knots = [10.0 ** (6.0 * i / (m - 1)) for i in range(m)]
+            values = [1.0]
+            for t0, t1 in zip(knots, knots[1:]):
+                values.append(values[-1] * (t1 / t0) ** rng.uniform(0.3, 0.7))
+            return make_piecewise(knots, values,
+                                  right_exponent=rng.uniform(0.3, 0.7))
+
+        knotted = from_fundamental(table(40), table(40))
+        grid = [1, 3, 16, 100, 4096, 2**20]
+        for domain, codomain in [(knotted, None), (knotted, C3), (OH, knotted)]:
+            res = sweep(domain, codomain, grid)
+            for rep in res.reports:
+                want = pi1_fundamental(domain, codomain or domain, rep.n)
+                assert rep.pi1 == want.pi1
+                assert (rep.lambda1, rep.lambda2, rep.lambda3) == (
+                    want.lambda1, want.lambda2, want.lambda3)
+                if codomain is None:
+                    assert rep.ex == exactness(domain, rep.n)
 
     def test_sorts_and_dedupes_grid(self):
         res = sweep(OH, n_grid=[256, 16, 16, 64])

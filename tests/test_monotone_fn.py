@@ -22,6 +22,7 @@ from osinv.errors import (
 )
 from osinv.monotone_fn import (
     MonotoneFn,
+    _local_power,
     compose,
     crossing_below,
     evaluate,
@@ -45,12 +46,14 @@ def power_fn(exponent: float, anchor: float = 1.0, value: float = 1.0) -> Monoto
 
 
 @st.composite
-def monotone_fns(draw, direction: str | None = None) -> MonotoneFn:
+def monotone_fns(
+    draw, direction: str | None = None, max_knots: int = 6
+) -> MonotoneFn:
     """Random well-conditioned piecewise power tables."""
     if direction is None:
         direction = draw(st.sampled_from(["nondecreasing", "nonincreasing"]))
     sign = 1.0 if direction == "nondecreasing" else -1.0
-    m = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=max_knots))
     start = draw(st.floats(min_value=-2.0, max_value=2.0))
     gaps = draw(
         st.lists(
@@ -334,6 +337,16 @@ class TestIntegral:
         # Below the first knot the function is constant.
         assert integral(power_fn(0.5), 0.0, 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, -0.5, -2.0])
+    def test_subnormal_lower_limit(self, exponent):
+        # a / t0 underflows to 0 for a subnormal a and t0 > 1.
+        f = power_fn(exponent, anchor=math.e)
+        a = 5e-324
+        assert integral(f, a, 1.0) == pytest.approx(
+            integral(f, 0.0, 1.0), rel=1e-15)
+        assert integral(f, a, 20.0) == pytest.approx(
+            integral(f, a, 1.0) + integral(f, 1.0, 20.0), rel=1e-14)
+
     def test_bad_limits(self):
         with pytest.raises(DomainError):
             integral(power_fn(1.0), 2.0, 1.0)
@@ -352,6 +365,50 @@ class TestIntegral:
         whole = integral(f, a, c)
         split = integral(f, a, b) + integral(f, b, c)
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-300)
+
+
+def _piece_table(f: MonotoneFn) -> list[tuple[float, float, float, float, float]]:
+    """Reference pieces ``(lo, hi, v0, t0, e)``: constant head, one piece
+    per segment, power tail."""
+    pieces = [(0.0, f.knots[0], f.values[0], f.knots[0], 0.0)]
+    for i, e in enumerate(f.segment_exponents):
+        pieces.append((f.knots[i], f.knots[i + 1], f.values[i], f.knots[i], e))
+    pieces.append(
+        (f.knots[-1], math.inf, f.values[-1], f.knots[-1], f.right_exponent)
+    )
+    return pieces
+
+
+def _scan_local_power(pieces, t: float) -> tuple[float, float, float]:
+    """Reference piece lookup: a linear scan of the piece table."""
+    for lo, hi, v0, t0, e in pieces:
+        if lo <= t < hi or (hi == math.inf and t >= lo):
+            return v0, t0, e
+    raise AssertionError("pieces cover (0, inf)")
+
+
+class TestLocalPower:
+    @given(monotone_fns(max_knots=200), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_bisection_matches_scan(self, f, data):
+        knots = f.knots
+        points = list(knots)
+        points += [math.nextafter(t, 0.0) for t in knots]
+        points += [math.nextafter(t, math.inf) for t in knots]
+        points += [knots[0] * 0.5, knots[0] * 1e-9, knots[-1] * 2.0,
+                   knots[-1] * 1e9]
+        points += data.draw(st.lists(
+            st.floats(min_value=1e-6, max_value=1e6), max_size=20))
+        pieces = _piece_table(f)
+        for t in points:
+            assert _local_power(f, t) == _scan_local_power(pieces, t)
+
+    def test_head_segment_and_tail_anchors(self):
+        f = make_piecewise([1.0, 4.0], [2.0, 8.0], right_exponent=0.5)
+        assert _local_power(f, 0.25) == (2.0, 1.0, 0.0)
+        assert _local_power(f, 1.0) == (2.0, 1.0, 1.0)
+        assert _local_power(f, 4.0) == (8.0, 4.0, 0.5)
+        assert _local_power(f, 400.0) == (8.0, 4.0, 0.5)
 
 
 class TestIntegralMin:

@@ -11,6 +11,7 @@ from osinv import catalog, evaluate, power_orlicz, psi
 from osinv.errors import BadParameter, DomainError, NotRegular
 from osinv.invariants import pi1_fundamental
 from osinv.schatten import (
+    _summing_orlicz_fn,
     pi1_of_map,
     schatten_orlicz_norm,
     schatten_p_norm,
@@ -276,3 +277,21 @@ class TestPi1OfMap:
         for _ in range(50):
             pi1_of_map(C4, C43, np.eye(3))
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestSummingCache:
+    def test_cache_is_bounded(self):
+        maxsize = _summing_orlicz_fn.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+
+    def test_evicted_pair_recomputes_to_the_same_value(self):
+        x = random_matrix(np.random.default_rng(47), 5)
+        _summing_orlicz_fn.cache_clear()
+        first = pi1_of_map(C3, CR15, x)
+        maxsize = _summing_orlicz_fn.cache_info().maxsize
+        for p in np.linspace(1.5, 5.0, maxsize):
+            _summing_orlicz_fn(catalog("column_p", float(p)), CR15)
+        misses = _summing_orlicz_fn.cache_info().misses
+        assert pi1_of_map(C3, CR15, x) == first
+        assert _summing_orlicz_fn.cache_info().misses == misses + 1
+

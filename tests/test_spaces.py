@@ -477,6 +477,32 @@ class TestDescriptorJson:
         with pytest.raises(ParseError):
             descriptor_from_json(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "column_p", "p": True},
+            {"kind": "cr_p", "p": False},
+            {"kind": "fundamental",
+             "phi_c": {"knots": [True], "values": [1.0],
+                       "right_exponent": 0.5},
+             "phi_r": {"knots": [1.0], "values": [1.0],
+                       "right_exponent": 0.5}},
+            {"kind": "fundamental",
+             "phi_c": {"knots": [1.0, 4.0], "values": [True, 2.0],
+                       "right_exponent": 0.5},
+             "phi_r": {"knots": [1.0], "values": [1.0],
+                       "right_exponent": 0.5}},
+            {"kind": "fundamental",
+             "phi_c": {"knots": [1.0], "values": [1.0],
+                       "right_exponent": 0.5},
+             "phi_r": {"knots": [1.0], "values": [1.0],
+                       "right_exponent": False}},
+        ],
+    )
+    def test_booleans_are_not_numbers(self, bad):
+        with pytest.raises(ParseError, match="boolean"):
+            descriptor_from_json(bad)
+
     def test_fundamental_tables_must_be_regular(self):
         wire = {
             "kind": "fundamental",
