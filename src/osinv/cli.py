@@ -42,6 +42,7 @@ from .spaces import SpaceDescriptor, descriptor_from_json, descriptor_to_json
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = [
+    "MAX_GRID_COUNT",
     "MAX_N",
     "RunConfig",
     "cmd_fit",
@@ -64,6 +65,10 @@ _FIT_HEADER = "quantity,slope,r_squared"
 #: the invariants are checked exact (OH ``pi1`` against its closed form).
 MAX_N = 2**60
 
+#: Most points a ``geometric:a:b:count`` grid may ask for; every point is
+#: built before duplicates collapse, so the count bounds the work.
+MAX_GRID_COUNT = 10_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -77,6 +82,7 @@ class RunConfig:
     out_format: str = "csv"
     out_path: str = "-"
     suite: str = "all"
+    timings: bool = False
 
 
 def parse_space_descriptor(text: str) -> SpaceDescriptor:
@@ -109,13 +115,15 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
     """Grid from ``"16,64,256"`` or ``"geometric:a:b:count"``.
 
     Geometric grids are rounded to integers; duplicates collapse and
-    the result is sorted.  Points may not exceed :data:`MAX_N`.
+    the result is sorted.  Points may not exceed :data:`MAX_N`, nor a
+    geometric count :data:`MAX_GRID_COUNT`.
 
     Raises
     ------
     ParseError
-        Malformed syntax, non-finite geometric bounds, an empty grid, or
-        a point below 1 or above :data:`MAX_N`.
+        Malformed syntax, non-finite geometric bounds, a geometric count
+        above :data:`MAX_GRID_COUNT`, an empty grid, or a point below 1
+        or above :data:`MAX_N`.
     """
     s = text.strip()
     ns: list[int]
@@ -137,6 +145,11 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
         if not (0.0 < a <= b) or count < 1:
             raise ParseError(
                 f"need 0 < a <= b and count >= 1, got {text!r}"
+            )
+        if count > MAX_GRID_COUNT:
+            raise ParseError(
+                f"geometric grid count must be at most {MAX_GRID_COUNT}, "
+                f"got {count}"
             )
         if count == 1:
             ns = [round(a)]
@@ -355,8 +368,16 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Run the self-check suites; exit 0 only if every check passes."""
+    """Run the self-check suites; exit 0 only if every check passes.
+
+    With ``timings`` set, each check's wall time also goes to standard
+    error, one ``suite.check elapsed_ms`` line per check.
+    """
     results = run_suite(cfg.suite)
+    if cfg.timings:
+        for r in results:
+            print(f"{r.suite + '.' + r.name:<30} {r.elapsed_ms:.1f}",
+                  file=sys.stderr)
     lines = [
         f"{'pass' if r.passed else 'fail'}  "
         f"{r.suite + '.' + r.name:<30} {r.detail}"
@@ -423,6 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default all)",
     )
+    verify.add_argument(
+        "--timings",
+        action="store_true",
+        help="print each check's elapsed milliseconds to standard error",
+    )
     return parser
 
 
@@ -438,6 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_format=getattr(args, "out_format", "csv"),
         out_path=getattr(args, "out_path", "-"),
         suite=getattr(args, "suite", "all"),
+        timings=getattr(args, "timings", False),
     )
     handlers = {
         "table": cmd_table,

@@ -39,6 +39,7 @@ from .monotone_fn import (
     _KNOT_MERGE_RTOL,
     MonotoneFn,
     _local_power,
+    _log_ratio,
     _merge_close,
     _segment_integral,
     evaluate,
@@ -168,9 +169,6 @@ class TailIntegral:
         """Interior piece edges (the knots of the density)."""
         return self.density.knots
 
-    def _piece_at(self, t: float) -> tuple[float, float, float, float | None, float]:
-        return self.pieces[bisect_right(self._los, t) - 1]
-
     def eval(self, t: float) -> float:
         """Exact value of the tail integral at ``t > 0``."""
         t = float(t)
@@ -244,16 +242,61 @@ class TailIntegral:
         mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
         v0, t0, m_exp = _local_power(tau, mid)
         tau_mid = v0 * (mid / t0) ** m_exp
-        _, const, coef, q, anchor = self._piece_at(tau_mid)
+        k = bisect_right(self._los, tau_mid) - 1
+        right = self._near_log_right.get(k)
+        if right is not None:
+            return self._near_log_segment(k, right, v0, t0, m_exp, x, y)
+        _, const, coef, q, anchor = self.pieces[k]
         if q is None:
             # H(tau(s)) = const + coef ln(v0/anchor) + coef m ln(s/t0)
             base = const + coef * math.log(v0 / anchor)
             return base * (y - x) + coef * m_exp * (
-                (y * math.log(y / t0) - y) - (x * math.log(x / t0) - x)
+                (_xlog(y, t0) - y) - (_xlog(x, t0) - x)
             )
         return const * (y - x) + _segment_integral(
             coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
         )
+
+    def _near_log_segment(
+        self, k: int, right: float, v0: float, t0: float, m_exp: float,
+        x: float, y: float,
+    ) -> float:
+        """:meth:`_composed_segment` on the near-log piece `k`, whose
+        right end has ``H = right``.
+
+        On the piece ``H(t) = right + v_i t_i S(L1) - v_i t_i S(L(t))``
+        with ``L(t) = ln(t/t_i)``, ``L1 = L(t_{i+1})`` and
+        ``S(l) = sum_{j=1..4} q^(j-1) l^j / j!``, the series of
+        ``_segment_integral``.  ``L(tau(s)) = a + m ln(s/t0)`` is affine
+        in ``ln s``, and ``s sum_r (-m)^r j!/(j-r)! L^(j-r)`` is an
+        antiderivative of its ``j``-th power.
+        """
+        w, i = self.density, k - 1
+        scale = w.values[i] * w.knots[i]
+        q = w.segment_exponents[i] + 1.0
+        a = math.log(v0 / w.knots[i])
+        l1 = math.log(w.knots[i + 1] / w.knots[i])
+        head = sum(q ** (j - 1) * l1**j / math.factorial(j) for j in range(1, 5))
+
+        def antiderivative(s: float) -> float:
+            if s == 0.0:
+                return 0.0
+            lt = a + m_exp * _log_ratio(s, t0)
+            return s * sum(
+                q ** (j - 1) * (-m_exp) ** r * lt ** (j - r)
+                / math.factorial(j - r)
+                for j in range(1, 5)
+                for r in range(j + 1)
+            )
+
+        return (right + scale * head) * (y - x) - scale * (
+            antiderivative(y) - antiderivative(x)
+        )
+
+
+def _xlog(s: float, t0: float) -> float:
+    """``s ln(s/t0)``, with its limit 0 at ``s = 0``."""
+    return s * _log_ratio(s, t0) if s > 0.0 else 0.0
 
 
 class _ComposedTable:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,7 +37,6 @@ from .monotone_fn import (
     MonotoneFn,
     _merge_close,
     evaluate,
-    evaluate_many,
     generalized_inverse,
     integral,
     make_piecewise,
@@ -89,6 +88,12 @@ class OrliczFn:
     increasing with ``phi(t)/t`` nondecreasing.  Build instances with
     :func:`make_orlicz` (or the dedicated constructors), which computes
     the doubling constant.
+
+    :meth:`eval_many` reads a piece table built once per instance: the
+    body's knots as search edges, and per piece an anchor abscissa, an
+    anchor value and an exponent.  The left extension is piece 0
+    (anchored at the first knot, with :attr:`left_exponent`), piece
+    ``i`` starts at knot ``i``, and the last piece is the right tail.
     """
 
     body: MonotoneFn
@@ -128,20 +133,44 @@ class OrliczFn:
             return evaluate(self.body, t)
         return self.body.values[0] * (t / t1) ** self.left_exponent
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Search edges, then per-piece anchor ``t``, anchor value and
+        exponent; piece 0 is the left extension."""
+        body = self.body
+        edges, values = body._knots_arr, body._values_arr
+        return (
+            edges,
+            np.concatenate((edges[:1], edges)),
+            np.concatenate((values[:1], values)),
+            np.concatenate(([self.left_exponent], body._exponents_arr)),
+        )
+
     def eval_many(self, ts: Iterable[float]) -> np.ndarray:
-        """Vectorized :meth:`eval`."""
+        """Vectorized :meth:`eval`: one lookup in the piece table."""
         arr = np.asarray(ts, dtype=float)
-        if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0)):
+        if not arr.size:
+            return np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        lo = flat.min()
+        if not (lo >= 0.0 and flat.max() < math.inf):
             raise DomainError("arguments must be finite reals >= 0")
-        out = np.zeros_like(arr)
-        t1, v1 = self.body.knots[0], self.body.values[0]
-        small = (arr > 0.0) & (arr < t1)
-        if np.any(small):
-            out[small] = v1 * (arr[small] / t1) ** self.left_exponent
-        big = arr >= t1
-        if np.any(big):
-            out[big] = evaluate_many(self.body, arr[big])
-        return out
+        edges, anchor_t, anchor_v, expo = self._table
+        idx = np.searchsorted(edges, flat, side="right")
+        out = anchor_v[idx] * (flat / anchor_t[idx]) ** expo[idx]
+        t1 = self.body.knots[0]
+        if lo < t1:
+            # The left piece keeps its scalar exponent: numpy takes fast
+            # paths for some scalars (``square`` for 2.0) whose last bit
+            # differs from an array-exponent power.
+            left = idx == 0
+            out[left] = (
+                self.body.values[0]
+                * (flat[left] / t1) ** self.left_exponent
+            )
+            if lo == 0.0:  # phi(-0.0) is +0.0 too, whatever the exponent
+                out[flat == 0.0] = 0.0
+        return out.reshape(arr.shape)
 
     def inverse(self, y: float) -> float:
         """``phi^{-1}(y) = sup {t : phi(t) <= y}`` (0 at ``y = 0``)."""

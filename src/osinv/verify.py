@@ -24,7 +24,8 @@ runs produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,12 +58,14 @@ SUITE_NAMES = ("growth", "orlicz", "oracle")
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named check: verdict plus the measured margin."""
+    """Outcome of one named check: verdict plus the measured margin, and
+    the wall time the check took (not part of equality)."""
 
     suite: str
     name: str
     passed: bool
     detail: str
+    elapsed_ms: float = field(default=0.0, compare=False)
 
 
 def _power_weight(a: float):
@@ -297,9 +300,11 @@ def run_suite(suite: str = "all") -> list[CheckResult]:
     for name, check, fn in _CHECKS:
         if suite != "all" and name != suite:
             continue
+        start = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, check, passed, detail))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        results.append(CheckResult(name, check, passed, detail, elapsed_ms))
     return results

@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 
 import osinv
-from osinv.cli import main, parse_n_grid, parse_space_descriptor
+from osinv.cli import (
+    MAX_GRID_COUNT,
+    main,
+    parse_n_grid,
+    parse_space_descriptor,
+)
 from osinv.errors import BadParameter, NotRegular, ParseError
 from osinv.monotone_fn import evaluate
 from osinv.verify import run_suite
@@ -136,6 +141,24 @@ class TestParseNGrid:
         assert out == ""
         assert "2**60" in err
         assert "log-log" not in err
+
+    def test_largest_count_is_accepted(self) -> None:
+        assert parse_n_grid(f"geometric:1:2:{MAX_GRID_COUNT}") == (1, 2)
+
+    @pytest.mark.parametrize(
+        "count", [MAX_GRID_COUNT + 1, 1_000_000, 10**30]
+    )
+    def test_rejects_counts_beyond_the_limit(self, count: int) -> None:
+        with pytest.raises(ParseError, match=f"at most {MAX_GRID_COUNT}"):
+            parse_n_grid(f"geometric:1:2:{count}")
+
+    def test_oversized_count_exits_three(self, capsys) -> None:
+        code, out, err = run_cli(
+            capsys, "table", "--space", OH_JSON, "--n", "geometric:1:2:1000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert str(MAX_GRID_COUNT) in err
 
 
 class TestTableCommand:
@@ -334,6 +357,27 @@ class TestVerifyCommand:
     def test_unknown_suite_is_a_usage_error(self) -> None:
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+    def test_timings_go_to_stderr_only(self, capsys) -> None:
+        code, plain_out, plain_err = run_cli(
+            capsys, "verify", "--suite", "growth"
+        )
+        timed_code, out, err = run_cli(
+            capsys, "verify", "--suite", "growth", "--timings"
+        )
+        assert code == timed_code == 0
+        assert plain_err == ""
+        assert out == plain_out
+        lines = err.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "growth.power-law-growth",
+            "growth.tail-growth-identity",
+            "growth.weight-recovery",
+        ]
+        assert all(
+            len(line.split()) == 2 and float(line.split()[1]) >= 0.0
+            for line in lines
+        )
 
 
 class TestRunSuite:

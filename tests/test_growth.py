@@ -184,6 +184,88 @@ class TestIntegralOfComposed:
         with pytest.raises(DomainError):
             hh.integral_of_composed(ident, 1.0, math.inf)
 
+    def test_log_piece_from_zero(self):
+        # tau = 2 on (0, 1] lands in the log piece of H, so the first
+        # segment starts at s = 0, where s ln(s) has the limit 0.
+        hh = TailIntegral.from_density(log_segment_weight())
+        tau = make_piecewise([1.0], [2.0], right_exponent=1.0)
+        # H(t) = 0.5 + ln(10/t) on [1, 10]: the integral is 5 (0.5 + ln 5)
+        # - (5 ln 5 - 4) = 6.5.
+        assert hh.integral_of_composed(tau, 0.0, 5.0) == pytest.approx(
+            6.5, rel=1e-13
+        )
+
+
+def _near_log_weight(q: float) -> "make_piecewise":
+    """w = 1 head, chord exponent about ``q - 1`` on [e, e^2], s^-4 tail."""
+    return make_piecewise([math.e, math.e**2], [1.0, math.exp(q - 1.0)],
+                          right_exponent=-4.0, direction="nonincreasing")
+
+
+def _mp_composed(w, tau, lo: float, hi: float) -> float:
+    """mpmath reference for ``integral of H(tau(s))`` over ``[lo, hi]``,
+    from the exact decimal values of the float tables of a two-knot `w`
+    and a one-knot `tau`."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(_mp_composed_at_precision(mpmath, w, tau, lo, hi))
+
+
+def _mp_composed_at_precision(mpmath, w, tau, lo: float, hi: float):
+    t0, t1 = (mpmath.mpf(t) for t in w.knots)
+    v0, v1 = (mpmath.mpf(v) for v in w.values)
+    c = mpmath.log(v1 / v0) / mpmath.log(t1 / t0)
+    tail_q = mpmath.mpf(w.right_exponent) + 1
+    h_t1 = -v1 * t1 / tail_q
+
+    def seg(a, b):  # integral of v0 (u/t0)^c over [a, b]
+        return v0 * t0 * ((b / t0) ** (c + 1) - (a / t0) ** (c + 1)) / (c + 1)
+
+    def h(t):
+        if t >= t1:
+            return h_t1 * (t / t1) ** tail_q
+        if t >= t0:
+            return h_t1 + seg(t, t1)
+        return h_t1 + seg(t0, t1) + v0 * (t0 - t)
+
+    def tau_mp(s):
+        knot, value = mpmath.mpf(tau.knots[0]), mpmath.mpf(tau.values[0])
+        if s <= knot:
+            return value
+        return value * (s / knot) ** mpmath.mpf(tau.right_exponent)
+
+    cuts = sorted({lo, hi} | {k for k in tau.knots if lo < k < hi})
+    cuts += [generalized_inverse(tau, edge) for edge in w.knots]
+    pts = sorted({mpmath.mpf(p) for p in cuts if lo <= p <= hi})
+    return mpmath.quad(lambda s: h(tau_mp(s)), pts)
+
+
+class TestNearLogComposed:
+    """Pieces of H whose chord exponent is near -1 integrate through the
+    series of ``_segment_integral`` instead of ``const + coef (t/a)^q``."""
+
+    @pytest.mark.parametrize(
+        "tau_knot, tau_value, tau_exp, lo, hi",
+        [
+            (1.0, 1.0, 1.0, 3.0, 7.0),      # identity, inside the piece
+            (1.0, 1.0, 1.0, 2.0, 9.0),      # crosses both piece edges
+            (1.0, 2.0, 0.5, 3.0, 12.0),     # square root
+            (1.0, 2.0, 0.5, 0.0, 12.0),     # from 0, constant head
+            (8.0, 4.0, 3.0, 0.0, 8.1),      # constant tau inside the piece
+        ],
+    )
+    @pytest.mark.parametrize("q", [1e-5, -3e-7, 9.5e-4])
+    def test_matches_mpmath(self, tau_knot, tau_value, tau_exp, lo, hi, q):
+        w = _near_log_weight(q)
+        hh = TailIntegral.from_density(w)
+        assert hh.near_log
+        tau = make_piecewise([tau_knot], [tau_value], right_exponent=tau_exp)
+        exact = _mp_composed(w, tau, lo, hi)
+        assert hh.integral_of_composed(tau, lo, hi) == pytest.approx(
+            exact, rel=1e-13
+        )
+
 
 @st.composite
 def many_knot_fns(draw, direction: str, max_knots: int = 200):
@@ -256,11 +338,19 @@ def _loop_integral_of_composed(hh: TailIntegral, tau, lo: float, hi: float):
         mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
         v0, t0, m_exp = _scan_local_power(pieces, mid)
         tau_mid = v0 * (mid / t0) ** m_exp
-        _, const, coef, q, anchor = hh._piece_at(tau_mid)
+        k = sum(1 for p in hh.pieces if p[0] <= tau_mid) - 1
+        if k in dict(hh.near_log):
+            # Near-log pieces have their own closed form, checked
+            # against mpmath in TestNearLogComposed.
+            total += hh._near_log_segment(
+                k, dict(hh.near_log)[k], v0, t0, m_exp, x, y)
+            continue
+        _, const, coef, q, anchor = hh.pieces[k]
         if q is None:
             base = const + coef * math.log(v0 / anchor)
+            x_log = x * math.log(x / t0) if x > 0.0 else 0.0
             total += base * (y - x) + coef * m_exp * (
-                (y * math.log(y / t0) - y) - (x * math.log(x / t0) - x)
+                (y * math.log(y / t0) - y) - (x_log - x)
             )
         else:
             total += const * (y - x) + _segment_integral(

@@ -16,6 +16,7 @@ from osinv import (
     from_weight,
     half_line_pair,
     integral,
+    make_orlicz,
     make_piecewise,
     pi1_fundamental,
     power_orlicz,
@@ -220,6 +221,80 @@ class TestRiemannIntegral:
     ) -> None:
         with pytest.raises(BadParameter):
             riemann_integral(lambda u: u, a, b, **kwargs)
+
+
+def _full_grid_scan(phi, x) -> tuple[float, int]:
+    """Reference: the modular on all 10,000 candidates at once, summed
+    lam-major; returns the value and the index of the first crossing."""
+    xs = np.abs(np.asarray(list(x), dtype=float))
+    xs = xs[xs > 0.0]
+    if xs.size == 0:
+        return 0.0, -1
+    lams = np.geomspace(float(xs.max()) / 1e3, 1e3 * float(xs.sum()), 10_000)
+    ratios = (xs[None, :] / lams[:, None]).ravel()
+    modular = phi.eval_many(ratios).reshape(lams.size, xs.size).sum(axis=1)
+    under = modular <= 1.0
+    if not under.any():
+        return float(lams[-1]), lams.size
+    k = int(np.argmax(under))
+    if k == 0:
+        return float(lams[0]), k
+    m_lo, m_hi = float(modular[k - 1]), float(modular[k])
+    if m_hi <= 0.0 or m_lo <= m_hi:
+        return float(lams[k]), k
+    frac = math.log(m_lo) / (math.log(m_lo) - math.log(m_hi))
+    return float(lams[k - 1] * (lams[k] / lams[k - 1]) ** frac), k
+
+
+def _scaled_power(value_at_one: float):
+    """``phi(t) = value_at_one * t``: tiny values put the crossing at the
+    first candidate, huge ones leave the modular above 1 throughout."""
+    return make_orlicz(make_piecewise([1.0], [value_at_one],
+                                      right_exponent=1.0))
+
+
+class TestScanMatchesFullGrid:
+    """The chunked scan stops at the first chunk holding a crossing; its
+    result must be, to the bit, the full-grid scan's."""
+
+    PHIS = (power_orlicz(1.5), power_orlicz(2.0), psi(), PHI_R_OH,
+            power_orlicz(1.0))
+
+    def test_seeded_sequences(self) -> None:
+        rng = np.random.default_rng(2024)
+        for i in range(300):
+            phi = self.PHIS[i % len(self.PHIS)]
+            x = rng.lognormal(0.0, float(rng.uniform(0.1, 3.0)),
+                              size=int(rng.integers(1, 48)))
+            want, _ = _full_grid_scan(phi, x)
+            assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize(
+        "scale, x, k",
+        [(1e-9, [1.0], 0), (1e-9, [3.0, 0.5], 0),
+         (1e12, [1.0], 10_000), (1e12, [2.0, 5.0, 1.0], 10_000)],
+        ids=["first-1", "first-2", "none-1", "none-3"],
+    )
+    def test_crossing_at_the_ends(self, scale, x, k) -> None:
+        phi = _scaled_power(scale)
+        want, k_ref = _full_grid_scan(phi, x)
+        assert k_ref == k
+        assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_crossing_at_a_chunk_start(self, monkeypatch, i) -> None:
+        # Chunks of exactly k candidates put the crossing first in the
+        # second chunk, so the cell's left modular comes from the first.
+        rng = np.random.default_rng(i)
+        phi = self.PHIS[i]
+        x = rng.lognormal(0.0, 1.5, size=int(rng.integers(2, 30)))
+        want, k = _full_grid_scan(phi, x)
+        assert 0 < k < 10_000
+        monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", k * len(x))
+        assert orlicz_norm_scan(phi, x) == want
+        for step in (1, 7, k - 1, k + 1):
+            monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", step * len(x))
+            assert orlicz_norm_scan(phi, x) == want
 
 
 class TestOrliczNormScan:

@@ -18,7 +18,7 @@ from osinv.errors import (
     NotAdmissible,
     TooFewPoints,
 )
-from osinv.monotone_fn import make_piecewise
+from osinv.monotone_fn import evaluate_many, make_piecewise
 from osinv.orlicz import (
     OrliczFn,
     from_fundamental_sequence,
@@ -94,6 +94,110 @@ class TestOrliczFn:
             p2.inverse(-0.5)
         with pytest.raises(DomainError):
             p2.eval_many([1.0, math.inf])
+
+
+def _two_region_eval_many(phi: OrliczFn, ts) -> np.ndarray:
+    """Reference: the left extension on its own mask with a scalar
+    exponent, the body through ``evaluate_many`` on the rest."""
+    arr = np.asarray(ts, dtype=float)
+    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0)):
+        raise DomainError("arguments must be finite reals >= 0")
+    out = np.zeros_like(arr)
+    t1, v1 = phi.body.knots[0], phi.body.values[0]
+    small = (arr > 0.0) & (arr < t1)
+    if np.any(small):
+        out[small] = v1 * (arr[small] / t1) ** phi.left_exponent
+    big = arr >= t1
+    if np.any(big):
+        out[big] = evaluate_many(phi.body, arr[big])
+    return out
+
+
+_EXACT_EXPONENTS = st.sampled_from([1.0, 2.0, 3.0, 4.0])
+
+
+@st.composite
+def orlicz_tables(draw) -> OrliczFn:
+    """Random admissible tables, exponents in [1, 4], often exact integers."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    exponent = st.one_of(_EXACT_EXPONENTS, st.floats(1.0, 4.0))
+    log_t = draw(st.floats(-6.0, 3.0))
+    knots = [math.exp(log_t)]
+    values = [math.exp(draw(st.floats(-8.0, 8.0)))]
+    for _ in range(m - 1):
+        knots.append(knots[-1] * math.exp(draw(st.floats(0.01, 2.0))))
+        values.append(values[-1] * (knots[-1] / knots[-2]) ** draw(exponent))
+    body = make_piecewise(knots, values, right_exponent=draw(exponent),
+                          direction="nondecreasing")
+    return make_orlicz(body)
+
+
+def _probe_points(phi: OrliczFn, extra) -> np.ndarray:
+    """0, every knot and its neighbours 1 ulp away, points below the
+    first knot and beyond the last, plus `extra`."""
+    knots = np.asarray(phi.body.knots)
+    return np.concatenate([
+        [0.0, 5e-324, knots[0] / 3.0, knots[0] * 1e-9, knots[-1] * 7.0,
+         knots[-1] * 1e6],
+        knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf),
+        np.asarray(extra, dtype=float),
+    ])
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestEvalManyPieceTable:
+    """``eval_many`` reads one piece table; it must give, to the bit,
+    what evaluating the left extension and the body apart gives."""
+
+    @given(
+        orlicz_tables(),
+        st.lists(st.floats(-30.0, 12.0), max_size=60),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_bit_identical_on_random_tables(self, phi, log_ts):
+        ts = _probe_points(phi, np.exp(log_ts))
+        assert _same_bits(phi.eval_many(ts), _two_region_eval_many(phi, ts))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 1.5])
+    def test_single_knot_powers(self, p):
+        phi = power_orlicz(p)
+        rng = np.random.default_rng(5)
+        ts = _probe_points(phi, np.exp(rng.uniform(-40.0, 12.0, 20_000)))
+        want = _two_region_eval_many(phi, ts)
+        assert _same_bits(phi.eval_many(ts), want)
+        # The same values in a 2-d layout, and as a 0-d array.
+        grid = ts[:20_000].reshape(200, 100)
+        assert _same_bits(phi.eval_many(grid),
+                          _two_region_eval_many(phi, grid))
+        assert _same_bits(phi.eval_many(np.float64(0.25)),
+                          _two_region_eval_many(phi, np.float64(0.25)))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+    def test_zero_and_negative_zero_map_to_zero(self, p):
+        out = power_orlicz(p).eval_many([0.0, -0.0])
+        assert out.tobytes() == np.zeros(2).tobytes()
+
+    def test_tabulated_functions(self):
+        rng = np.random.default_rng(9)
+        for phi in (psi(), from_weight(OH_WEIGHT)):
+            ts = _probe_points(phi, np.exp(rng.uniform(-40.0, 12.0, 20_000)))
+            assert _same_bits(phi.eval_many(ts),
+                              _two_region_eval_many(phi, ts))
+
+    def test_empty_input(self):
+        assert power_orlicz(2.0).eval_many([]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad", [[math.nan], [1.0, math.inf], [-math.inf], [2.0, -1e-300],
+                [[0.5, math.nan]]]
+    )
+    def test_domain_errors(self, bad):
+        for phi in (power_orlicz(2.0), psi()):
+            with pytest.raises(DomainError):
+                phi.eval_many(bad)
 
 
 class TestFromWeight:
