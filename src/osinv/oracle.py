@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BadCutoff, BadParameter, DomainError
 from .growth import TailIntegral
 from .monotone_fn import MonotoneFn, crossing_below, evaluate_many
-from .orlicz import OrliczFn
+from .orlicz import OrliczFn, quiet_sum, rescaled_norm
 from .weights import StepDensity, WeightPair
 
 __all__ = [
@@ -337,11 +337,20 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
     ``1e3 * sum|x_k|`` for the first one whose modular
     ``sum_k phi(|x_k|/lam)`` is at most 1, and returns the crossing
     abscissa log-interpolated within the cell it closes (the modular is
-    nonincreasing in ``lam``).  The zero or empty sequence has norm 0.
+    nonincreasing in ``lam``).  The zero or empty sequence has norm 0,
+    and a norm beyond the float range is ``inf``.
 
-    The candidates are evaluated in ascending chunks and the scan stops
-    at the first chunk holding a crossing; later candidates cannot
-    change the first crossing, so the result is that of a full scan.
+    Candidates whose largest term ``phi(max|x_k|/lam)`` alone exceeds 1
+    are skipped: every term is >= 0, and a float sum of nonnegative
+    terms, in any order, is at least its largest term (``fl(a + b) >=
+    a``), so such a candidate's modular exceeds 1 and it cannot be the
+    first crossing.  The bound needs no monotonicity of ``phi``.  It is
+    taken with a 1e-9 margin, which covers last-bit differences between
+    the bound's row of terms and the same terms evaluated in a chunk.
+    The rest are evaluated in ascending chunks, from the last skipped
+    candidate (the left end of a crossing cell), and the scan stops at
+    the first chunk holding a crossing; later candidates cannot change
+    the first crossing, so the result is that of a full scan.
 
     Raises
     ------
@@ -351,12 +360,19 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
     xs = _clean_abs(x)
     if xs.size == 0:
         return 0.0
-    lams = np.geomspace(
-        float(xs.max()) / 1e3, 1e3 * float(xs.sum()), _SCAN_POINTS
-    )
+    largest = float(xs.max())
+    top = 1e3 * quiet_sum(xs)
+    if not math.isfinite(top):
+        e = math.frexp(largest)[1]  # the largest entry to [0.5, 1)
+        return rescaled_norm(orlicz_norm_scan, phi, xs, e)
+    lams = np.geomspace(largest / 1e3, top, _SCAN_POINTS)
+    over = phi.eval_many(largest / lams) > 1.0 + 1e-9
+    if over.all():
+        return float(lams[-1])
+    first = int(np.argmin(over))
     step = max(1, _SCAN_CHUNK // xs.size)
     m_prev = math.nan  # modular at the candidate before the chunk
-    for start in range(0, lams.size, step):
+    for start in range(max(first - 1, 0), lams.size, step):
         chunk = lams[start:start + step]
         # Entry-major ratios keep each row sorted for the piece lookup;
         # each lam's terms are then summed as one contiguous row, in the

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -288,7 +288,8 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
     equation ``sum phi(|x_k|/lam) = 1`` (the modular is strictly
     decreasing in ``lam``), found by geometric bisection inside the
     bracket ``[max|x_k|/phi^{-1}(1), sum|x_k|/phi^{-1}(1/n)]``.  The zero
-    or empty sequence has norm 0.
+    or empty sequence has norm 0, and a norm beyond the float range is
+    ``inf``.
     """
     arr = np.abs(np.asarray(list(x), dtype=float))
     if arr.size and np.any(~np.isfinite(arr)):
@@ -298,7 +299,12 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
         return 0.0
     n = arr.size
     lo = float(arr.max()) / phi.inverse(1.0)
-    hi = float(arr.sum()) / phi.inverse(1.0 / n)
+    hi = quiet_sum(arr) / phi.inverse(1.0 / n)
+    if not math.isfinite(hi):
+        # Scale the lower end near 1; for an admissible phi the upper
+        # end is at most n**2 times the lower.
+        e = math.frexp(float(arr.max()))[1] - math.frexp(phi.inverse(1.0))[1]
+        return rescaled_norm(sequence_norm, phi, arr, e)
     if hi <= lo * (1.0 + _BISECT_RTOL):
         return lo
 
@@ -314,6 +320,33 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
         if hi <= lo * (1.0 + _BISECT_RTOL):
             break
     return math.sqrt(lo) * math.sqrt(hi)
+
+
+def quiet_sum(arr: np.ndarray) -> float:
+    """``arr.sum()``, ``inf`` without a warning where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(arr.sum())
+
+
+def rescaled_norm(
+    norm: Callable[[OrliczFn, np.ndarray], float],
+    phi: OrliczFn,
+    arr: np.ndarray,
+    e: int,
+) -> float:
+    """``norm(phi, arr)`` as ``2**e * norm(phi, arr / 2**e)``, for
+    entries whose search range overflows.
+
+    The Luxemburg norm is positively homogeneous and scaling by a power
+    of two is exact (entries pushed below the normal range lose bits,
+    but their terms are negligible beside the largest); a norm beyond
+    the float range is ``inf``.
+    """
+    value = norm(phi, np.ldexp(arr, -e))
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
 
 
 def fundamental_sequence(phi: OrliczFn, n: float) -> float:

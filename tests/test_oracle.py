@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import osinv.verify
 from osinv import (
     canonical_weights,
     catalog,
@@ -24,6 +28,7 @@ from osinv import (
     sequence_norm,
 )
 from osinv.errors import BadCutoff, BadParameter, DomainError
+from osinv.orlicz import OrliczFn
 from osinv.oracle import (
     aux_diag_norm,
     indicator_search,
@@ -246,6 +251,32 @@ def _full_grid_scan(phi, x) -> tuple[float, int]:
     return float(lams[k - 1] * (lams[k] / lams[k - 1]) ** frac), k
 
 
+def _first_not_over(phi, x) -> int:
+    """Index of the first candidate whose largest term is at most
+    1 + 1e-9 (the scan skips those before it), or 10,000 if none is."""
+    xs = np.abs(np.asarray(x, dtype=float))
+    xs = xs[xs > 0.0]
+    lams = np.geomspace(float(xs.max()) / 1e3, 1e3 * float(xs.sum()), 10_000)
+    over = phi.eval_many(xs.max() / lams) > 1.0 + 1e-9
+    return lams.size if over.all() else int(np.argmin(over))
+
+
+@st.composite
+def _orlicz_tables(draw):
+    """Random admissible tables, exponents in [1, 4], often integers."""
+    m = draw(st.integers(min_value=1, max_value=30))
+    exponent = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+                         st.floats(1.0, 4.0))
+    knots = [math.exp(draw(st.floats(-6.0, 3.0)))]
+    values = [math.exp(draw(st.floats(-8.0, 8.0)))]
+    for _ in range(m - 1):
+        knots.append(knots[-1] * math.exp(draw(st.floats(0.01, 2.0))))
+        values.append(values[-1] * (knots[-1] / knots[-2]) ** draw(exponent))
+    return make_orlicz(make_piecewise(knots, values,
+                                      right_exponent=draw(exponent),
+                                      direction="nondecreasing"))
+
+
 def _scaled_power(value_at_one: float):
     """``phi(t) = value_at_one * t``: tiny values put the crossing at the
     first candidate, huge ones leave the modular above 1 throughout."""
@@ -283,18 +314,97 @@ class TestScanMatchesFullGrid:
 
     @pytest.mark.parametrize("i", range(5))
     def test_crossing_at_a_chunk_start(self, monkeypatch, i) -> None:
-        # Chunks of exactly k candidates put the crossing first in the
-        # second chunk, so the cell's left modular comes from the first.
+        # Chunks start at the last skipped candidate; chunks of exactly
+        # k - start candidates put the crossing first in the second
+        # chunk, so the cell's left modular comes from the first.  With
+        # one candidate per chunk the first unskipped candidate starts a
+        # chunk too.
         rng = np.random.default_rng(i)
         phi = self.PHIS[i]
         x = rng.lognormal(0.0, 1.5, size=int(rng.integers(2, 30)))
         want, k = _full_grid_scan(phi, x)
         assert 0 < k < 10_000
-        monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", k * len(x))
-        assert orlicz_norm_scan(phi, x) == want
-        for step in (1, 7, k - 1, k + 1):
+        start = max(_first_not_over(phi, x) - 1, 0)
+        for step in (k - start, 1, 7, k - start - 1, k - start + 1):
             monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", step * len(x))
             assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize(
+        "x", [[0.3], [1.0], [42.0], [1e9], [5.0, 1e-6, 2e-6]],
+        ids=["one-0.3", "one-1", "one-42", "one-1e9", "dominated"],
+    )
+    def test_crossing_at_the_first_unskipped_candidate(self, x) -> None:
+        # The crossing cell's left modular is the last skipped candidate.
+        for phi in self.PHIS:
+            want, k = _full_grid_scan(phi, x)
+            assert 0 < k == _first_not_over(phi, x)
+            assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize("offset", [-5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 1e-4]], ids=["one", "two"])
+    def test_largest_term_near_one(self, x, offset) -> None:
+        # phi(t) = c t with c putting candidate 5000's largest term at
+        # 1 + offset, inside and just beyond the skip bound's margin.
+        lams = np.geomspace(max(x) / 1e3, 1e3 * sum(x), 10_000)
+        phi = _scaled_power((1.0 + offset) * float(lams[5000]) / max(x))
+        term = float(phi.eval_many(max(x) / lams[5000:5001])[0])
+        assert term == pytest.approx(1.0 + offset, abs=1e-15)
+        want, k = _full_grid_scan(phi, x)
+        if offset == 5e-10:
+            # Not skipped, yet its modular is above 1.
+            assert (_first_not_over(phi, x), k) == (5000, 5001)
+        assert orlicz_norm_scan(phi, x) == want
+
+    def test_entries_spanning_many_decades(self) -> None:
+        rng = np.random.default_rng(12)
+        for phi in self.PHIS:
+            for _ in range(8):
+                size = int(rng.integers(2, 40))
+                x = 10.0 ** rng.uniform(-7.0, 6.0, size=size)
+                x[:2] = 1e-7, 1e6
+                assert orlicz_norm_scan(phi, x) == _full_grid_scan(phi, x)[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _orlicz_tables(),
+        st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=30),
+        st.booleans(),
+    )
+    def test_random_tables(self, phi, log_x, negate) -> None:
+        x = [(-1.0 if negate and i % 2 else 1.0) * 10.0**v
+             for i, v in enumerate(log_x)]
+        assert orlicz_norm_scan(phi, x) == _full_grid_scan(phi, x)[0]
+
+
+class TestScanWork:
+    def test_battery_scans_skip_most_evaluations(self, monkeypatch) -> None:
+        # phi evaluations in the 100 scans of the verify battery's
+        # bisection-vs-scan check; scanning in the same chunks from the
+        # first candidate, with no skip, takes 10,197,956.
+        count = 0
+        inside = False
+        eval_many = OrliczFn.eval_many
+        scan = osinv.verify.orlicz_norm_scan
+
+        def counting_eval_many(self, ts):
+            nonlocal count
+            if inside:
+                count += np.asarray(ts).size
+            return eval_many(self, ts)
+
+        def counted_scan(phi, x):
+            nonlocal inside
+            inside = True
+            try:
+                return scan(phi, x)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(OrliczFn, "eval_many", counting_eval_many)
+        monkeypatch.setattr(osinv.verify, "orlicz_norm_scan", counted_scan)
+        passed, _ = osinv.verify._check_bisection_vs_scan()
+        assert passed
+        assert 0 < count <= 10_197_956 // 3
 
 
 class TestOrliczNormScan:
@@ -324,3 +434,21 @@ class TestOrliczNormScan:
     def test_rejects_nonfinite_entries(self) -> None:
         with pytest.raises(DomainError):
             orlicz_norm_scan(psi(), [1.0, math.inf])
+
+    @pytest.mark.parametrize(
+        "x", [[1e308, 1e308], [1e306, -1e306], [1e306, 0.0, 1e306]],
+        ids=["sum-overflows", "grid-end-overflows", "with-zero"],
+    )
+    def test_entries_near_the_float_maximum(self, x) -> None:
+        # The candidate range's upper end overflows, the norm does not.
+        want = math.sqrt(2.0) * abs(x[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = orlicz_norm_scan(power_orlicz(2.0), x)
+        assert value == pytest.approx(want, rel=1e-3)
+
+    def test_norm_beyond_the_float_range_is_inf(self) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = orlicz_norm_scan(power_orlicz(1.0), [1e308, 1e308])
+        assert value == math.inf

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,34 @@ class TestSequenceNorm:
         base = sequence_norm(phi, xs)
         scaled = sequence_norm(phi, [lam * v for v in xs])
         assert scaled == pytest.approx(lam * base, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "p, x, want",
+        [(2.0, [1e308, 1e308], math.sqrt(2.0) * 1e308),
+         (2.0, [-1e308, 0.0, 1e308], math.sqrt(2.0) * 1e308),
+         (1.0, [1e306] * 100, 1e308)],
+        ids=["sum-overflows", "signed-with-zero", "bracket-overflows"],
+    )
+    def test_entries_near_the_float_maximum(self, p, x, want):
+        # The bracket's sum or upper end overflows, the norm does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sequence_norm(power_orlicz(p), x)
+        assert value == pytest.approx(want, rel=1e-12)
+
+    def test_bracket_overflowing_from_a_steep_phi(self):
+        # phi(t) = 1e300 t: phi^{-1}(1/n) = 1e-300/n puts the bracket's
+        # upper end beyond the float range, the norm 1e300 n is not.
+        phi = make_orlicz(make_piecewise([1.0], [1e300], right_exponent=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sequence_norm(phi, [1.0] * 20_000)
+        assert value == pytest.approx(2e304, rel=1e-12)
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sequence_norm(power_orlicz(1.0), [1e308, 1e308]) == math.inf
 
 
 class TestFundamentalSequence:
