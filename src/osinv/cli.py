@@ -27,6 +27,7 @@ quadrature density (integer points per decade).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,9 @@ MAX_N = 2**60
 #: built before duplicates collapse, so the count bounds the work.
 MAX_GRID_COUNT = 10_000
 
+#: Most characters of an offending input that an error message quotes.
+_QUOTE_LIMIT = 40
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,16 +95,21 @@ def parse_space_descriptor(text: str) -> SpaceDescriptor:
     Raises
     ------
     ParseError
-        Unreadable file, malformed JSON (with line/column), or a
-        structurally invalid descriptor.
+        Unreadable or non-UTF-8 file, malformed JSON (with line/column),
+        JSON nested too deeply to decode, or a structurally invalid
+        descriptor.
     NotRegular
         Explicit fundamental tables that fail the regularity gate.
     """
     raw = text.strip()
     if not raw.startswith("{"):
         try:
-            raw = Path(text).read_text()
-        except OSError as exc:
+            raw = Path(text).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"descriptor file {text!r} is not UTF-8 text: {exc}"
+            ) from exc
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ParseError(
                 f"cannot read descriptor file {text!r}: {exc}"
             ) from exc
@@ -108,6 +117,10 @@ def parse_space_descriptor(text: str) -> SpaceDescriptor:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"descriptor is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(
+            "descriptor JSON is nested too deeply to decode"
+        ) from exc
     return descriptor_from_json(obj)
 
 
@@ -123,7 +136,8 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
     ParseError
         Malformed syntax, non-finite geometric bounds, a geometric count
         above :data:`MAX_GRID_COUNT`, an empty grid, or a point below 1
-        or above :data:`MAX_N`.
+        or above :data:`MAX_N`.  The message quotes at most
+        :data:`_QUOTE_LIMIT` characters of the offending text.
     """
     s = text.strip()
     ns: list[int]
@@ -131,25 +145,29 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
         parts = s.split(":")
         if len(parts) != 4:
             raise ParseError(
-                f"geometric grid must be geometric:a:b:count, got {text!r}"
+                "geometric grid must be geometric:a:b:count, "
+                f"got {_clip(text)!r}"
             )
         try:
             a, b, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
-            raise ParseError(f"bad geometric grid {text!r}: {exc}") from exc
+            raise ParseError(
+                f"bad geometric grid {_clip(text)!r}: a and b must be "
+                f"numbers and count an integer from 1 to {MAX_GRID_COUNT}"
+            ) from exc
         if not (math.isfinite(a) and math.isfinite(b)) or b > MAX_N:
             raise ParseError(
                 f"geometric grid bounds must be finite and at most "
-                f"2**60 = {MAX_N}, got {text!r}"
+                f"2**60 = {MAX_N}, got {_clip(text)!r}"
             )
         if not (0.0 < a <= b) or count < 1:
             raise ParseError(
-                f"need 0 < a <= b and count >= 1, got {text!r}"
+                f"need 0 < a <= b and count >= 1, got {_clip(text)!r}"
             )
         if count > MAX_GRID_COUNT:
             raise ParseError(
                 f"geometric grid count must be at most {MAX_GRID_COUNT}, "
-                f"got {count}"
+                f"got {_clip(str(count))}"
             )
         if count == 1:
             ns = [round(a)]
@@ -159,20 +177,35 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
                 round(a * ratio ** (k / (count - 1))) for k in range(count)
             ]
     else:
-        try:
-            ns = [int(tok) for tok in s.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ParseError(f"bad n-grid {text!r}: {exc}") from exc
+        ns = []
+        for tok in s.split(","):
+            if not tok.strip():
+                continue
+            try:
+                ns.append(int(tok))
+            except ValueError as exc:
+                raise ParseError(
+                    f"bad n-grid point {_clip(tok.strip())!r}: grid points "
+                    f"must be integers from 1 to 2**60 = {MAX_N}"
+                ) from exc
     ns = sorted(set(ns))
     if not ns:
-        raise ParseError(f"empty n-grid {text!r}")
+        raise ParseError(f"empty n-grid {_clip(text)!r}")
     if ns[0] < 1:
-        raise ParseError(f"grid points must be >= 1, got {ns[0]}")
+        raise ParseError(f"grid points must be >= 1, got {_clip(str(ns[0]))}")
     if ns[-1] > MAX_N:
         raise ParseError(
-            f"grid points must be at most 2**60 = {MAX_N}, got {ns[-1]}"
+            f"grid points must be at most 2**60 = {MAX_N}, "
+            f"got {_clip(str(ns[-1]))}"
         )
     return tuple(ns)
+
+
+def _clip(text: str) -> str:
+    """`text` cut to :data:`_QUOTE_LIMIT` characters for an error message."""
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return text[:_QUOTE_LIMIT] + "..."
 
 
 def _fmt(x: float) -> str:
@@ -211,8 +244,13 @@ def _json_meta(
 def _emit(text: str, out_path: str) -> None:
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out_path).write_text(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ParseError(
+            f"cannot write output file {out_path!r}: {exc}"
+        ) from exc
 
 
 def _render(
@@ -389,7 +427,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``osinv`` argument parser, built on first use and then reused.
+
+    Parsing leaves the parser unchanged, and help text is laid out
+    afresh on each request, so it still follows ``COLUMNS``.
+    """
     parser = argparse.ArgumentParser(
         prog="osinv",
         description=(

@@ -91,7 +91,10 @@ class Inconsistent(OsinvError):
 
 
 class ParseError(OsinvError):
-    """Command line or descriptor text could not be parsed."""
+    """Command-line input could not be parsed or used.
+
+    The descriptor text or file, the n-grid, or the output path.
+    """
 
 
 class BadCutoff(OsinvError):

@@ -16,6 +16,7 @@ exactly when ``e_inf < -1``.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -667,21 +668,40 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> tuple[float, floa
         Any coordinate <= 0.
     BadParameter
         All abscissas identical.
+
+    Warns
+    -----
+    numpy.exceptions.RankWarning
+        The log abscissas are so close that the system is rank
+        deficient, as ``np.polyfit`` warns; the slope is then unreliable.
     """
     pts = list(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need >= 3 points, got {len(pts)}")
-    n = np.asarray([p[0] for p in pts], dtype=float)
-    y = np.asarray([p[1] for p in pts], dtype=float)
-    if np.any(n <= 0.0) or np.any(y <= 0.0):
+    xy = np.array(pts, dtype=float)
+    if np.any(xy <= 0.0):
         raise NonPositive("all coordinates must be positive for a log-log fit")
-    ln_n = np.log(n)
-    ln_y = np.log(y)
+    ln_n, ln_y = np.log(xy).T
     if np.ptp(ln_n) == 0.0:
         raise BadParameter("all abscissas identical; slope undefined")
     if np.ptp(ln_y) == 0.0:
         return 0.0, 1.0
-    slope, intercept = np.polyfit(ln_n, ln_y, 1)
+    # np.polyfit(ln_n, ln_y, 1) without its argument handling: the same
+    # design matrix [ln_n, 1] scaled to unit columns and the same solver,
+    # whose default cutoff eps * max(M, N) is polyfit's len * eps, so the
+    # same bits.  One solve per column: a 2-D right-hand side moves bits.
+    lhs = np.ones((len(pts), 2))
+    lhs[:, 0] = ln_n
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, ln_y)
+    if rank != 2:
+        warnings.warn(
+            "Polyfit may be poorly conditioned",
+            np.exceptions.RankWarning,
+            stacklevel=2,
+        )
+    slope, intercept = coef / scale
     fitted = slope * ln_n + intercept
     ss_res = float(np.sum((ln_y - fitted) ** 2))
     ss_tot = float(np.sum((ln_y - ln_y.mean()) ** 2))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import osinv
+from osinv import cli
 from osinv.cli import (
     MAX_GRID_COUNT,
     main,
@@ -28,7 +29,11 @@ NINE_POINT_GRID = "geometric:16:1048576:9"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    """Exit code (also of an argparse exit), stdout and stderr of `main`."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -152,6 +157,37 @@ class TestParseNGrid:
         with pytest.raises(ParseError, match=f"at most {MAX_GRID_COUNT}"):
             parse_n_grid(f"geometric:1:2:{count}")
 
+    @pytest.mark.parametrize(
+        ("bad", "limit"),
+        [
+            ("9" * 5000, f"2**60 = {2**60}"),
+            ("16,64," + "9" * 5000, f"2**60 = {2**60}"),
+            ("16, -" + "9" * 5000, f"2**60 = {2**60}"),
+            ("16,64," + "9" * 4000, f"2**60 = {2**60}"),
+            ("geometric:1:" + "9" * 5000 + ":3", f"2**60 = {2**60}"),
+            ("geometric:1:2:" + "9" * 5000, f"1 to {MAX_GRID_COUNT}"),
+            ("geometric:1:" + "x" * 5000 + ":3", "must be numbers"),
+        ],
+    )
+    def test_huge_token_message_is_short_and_states_the_limit(
+        self, bad: str, limit: str
+    ) -> None:
+        with pytest.raises(ParseError) as exc:
+            parse_n_grid(bad)
+        message = str(exc.value)
+        assert limit in message
+        assert len(message) < 200
+        assert "set_int_max_str_digits" not in message
+
+    def test_huge_token_exits_three_with_one_short_line(self, capsys) -> None:
+        code, out, err = run_cli(
+            capsys, "table", "--space", OH_JSON, "--n", "16," + "9" * 5000
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: bad n-grid point ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "2**60" in err
+
     def test_oversized_count_exits_three(self, capsys) -> None:
         code, out, err = run_cli(
             capsys, "table", "--space", OH_JSON, "--n", "geometric:1:2:1000000"
@@ -259,6 +295,133 @@ class TestTableCommand:
         )
         assert code == 0 and out == ""
         assert path.read_text() == streamed
+
+
+class TestInputOutputErrorsExitThree:
+    """File and decoding failures are config errors: one line, exit 3."""
+
+    def _assert_one_error_line(self, code: int, out: str, err: str) -> None:
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_out_path_in_a_missing_directory(self, capsys, tmp_path) -> None:
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "table", "--space", OH_JSON, "--n", "16,64,256",
+            "--out-path", str(path),
+        )
+        self._assert_one_error_line(code, out, err)
+        assert "cannot write output file" in err
+        assert "No such file or directory" in err
+        assert not path.parent.exists()
+
+    def test_out_path_that_is_a_directory(self, capsys, tmp_path) -> None:
+        code, out, err = run_cli(
+            capsys, "fit", "--space", OH_JSON, "--n", "16,64,256",
+            "--out-path", str(tmp_path),
+        )
+        self._assert_one_error_line(code, out, err)
+        assert "cannot write output file" in err
+        assert "Is a directory" in err
+
+    def test_descriptor_file_that_is_not_utf8(self, capsys, tmp_path) -> None:
+        path = tmp_path / "space.json"
+        path.write_bytes(b'{"kind":"oh","label":"\xff"}')
+        code, out, err = run_cli(
+            capsys, "pi1", "--domain", str(path), "--codomain", OH_JSON,
+            "--n", "16,64,256",
+        )
+        self._assert_one_error_line(code, out, err)
+        assert "is not UTF-8 text" in err
+
+    def test_descriptor_nested_too_deeply(self, capsys) -> None:
+        depth = 100_000
+        text = '{"kind":"oh","x":' + "[" * depth + "]" * depth + "}"
+        code, out, err = run_cli(
+            capsys, "table", "--space", text, "--n", "16,64,256"
+        )
+        self._assert_one_error_line(code, out, err)
+        assert "nested too deeply" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--space", "space\0.json", "--n", "16,64,256"),
+            ("table", "--space", OH_JSON, "--n", "16,64,256",
+             "--out-path", "table\0.csv"),
+        ],
+    )
+    def test_path_with_a_nul_byte(self, capsys, argv) -> None:
+        code, out, err = run_cli(capsys, *argv)
+        self._assert_one_error_line(code, out, err)
+        assert "embedded null byte" in err
+
+    def test_module_entry_exits_three(self, tmp_path) -> None:
+        proc = subprocess.run(
+            [sys.executable, "-m", "osinv.cli", "table", "--space", OH_JSON,
+             "--n", "16,64,256", "--out-path", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write output file")
+        assert proc.stderr.count("\n") == 1
+
+
+class TestParserCache:
+    """One parser per process; each call parses as a fresh one would."""
+
+    RUN = (
+        ("table", "--space", OH_JSON, "--n", "16,64,256"),
+        ("table", "--space", OH_JSON),
+        ("--version",),
+        ("verify", "--suite", "bogus"),
+        ("fit", "--space", OH_JSON, "--n", "16,64,256", "--out", "json"),
+    )
+
+    def test_one_parser_serves_a_run_of_calls(self, capsys) -> None:
+        fresh = []
+        for argv in self.RUN:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli._build_parser.cache_clear()
+        cached = [run_cli(capsys, *argv) for argv in self.RUN]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.RUN) - 1)
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0]
+        assert "required: --n" in cached[1][2]
+        assert cached[2][1] == f"osinv {osinv.__version__}\n"
+        assert "invalid choice: 'bogus'" in cached[3][2]
+
+    def test_help_width_follows_columns_after_the_first_call(
+        self, capsys, monkeypatch
+    ) -> None:
+        monkeypatch.setenv("COLUMNS", "200")
+        cli._build_parser.cache_clear()
+        run_cli(capsys, "fit", "--space", OH_JSON, "--n", "16,64,256")
+        helps = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps[columns] = run_cli(capsys, "table", "--help")
+            cli._build_parser.cache_clear()
+            assert run_cli(capsys, "table", "--help") == helps[columns]
+        assert cli._build_parser.cache_info().currsize == 1
+        assert helps["40"] != helps["200"]
+        assert max(len(line) for line in helps["40"][1].splitlines()) <= 40
+        assert helps["40"][0] == helps["200"][0] == 0
+
+    def test_import_does_not_build_the_parser(self) -> None:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import osinv.cli as c; print(c._build_parser.cache_info())"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "currsize=0" in proc.stdout
 
 
 class TestPi1Command:
@@ -415,13 +578,19 @@ class TestConsoleScript:
         assert capsys.readouterr().out.strip() == f"osinv {osinv.__version__}"
 
     def test_declared_numpy_floor_has_trapezoid(self) -> None:
-        # oracle.riemann_integral calls np.trapezoid, added in numpy 2.0.
+        # oracle.riemann_integral calls np.trapezoid, added in numpy 2.0;
+        # tests/test_growth.py takes its reference integrals from mpmath.
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as fh:
-            deps = tomllib.load(fh)["project"]["dependencies"]
+            project = tomllib.load(fh)["project"]
+        deps = project["dependencies"]
         floors = [d.replace(" ", "") for d in deps if d.startswith("numpy")]
         assert floors == ["numpy>=2.0"]
+        test_extra = project["optional-dependencies"]["test"]
+        assert "mpmath" in {
+            d.split(">")[0].split("=")[0].strip() for d in test_extra
+        }
 
     @pytest.mark.skipif(
         shutil.which("osinv") is None,

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osinv.errors import (
@@ -17,6 +18,7 @@ from osinv.errors import (
     DomainError,
     NonMonotone,
     NonPositive,
+    OsinvError,
     TooFewPoints,
     Unbounded,
 )
@@ -187,11 +189,12 @@ class TestGeneralizedInverse:
             generalized_inverse(power_fn(-1.0), 0.5)
 
     @given(monotone_fns(direction="nondecreasing"), st.floats(0.01, 100.0))
+    @example(make_piecewise([1.0], [1.0], right_exponent=0.0), 1.0)
     def test_roundtrip_where_strictly_increasing(self, f, ratio):
         # Pick a level strictly inside the (power-extended) range.
         y = f.values[0] * ratio
-        if ratio > 1.0 and f.right_exponent == 0.0 and f.values[-1] <= y:
-            return  # flat tail: inverse legitimately unbounded
+        if f.right_exponent == 0.0 and f.values[-1] <= y:
+            return  # at or above a flat tail: documented Unbounded
         s = generalized_inverse(f, y)
         if s == 0.0:
             assert y < f.values[0]
@@ -475,3 +478,101 @@ class TestFitLoglogSlope:
     def test_identical_abscissas(self):
         with pytest.raises(BadParameter):
             fit_loglog_slope([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+
+
+def _polyfit_slope(points):
+    """The ``np.polyfit``-based fit that :func:`fit_loglog_slope` replaced."""
+    pts = list(points)
+    if len(pts) < 3:
+        raise TooFewPoints(f"need >= 3 points, got {len(pts)}")
+    n = np.asarray([p[0] for p in pts], dtype=float)
+    y = np.asarray([p[1] for p in pts], dtype=float)
+    if np.any(n <= 0.0) or np.any(y <= 0.0):
+        raise NonPositive("all coordinates must be positive for a log-log fit")
+    ln_n = np.log(n)
+    ln_y = np.log(y)
+    if np.ptp(ln_n) == 0.0:
+        raise BadParameter("all abscissas identical; slope undefined")
+    if np.ptp(ln_y) == 0.0:
+        return 0.0, 1.0
+    slope, intercept = np.polyfit(ln_n, ln_y, 1)
+    fitted = slope * ln_n + intercept
+    ss_res = float(np.sum((ln_y - fitted) ** 2))
+    ss_tot = float(np.sum((ln_y - ln_y.mean()) ** 2))
+    return float(slope), 1.0 - ss_res / ss_tot
+
+
+def _outcome(fit, points):
+    """`fit`'s result as repr (so NaN and -0.0 compare), error, warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(fit(points))
+        except OsinvError as exc:
+            result = type(exc).__name__
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_abscissas = st.one_of(
+    st.integers(1, 2**60), st.floats(1e-300, float(2**60))
+)
+
+
+class TestFitMatchesPolyfit:
+    """``fit_loglog_slope`` solves polyfit's system itself, bit for bit."""
+
+    @given(
+        st.lists(
+            st.tuples(_abscissas, st.floats(1e-300, 1e300)),
+            min_size=3,
+            max_size=17,
+        ),
+        st.sampled_from(["plain", "constant", "nan", "non-positive"]),
+        st.integers(0, 16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_polyfit(self, pts, variant, at):
+        at %= len(pts)
+        if variant == "constant":
+            pts = [(n, pts[0][1]) for n, _ in pts]
+        elif variant == "nan":
+            pts[at] = (pts[at][0], math.nan)
+        elif variant == "non-positive":
+            pts[at] = (pts[at][0], -abs(pts[at][1]))
+        assert _outcome(fit_loglog_slope, pts) == _outcome(_polyfit_slope, pts)
+
+    @given(
+        st.lists(st.integers(1, 2**60), min_size=3, max_size=17, unique=True),
+        st.floats(-3.0, 3.0),
+    )
+    @settings(deadline=None)
+    def test_equal_to_polyfit_on_power_laws(self, ns, exponent):
+        pts = [(n, 2.5 * float(n) ** exponent) for n in sorted(ns)]
+        assert _outcome(fit_loglog_slope, pts) == _outcome(_polyfit_slope, pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [],
+            [(1.0, 1.0), (2.0, 2.0)],
+            [(1.0, 1.0), (0.0, 2.0), (3.0, 3.0)],
+            [(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)],
+            [(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)],
+            [(2**60, 1.0), (2**60 - 1, 2.0), (2**60 - 2, 3.0)],
+            [(1.0, 3.0), (2.0, 3.0), (4.0, 3.0)],
+            [(1.0, 1.0), (2.0, math.nan), (4.0, 3.0)],
+        ],
+    )
+    def test_errors_and_special_values_match(self, pts):
+        assert _outcome(fit_loglog_slope, pts) == _outcome(_polyfit_slope, pts)
+
+    def test_nan_ordinate_passes_through(self):
+        slope, r2 = fit_loglog_slope([(1.0, 1.0), (2.0, math.nan), (4.0, 3.0)])
+        assert math.isnan(slope) and math.isnan(r2)
+
+    def test_rank_deficient_system_warns_like_polyfit(self):
+        # ln n differs by about one ulp across the points.
+        pts = [(2**60 - 8192, 1.0), (2**60 - 4096, 2.0), (2**60, 3.0)]
+        with pytest.warns(np.exceptions.RankWarning):
+            fit_loglog_slope(pts)
+        assert _outcome(fit_loglog_slope, pts) == _outcome(_polyfit_slope, pts)
