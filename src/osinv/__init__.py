@@ -1,10 +1,11 @@
 """osinv: invariants of homogeneous Hilbertian operator spaces.
 
-Represents spaces by weight pairs and fundamental functions (exact
-piecewise power-law tables) and computes growth functions, Orlicz and
-Schatten-Orlicz norms, exactness and projection constants, and the
-fundamental sequence of the completely-1-summing ideal — each backed by an
-independent cross-checking oracle.
+Represents spaces by their fundamental functions (exact piecewise
+power-law tables), derives each regular space's canonical weight pair
+from them, and computes growth functions, Orlicz and Schatten-Orlicz
+norms, exactness and projection constants, and the fundamental sequence
+of the completely-1-summing ideal — each backed by an independent
+cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .monotone_fn import (
     fit_loglog_slope,
     generalized_inverse,
     integral,
-    integral_min,
     inverse_fn,
     make_piecewise,
     reciprocal,
@@ -73,6 +73,7 @@ from .schatten import (
 )
 from .spaces import (
     SpaceDescriptor,
+    WeightPair,
     canonical_weights,
     catalog,
     check_space_regularity,
@@ -81,18 +82,6 @@ from .spaces import (
     dual,
     from_fundamental,
     fundamental_from_weights,
-)
-from .weights import (
-    StepDensity,
-    WeightPair,
-    check_weight_condition,
-    continuize,
-    discrete_pair,
-    discretize,
-    half_line_pair,
-    k_norm_factor,
-    normalize,
-    step_pair,
 )
 
 __all__ = [
@@ -108,7 +97,6 @@ __all__ = [
     "compose",
     "crossing_below",
     "integral",
-    "integral_min",
     "fit_loglog_slope",
     "TailIntegral",
     "GrowthProfile",
@@ -120,16 +108,6 @@ __all__ = [
     "regularity_report",
     "clamped_reciprocal_inverse",
     "recover_weight",
-    "StepDensity",
-    "WeightPair",
-    "discrete_pair",
-    "half_line_pair",
-    "step_pair",
-    "check_weight_condition",
-    "k_norm_factor",
-    "discretize",
-    "continuize",
-    "normalize",
     "OrliczFn",
     "make_orlicz",
     "power_orlicz",
@@ -140,6 +118,7 @@ __all__ = [
     "smooth_from_raw",
     "psi",
     "SpaceDescriptor",
+    "WeightPair",
     "catalog",
     "from_fundamental",
     "canonical_weights",

@@ -271,11 +271,6 @@ def _render(
     return "\n".join([comment, header, *csv_rows]) + "\n"
 
 
-def _upper_window(count: int) -> int:
-    """Points in the slope-fit window: the upper half, at least 3."""
-    return max(3, (count + 1) // 2)
-
-
 def cmd_table(cfg: RunConfig) -> int:
     """Self-sweep table: fundamental functions and invariants per n."""
     desc = parse_space_descriptor(cfg.space or "")
@@ -292,10 +287,10 @@ def cmd_table(cfg: RunConfig) -> int:
         )
         for rep in result.reports
     ]
-    window = _upper_window(len(rows))
+    upper = rows[-result.window:]
     slopes = {
-        "phi_c": fit_loglog_slope([(r[0], r[1]) for r in rows[-window:]]),
-        "phi_r": fit_loglog_slope([(r[0], r[2]) for r in rows[-window:]]),
+        "phi_c": fit_loglog_slope([(r[0], r[1]) for r in upper]),
+        "phi_r": fit_loglog_slope([(r[0], r[2]) for r in upper]),
         "ex": result.slopes["ex"],
         "proj": result.slopes["proj"],
         "pi1": result.slopes["pi1"],

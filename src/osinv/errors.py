@@ -16,7 +16,6 @@ __all__ = [
     "DirectionError",
     "Unbounded",
     "DivergentTail",
-    "Divergent",
     "TooFewPoints",
     "NonPositive",
     "NotRegular",
@@ -26,7 +25,6 @@ __all__ = [
     "Inconsistent",
     "ParseError",
     "BadCutoff",
-    "DegenerateWeight",
 ]
 
 
@@ -56,10 +54,6 @@ class Unbounded(OsinvError):
 
 class DivergentTail(OsinvError):
     """Improper integral diverges at +infinity (tail exponent >= -1)."""
-
-
-class Divergent(OsinvError):
-    """Integral diverges (weight condition or norm integral fails)."""
 
 
 class TooFewPoints(OsinvError):
@@ -99,7 +93,3 @@ class ParseError(OsinvError):
 
 class BadCutoff(OsinvError):
     """Quadrature cutoff missing or too small for the requested tail."""
-
-
-class DegenerateWeight(OsinvError):
-    """Weight has no usable tail (vanishing or compactly supported)."""

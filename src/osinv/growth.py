@@ -45,6 +45,7 @@ from .monotone_fn import (
     evaluate,
     generalized_inverse,
     inverse_fn,
+    reciprocal,
 )
 from .util import log_grid
 
@@ -548,21 +549,21 @@ def clamped_reciprocal_inverse(f: MonotoneFn) -> MonotoneFn:
     """The weight ``t -> min(1, 1 / f^{-1}(t))`` for strictly increasing `f`.
 
     Equals 1 on ``(0, f(1)]`` and ``1/f^{-1}`` beyond — the construction
-    that turns a growth/fundamental function back into a normalized-form
-    density on the half line.
+    that turns a growth/fundamental function back into a canonical
+    weight density on the half line.
     """
     t0 = evaluate(f, 1.0)
-    inv = inverse_fn(f)
+    w = reciprocal(inverse_fn(f))
     knots = [t0]
     values = [1.0]
-    for t, v in zip(inv.knots, inv.values):
-        if t > t0 * (1.0 + 1e-12) and v >= 1.0:
+    for t, v in zip(w.knots, w.values):
+        if t > t0 * (1.0 + 1e-12) and v <= 1.0:
             knots.append(t)
-            values.append(1.0 / v)
+            values.append(v)
     return MonotoneFn(
         knots=tuple(knots),
         values=tuple(values),
-        right_exponent=-inv.right_exponent,
+        right_exponent=w.right_exponent,
         direction="nonincreasing",
     )
 

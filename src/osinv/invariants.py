@@ -31,6 +31,7 @@ from .errors import BadParameter, Inconsistent, TooFewPoints
 from .growth import TailIntegral
 from .monotone_fn import (
     MonotoneFn,
+    _fit_rank,
     compose,
     crossing_below,
     evaluate,
@@ -112,11 +113,13 @@ class SweepResult:
 
     ``slopes`` maps a quantity name (``"pi1"``, and for self-sweeps
     ``"ex"`` and ``"proj"``) to ``(slope, r_squared)`` fitted over the
-    upper half of the grid, where small-n transients have died off.
+    last ``window`` reports, the upper half of the grid (at least 3
+    points), where small-n transients have died off.
     """
 
     reports: tuple[InvariantReport, ...]
     slopes: Mapping[str, tuple[float, float]]
+    window: int
 
 
 @dataclass(frozen=True)
@@ -403,7 +406,8 @@ def sweep(
     Raises
     ------
     TooFewPoints
-        Fewer than 3 distinct grid points.
+        Fewer than 3 distinct grid points, or upper points so close in
+        ``log n`` that a slope fit over them is rank deficient.
     BadParameter
         A grid point below 1.
     NotRegular
@@ -416,6 +420,12 @@ def sweep(
         )
     if ns[0] < 1:
         raise BadParameter(f"grid points must be >= 1, got {ns[0]}")
+    window = max(3, (len(ns) + 1) // 2)
+    if _fit_rank(ns[-window:]) < 2:
+        raise TooFewPoints(
+            f"grid points {ns[-window]}..{ns[-1]} are too close in log n "
+            "to fit a slope over them; spread the upper grid points apart"
+        )
     self_sweep = codomain is None
     quads = _pair_quadrants(domain, domain if self_sweep else codomain)
     ex = _Exactness.build(domain) if self_sweep else None
@@ -425,11 +435,11 @@ def sweep(
         if ex is not None:
             rep = replace(rep, ex=ex.at(n), proj=n / rep.pi1)
         reports.append(rep)
-    upper = reports[-max(3, (len(reports) + 1) // 2):]
+    upper = reports[-window:]
     slopes: dict[str, tuple[float, float]] = {
         "pi1": fit_loglog_slope([(r.n, r.pi1) for r in upper])
     }
     if self_sweep:
         slopes["ex"] = fit_loglog_slope([(r.n, r.ex) for r in upper])
         slopes["proj"] = fit_loglog_slope([(r.n, r.proj) for r in upper])
-    return SweepResult(reports=tuple(reports), slopes=slopes)
+    return SweepResult(reports=tuple(reports), slopes=slopes, window=window)

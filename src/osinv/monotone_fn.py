@@ -47,7 +47,6 @@ __all__ = [
     "compose",
     "crossing_below",
     "integral",
-    "integral_min",
     "fit_loglog_slope",
 ]
 
@@ -557,93 +556,21 @@ def _local_power(f: MonotoneFn, t: float) -> tuple[float, float, float]:
     return f.values[i], f.knots[i], f.segment_exponents[i]
 
 
-def integral_min(f: MonotoneFn, g: MonotoneFn, a: float, b: float) -> float:
-    """Exact ``integral of min(f, g)`` over ``[a, b]``.
+def _unit_design(ln_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polyfit``'s design matrix ``[ln_n, 1]`` scaled to unit
+    columns, and the column scales."""
+    lhs = np.ones((ln_n.size, 2))
+    lhs[:, 0] = ln_n
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return lhs, scale
 
-    Splits at every knot of either function and at the (single) crossing a
-    pair of power laws can have inside each resulting segment, then
-    integrates the smaller branch in closed form.
 
-    Raises
-    ------
-    DomainError
-        ``a < 0`` or ``b <= a``.
-    DivergentTail
-        ``b == inf`` and the eventually-smaller tail has exponent >= -1.
-    """
-    a = float(a)
-    b = float(b)
-    if not (a >= 0.0 and b > a):
-        raise DomainError(f"need 0 <= a < b, got a={a}, b={b}")
-
-    cuts = {a}
-    for t in f.knots + g.knots:
-        if a < t < b:
-            cuts.add(t)
-    tail_start = max(a, f.knots[-1], g.knots[-1])
-    unbounded = b == math.inf
-    if unbounded:
-        if tail_start > a:
-            cuts.add(tail_start)
-    else:
-        cuts.add(b)
-    pts = _merge_close(sorted(cuts))
-
-    def smaller_on(x: float, y: float) -> tuple[float, float, float]:
-        mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
-        pf = _local_power(f, mid)
-        pg = _local_power(g, mid)
-        fv = pf[0] * (mid / pf[1]) ** pf[2]
-        gv = pg[0] * (mid / pg[1]) ** pg[2]
-        return pf if fv <= gv else pg
-
-    def crossing_in(x: float, y: float) -> float | None:
-        mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
-        vf, tf, ef = _local_power(f, mid)
-        vg, tg, eg = _local_power(g, mid)
-        if abs(ef - eg) < 1e-12:
-            return None
-        # Solve vf (t/tf)^ef = vg (t/tg)^eg in log space.
-        ln_t = (
-            math.log(vg) - math.log(vf) + ef * math.log(tf) - eg * math.log(tg)
-        ) / (ef - eg)
-        if ln_t > 700.0 or ln_t < -700.0:
-            return None
-        t = math.exp(ln_t)
-        if x * (1 + _KNOT_MERGE_RTOL) < t < y * (1 - _KNOT_MERGE_RTOL):
-            return t
-        return None
-
-    total = 0.0
-    for x, y in zip(pts, pts[1:]):
-        t_cross = crossing_in(x, y)
-        parts = [(x, t_cross), (t_cross, y)] if t_cross else [(x, y)]
-        for lo, hi in parts:
-            v0, t0, e = smaller_on(lo, hi)
-            total += _segment_integral(v0, t0, e, lo, hi)
-
-    if unbounded:
-        x = pts[-1]
-        t_cross = None
-        vf, tf, ef = _local_power(f, x * 2.0)
-        vg, tg, eg = _local_power(g, x * 2.0)
-        if abs(ef - eg) >= 1e-12:
-            ln_t = (
-                math.log(vg) - math.log(vf) + ef * math.log(tf) - eg * math.log(tg)
-            ) / (ef - eg)
-            if abs(ln_t) <= 700.0 and math.exp(ln_t) > x * (1 + _KNOT_MERGE_RTOL):
-                t_cross = math.exp(ln_t)
-        if t_cross is not None:
-            v0, t0, e = smaller_on(x, t_cross)
-            total += _segment_integral(v0, t0, e, x, t_cross)
-            x = t_cross
-        v0, t0, e = smaller_on(x, 4.0 * x)
-        if e >= -1.0:
-            raise DivergentTail(
-                f"min tail exponent {e} >= -1: divergent at infinity"
-            )
-        total += _segment_integral(v0, t0, e, x, math.inf)
-    return total
+def _fit_rank(ns: Sequence[float]) -> int:
+    """Rank of the log-log fit over abscissas `ns`: below 2 exactly when
+    :func:`fit_loglog_slope` on them warns (its solver and cutoff)."""
+    lhs, _ = _unit_design(np.log(np.asarray(ns, dtype=float)))
+    return int(np.linalg.lstsq(lhs, lhs[:, 1])[2])
 
 
 def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -690,10 +617,7 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> tuple[float, floa
     # design matrix [ln_n, 1] scaled to unit columns and the same solver,
     # whose default cutoff eps * max(M, N) is polyfit's len * eps, so the
     # same bits.  One solve per column: a 2-D right-hand side moves bits.
-    lhs = np.ones((len(pts), 2))
-    lhs[:, 0] = ln_n
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
+    lhs, scale = _unit_design(ln_n)
     coef, _, rank, _ = np.linalg.lstsq(lhs, ln_y)
     if rank != 2:
         warnings.warn(

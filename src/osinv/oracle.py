@@ -32,7 +32,7 @@ from .errors import BadCutoff, BadParameter, DomainError
 from .growth import TailIntegral
 from .monotone_fn import MonotoneFn, crossing_below, evaluate_many
 from .orlicz import OrliczFn, quiet_sum, rescaled_norm
-from .weights import StepDensity, WeightPair
+from .spaces import WeightPair
 
 __all__ = [
     "aux_diag_norm",
@@ -56,64 +56,34 @@ _SCAN_CHUNK = 16_384
 
 
 class _Side:
-    """Uniform exact view of one stored density (table or steps):
-    pointwise values, tail masses, and level crossings.
+    """Exact view of one stored density table: pointwise values, tail
+    masses, and level crossings.
     """
 
-    def __init__(self, density: MonotoneFn | StepDensity) -> None:
+    def __init__(self, density: MonotoneFn) -> None:
         self._density = density
-        if isinstance(density, MonotoneFn):
-            self._tail = TailIntegral.from_density(density)
-        else:
-            self._tail = None
+        self._tail = TailIntegral.from_density(density)
 
     def values(self, s: np.ndarray) -> np.ndarray:
-        if isinstance(self._density, MonotoneFn):
-            return evaluate_many(self._density, s)
-        return np.array([self._density.eval(float(v)) for v in s])
+        return evaluate_many(self._density, s)
 
     @property
     def mass(self) -> float:
-        if self._tail is not None:
-            return self._tail.mass
-        return self._density.mass
+        return self._tail.mass
 
     def tail(self, t: float) -> float:
         """Integral of the density over ``[t, infinity)`` (``t >= 0``)."""
         if t <= 0.0:
             return self.mass
-        if self._tail is not None:
-            return self._tail.eval(t)
-        return self._density.tail_mass(t)
+        return self._tail.eval(t)
 
     def tail_many(self, ts: np.ndarray) -> np.ndarray:
-        if self._tail is not None:
-            out = self._tail.eval_many(np.maximum(ts, 1e-300))
-            return np.where(ts <= 0.0, self.mass, out)
-        return np.array([self.tail(float(t)) for t in ts])
+        out = self._tail.eval_many(np.maximum(ts, 1e-300))
+        return np.where(ts <= 0.0, self.mass, out)
 
     def crossing(self, y: float) -> float:
         """``sup { t : density(t) >= y }`` for ``y > 0`` (0 if below max)."""
-        if isinstance(self._density, MonotoneFn):
-            return crossing_below(self._density, y)
-        best = 0.0
-        for amp, hi in zip(
-            self._density.amplitudes, self._density.edges[1:]
-        ):
-            if amp >= y:
-                best = hi
-        return best
-
-
-def _continuous_sides(p: WeightPair) -> tuple[_Side, _Side]:
-    """Column and row density views of a normalized continuous pair."""
-    if not p.normalized:
-        raise BadParameter("need a pair in normalized (reflected) form")
-    if p.domain == "half_line":
-        return _Side(p.uc_fn), _Side(p.ur_fn)
-    if p.domain == "steps":
-        return _Side(p.uc_steps), _Side(p.ur_steps)
-    raise BadParameter("discrete pairs have no half-line decompositions")
+        return crossing_below(self._density, y)
 
 
 def _clean_abs(x: Iterable[float]) -> np.ndarray:
@@ -133,7 +103,7 @@ def aux_diag_norm(
     ``sup_k |x_k| w_c(A_k)**0.5 + (sum_k |x_k|**2 w_r(A_k^c))**0.5``.
     The search restricts ``A_k`` to left half-lines ``(-inf, tau_k]``
     (optimal up to constants, the column weight growing leftward and the
-    row weight decaying rightward), where the normalized bookkeeping
+    row weight decaying rightward), where the reflected bookkeeping
     gives ``w_c(A_k) = 1 + tau_k`` and ``w_r(A_k^c)`` equal to the row
     tail mass beyond ``tau_k``.  The objective separates once the first
     term's budget is fixed: for each achievable budget the best feasible
@@ -144,13 +114,13 @@ def aux_diag_norm(
     Raises
     ------
     BadParameter
-        `p` is not a normalized continuous pair, or `tau_points` < 1.
+        `tau_points` < 1.
     DomainError
         `x` has nonfinite entries.
     """
     if tau_points < 1:
         raise BadParameter(f"need at least one grid point, got {tau_points}")
-    _, row = _continuous_sides(p)
+    row = _Side(p.ur_fn)
     xs = _clean_abs(x)
     if xs.size == 0:
         return 0.0
@@ -211,14 +181,14 @@ def indicator_search(
     Raises
     ------
     BadParameter
-        Pairs not normalized, ``n < 1``, or ``grid < 2``.
+        ``n < 1`` or ``grid < 2``.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise BadParameter(f"dimension must be a positive integer, got {n}")
     if grid < 2:
         raise BadParameter(f"need at least a 2x2 corner grid, got {grid}")
-    col, _ = _continuous_sides(uE)
-    _, row = _continuous_sides(vF)
+    col = _Side(uE.uc_fn)
+    row = _Side(vF.ur_fn)
 
     edges, mids, widths = _lattice()
     col_mid = col.values(mids)

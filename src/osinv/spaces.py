@@ -25,13 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .errors import (
-    BadParameter,
-    DegenerateWeight,
-    NotRegular,
-    OsinvError,
-    ParseError,
-)
+from .errors import BadParameter, NotRegular, OsinvError, ParseError
 from .growth import (
     DEFAULT_REG_WINDOW,
     RegularityReport,
@@ -40,10 +34,10 @@ from .growth import (
     regularity_report,
 )
 from .monotone_fn import MonotoneFn, evaluate, make_piecewise
-from .weights import WeightPair, half_line_pair
 
 __all__ = [
     "SpaceDescriptor",
+    "WeightPair",
     "canonical_weights",
     "catalog",
     "check_space_regularity",
@@ -72,6 +66,42 @@ _SPACE_WINDOW = (1e-9, 1.0 - 1e-9)
 _NORM_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class WeightPair:
+    """Canonical weight densities of a weighted structure, in reflected form.
+
+    ``uc_fn`` is the column density ``w_c(-s)`` for ``s > 0`` (its true
+    home is the negative half line, where the row density is implicitly
+    1) and ``ur_fn`` the row density on the positive half line (where
+    the column density is implicitly 1).  Each is ``min(1, 1/phi^{-1})``
+    of its side's fundamental function.
+
+    Raises
+    ------
+    BadParameter
+        A density that is not a nonincreasing :class:`MonotoneFn`, or
+        one that exceeds 1 (the implicit density of the other side).
+    """
+
+    uc_fn: MonotoneFn
+    ur_fn: MonotoneFn
+
+    def __post_init__(self) -> None:
+        for name in ("uc_fn", "ur_fn"):
+            f = getattr(self, name)
+            if not (
+                isinstance(f, MonotoneFn) and f.direction == "nonincreasing"
+            ):
+                raise BadParameter(
+                    f"{name} must be a nonincreasing MonotoneFn density"
+                )
+            if f.values[0] > 1.0:
+                raise BadParameter(
+                    f"{name} reaches {f.values[0]}; a density in reflected "
+                    "form is at most 1"
+                )
+
+
 def _max_exponent(f: MonotoneFn) -> float:
     return max(f.segment_exponents + (f.right_exponent,))
 
@@ -95,7 +125,7 @@ class SpaceDescriptor:
         ``[0, 1]`` (so ``phi(n)/n`` is nonincreasing).  These tables are
         the source of truth; everything else is derived from them.
     weights:
-        Optional normalised weight pair attached to a weighted
+        Optional canonical weight pair attached to a weighted
         structure.  When absent it is derived on demand by
         :func:`canonical_weights`.
     label:
@@ -111,8 +141,8 @@ class SpaceDescriptor:
     Raises
     ------
     BadParameter
-        Unknown kind, a fundamental function that is not normalised or
-        not of sublinear growth, or a non-normalised weight pair.
+        Unknown kind, or a fundamental function that is not normalised
+        or not of sublinear growth.
     NotRegular
         ``kind == "weighted"`` but some local exponent of a fundamental
         function falls outside (0, 1).
@@ -143,10 +173,6 @@ class SpaceDescriptor:
                     f"{name} grows superlinearly somewhere; phi(n)/n must "
                     "be nonincreasing"
                 )
-        if self.weights is not None and not self.weights.normalized:
-            raise BadParameter(
-                "descriptor weights must be a normalized pair"
-            )
         if self.kind == "weighted":
             report = check_space_regularity(self, _SPACE_WINDOW)
             if not report.passed:
@@ -289,17 +315,15 @@ def _rescaled_to_one(f: MonotoneFn) -> MonotoneFn:
 
 
 def _canonical_pair(phi_c: MonotoneFn, phi_r: MonotoneFn) -> WeightPair:
-    """Canonical normalised densities ``min(1, 1/phi^{-1})`` per side."""
+    """Canonical densities ``min(1, 1/phi^{-1})`` per side."""
     for name, f in (("phi_c", phi_c), ("phi_r", phi_r)):
         if _min_exponent(f) <= 0.0:
             raise NotRegular(
                 f"{name} has a flat stretch; cannot invert it to recover "
                 "a weight"
             )
-    return half_line_pair(
-        clamped_reciprocal_inverse(phi_c),
-        clamped_reciprocal_inverse(phi_r),
-        normalized=True,
+    return WeightPair(
+        clamped_reciprocal_inverse(phi_c), clamped_reciprocal_inverse(phi_r)
     )
 
 
@@ -312,8 +336,8 @@ def from_fundamental(
 
     Both inputs are rescaled so that ``phi(1) == 1`` (any positive
     scale is accepted), then gated on regularity: every local exponent
-    must lie strictly inside (0, 1).  The canonical normalised weight
-    pair ``min(1, 1/phi^{-1})`` is derived per side and attached to the
+    must lie strictly inside (0, 1).  The canonical weight pair
+    ``min(1, 1/phi^{-1})`` is derived per side and attached to the
     returned descriptor.
 
     Raises
@@ -344,7 +368,7 @@ def from_fundamental(
 
 
 def canonical_weights(desc: SpaceDescriptor) -> WeightPair:
-    """Normalised weight pair of a weighted structure.
+    """Canonical weight pair of a weighted structure.
 
     Returns the attached pair when the descriptor carries one,
     otherwise derives the canonical pair ``min(1, 1/phi^{-1})`` from
@@ -370,7 +394,7 @@ def canonical_weights(desc: SpaceDescriptor) -> WeightPair:
 def fundamental_from_weights(
     pair: WeightPair,
 ) -> tuple[MonotoneFn, MonotoneFn]:
-    """Fundamental functions generated by a normalised weight pair.
+    """Fundamental functions generated by a canonical weight pair.
 
     Each side's function is the growth function of its density: the
     solution ``g(s)`` of ``t = s * H(t)`` with ``H`` the tail integral
@@ -381,24 +405,9 @@ def fundamental_from_weights(
 
     Raises
     ------
-    BadParameter
-        The pair is not in normalised form.
-    DegenerateWeight
-        The pair is a compactly supported step pair, whose growth
-        functions are bounded: that limit is an endpoint structure and
-        carries no fundamental-function table.
     DivergentTail
         A side's density has a non-integrable tail.
     """
-    if not pair.normalized:
-        raise BadParameter(
-            "fundamental functions need the normalised form of the pair"
-        )
-    if pair.domain == "steps":
-        raise DegenerateWeight(
-            "compactly supported step densities have bounded growth "
-            "functions; the structure degenerates to an endpoint"
-        )
     return growth_fn(pair.uc_fn), growth_fn(pair.ur_fn)
 
 

@@ -147,6 +147,26 @@ class TestParseNGrid:
         assert "2**60" in err
         assert "log-log" not in err
 
+    @pytest.mark.parametrize("command", ["table", "fit", "pi1"])
+    def test_near_duplicate_fit_window_exits_three(self, command) -> None:
+        # Three points a few ulps apart in log n: the slope fit over them
+        # is rank deficient, so no slope row can be printed.
+        spaces = (
+            ["--domain", OH_JSON, "--codomain", OH_JSON]
+            if command == "pi1" else ["--space", OH_JSON]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "osinv.cli", command, *spaces, "--n",
+             "1152921504606838784,1152921504606842880,1152921504606846976"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "slope" in proc.stderr
+
     def test_largest_count_is_accepted(self) -> None:
         assert parse_n_grid(f"geometric:1:2:{MAX_GRID_COUNT}") == (1, 2)
 

@@ -368,6 +368,13 @@ class TestSweep:
         with pytest.raises(TooFewPoints):
             sweep(OH, n_grid=[16, 64])
 
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_rejects_a_rank_deficient_fit_window(self, pair):
+        top = 2**60
+        grid = [16, 64, top - 8192, top - 4096, top]
+        with pytest.raises(TooFewPoints, match="slope"):
+            sweep(OH, OH if pair else None, n_grid=grid)
+
     def test_rejects_nonpositive_grid_point(self):
         with pytest.raises(BadParameter):
             sweep(OH, n_grid=[0, 16, 64])

@@ -24,6 +24,7 @@ from osinv.errors import (
 )
 from osinv.monotone_fn import (
     MonotoneFn,
+    _fit_rank,
     _local_power,
     compose,
     crossing_below,
@@ -32,7 +33,6 @@ from osinv.monotone_fn import (
     fit_loglog_slope,
     generalized_inverse,
     integral,
-    integral_min,
     inverse_fn,
     make_piecewise,
     reciprocal,
@@ -414,47 +414,6 @@ class TestLocalPower:
         assert _local_power(f, 400.0) == (8.0, 4.0, 0.5)
 
 
-class TestIntegralMin:
-    def test_constant_versus_tail(self):
-        one = make_piecewise([1.0], [1.0], right_exponent=0.0,
-                             direction="nonincreasing")
-        decay = power_fn(-2.0)
-        assert integral_min(one, decay, 0.0, math.inf) == pytest.approx(2.0)
-
-    def test_crossing_inside_segment(self):
-        rising = power_fn(1.0)
-        falling = make_piecewise([1.0], [4.0], right_exponent=-2.0,
-                                 direction="nonincreasing")
-        # min(t, 4 t^{-2}) on [1, 4] crosses at t = 4^{1/3}.
-        expected = 1.5 * (4.0 ** (2.0 / 3.0) - 1.0)
-        assert integral_min(rising, falling, 1.0, 4.0) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_divergent_min_tail(self):
-        one = make_piecewise([1.0], [1.0], right_exponent=0.0,
-                             direction="nonincreasing")
-        with pytest.raises(DivergentTail):
-            integral_min(one, one, 1.0, math.inf)
-
-    @given(monotone_fns(), monotone_fns())
-    @settings(deadline=None)
-    def test_symmetric_and_dominated(self, f, g):
-        a, b = 0.5, 20.0
-        m_fg = integral_min(f, g, a, b)
-        m_gf = integral_min(g, f, a, b)
-        assert m_fg == pytest.approx(m_gf, rel=1e-10)
-        assert m_fg <= min(integral(f, a, b), integral(g, a, b)) * (1 + 1e-10)
-
-    @given(monotone_fns())
-    @settings(deadline=None)
-    def test_min_with_self(self, f):
-        a, b = 0.5, 20.0
-        assert integral_min(f, f, a, b) == pytest.approx(
-            integral(f, a, b), rel=1e-10
-        )
-
-
 class TestFitLoglogSlope:
     def test_quarter_power(self):
         pts = [(n, n**0.25) for n in (10.0, 100.0, 1000.0)]
@@ -576,3 +535,16 @@ class TestFitMatchesPolyfit:
         with pytest.warns(np.exceptions.RankWarning):
             fit_loglog_slope(pts)
         assert _outcome(fit_loglog_slope, pts) == _outcome(_polyfit_slope, pts)
+
+
+class TestFitRank:
+    @pytest.mark.parametrize("step", [2**11, 2**12, 2**16, 2**17, 2**20])
+    def test_deficient_exactly_when_the_fit_warns_or_fails(self, step):
+        # Steps up to 2**16 below 2**60 leave ln n within a few ulps;
+        # at 2**11 the logs coincide and the fit raises instead.
+        ns = [2**60 - 2 * step, 2**60 - step, 2**60]
+        result, caught = _outcome(
+            fit_loglog_slope, [(n, math.sqrt(n)) for n in ns]
+        )
+        assert (_fit_rank(ns) < 2) == (bool(caught) or result == "BadParameter")
+        assert (_fit_rank(ns) < 2) == (step <= 2**16)

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import osinv.verify
 from osinv import (
+    WeightPair,
     canonical_weights,
     catalog,
-    discrete_pair,
     dual,
     fit_loglog_slope,
     from_weight,
-    half_line_pair,
     integral,
     make_orlicz,
     make_piecewise,
@@ -95,13 +94,17 @@ class TestAuxDiagNorm:
             aux_diag_norm(OH_W, [1.0], tau_points=0)
 
     def test_rejects_unnormalized_pair(self) -> None:
-        plain = half_line_pair(OH_W.uc_fn, OH_W.ur_fn)
+        # A density above 1 is not in reflected form; the pair is
+        # refused where it is built, before any search runs.
+        twice = make_piecewise(
+            [1.0], [2.0], right_exponent=-2.0, direction="nonincreasing"
+        )
         with pytest.raises(BadParameter):
-            aux_diag_norm(plain, [1.0])
+            aux_diag_norm(WeightPair(OH_W.uc_fn, twice), [1.0])
 
     def test_rejects_discrete_pair(self) -> None:
         with pytest.raises(BadParameter):
-            aux_diag_norm(discrete_pair([1.0], [1.0]), [1.0])
+            aux_diag_norm(WeightPair((1.0,), (1.0,)), [1.0])
 
 
 class TestIndicatorSearch:
@@ -164,7 +167,7 @@ class TestIndicatorSearch:
 
     def test_rejects_discrete_pair(self) -> None:
         with pytest.raises(BadParameter):
-            indicator_search(discrete_pair([1.0], [1.0]), OH_W, 4)
+            indicator_search(WeightPair((1.0,), (1.0,)), OH_W, 4)
 
 
 class TestRiemannIntegral:

@@ -12,24 +12,20 @@ from hypothesis import strategies as st
 from osinv import (
     DEFAULT_REG_WINDOW,
     SpaceDescriptor,
+    WeightPair,
     canonical_weights,
     catalog,
     check_space_regularity,
-    continuize,
     descriptor_from_json,
     descriptor_to_json,
-    discrete_pair,
     dual,
     evaluate,
     from_fundamental,
     fundamental_from_weights,
-    half_line_pair,
     make_piecewise,
-    step_pair,
 )
 from osinv.errors import (
     BadParameter,
-    DegenerateWeight,
     DirectionError,
     DivergentTail,
     NotRegular,
@@ -149,15 +145,16 @@ class TestSpaceDescriptor:
             SpaceDescriptor(kind="weighted", phi_c=power(1.0), phi_r=SQRT)
 
     def test_rejects_unnormalised_weights(self):
+        # Reflected-form densities are at most 1; this one starts at 2.
         w = make_piecewise(
-            [1.0], [1.0], right_exponent=-2.0, direction="nonincreasing"
+            [1.0], [2.0], right_exponent=-2.0, direction="nonincreasing"
         )
         with pytest.raises(BadParameter):
             SpaceDescriptor(
                 kind="weighted",
                 phi_c=SQRT,
                 phi_r=SQRT,
-                weights=half_line_pair(w, w),
+                weights=WeightPair(w, w),
             )
 
 
@@ -166,8 +163,6 @@ class TestFromFundamental:
         d = from_fundamental(SQRT, SQRT)
         w = d.weights
         assert w is not None
-        assert w.domain == "half_line"
-        assert w.normalized
         # min(1, t**-2): clamped at 1 below t = 1, inverse square beyond.
         assert evaluate(w.uc_fn, 0.5) == pytest.approx(1.0)
         assert evaluate(w.uc_fn, 2.0) == pytest.approx(0.25, rel=1e-12)
@@ -233,7 +228,6 @@ class TestCanonicalWeights:
 
     def test_derives_for_catalog_members(self):
         w = canonical_weights(catalog("oh"))
-        assert w.normalized
         assert evaluate(w.uc_fn, 2.0) == pytest.approx(0.25, rel=1e-12)
         w3 = canonical_weights(catalog("column_p", 3))
         assert evaluate(w3.uc_fn, 4.0) == pytest.approx(0.125, rel=1e-12)
@@ -275,18 +269,12 @@ class TestFundamentalFromWeights:
             )
             assert 0.25 <= ratio <= 4.0
 
-    def test_step_pair_is_degenerate(self):
-        cont = continuize(discrete_pair([1.0], [1.0]))
-        pair = step_pair(cont.uc_steps, cont.ur_steps, normalized=True)
-        with pytest.raises(DegenerateWeight):
-            fundamental_from_weights(pair)
-
     def test_rejects_unnormalised_pair(self):
         w = make_piecewise(
-            [1.0], [1.0], right_exponent=-2.0, direction="nonincreasing"
+            [1.0], [2.0], right_exponent=-2.0, direction="nonincreasing"
         )
         with pytest.raises(BadParameter):
-            fundamental_from_weights(half_line_pair(w, w))
+            fundamental_from_weights(WeightPair(w, w))
 
     def test_divergent_tail_propagates(self):
         slow = make_piecewise(
@@ -296,9 +284,7 @@ class TestFundamentalFromWeights:
             [1.0], [1.0], right_exponent=-2.0, direction="nonincreasing"
         )
         with pytest.raises(DivergentTail):
-            fundamental_from_weights(
-                half_line_pair(slow, fast, normalized=True)
-            )
+            fundamental_from_weights(WeightPair(slow, fast))
 
 
 class TestDual:

@@ -1,35 +1,11 @@
-"""Tests for weight pairs: condition, norm factor, and the conversions."""
+"""Tests for the construction checks of the canonical weight pair."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from osinv.errors import BadParameter, Divergent, DomainError, NonPositive
-from osinv.monotone_fn import fit_loglog_slope, integral, make_piecewise
-from osinv.weights import (
-    StepDensity,
-    WeightPair,
-    _power_sum,
-    check_weight_condition,
-    continuize,
-    discrete_pair,
-    discretize,
-    half_line_pair,
-    k_norm_factor,
-    normalize,
-    step_pair,
-)
-
-ZETA_15 = 2.6123753486854883  # zeta(3/2)
-ZETA_2 = math.pi**2 / 6.0
-ZETA_3 = 1.2020569031595943
-ZETA_4 = math.pi**4 / 90.0
-EULER_GAMMA = 0.5772156649015329
+from osinv import WeightPair, make_piecewise
+from osinv.errors import BadParameter, NonMonotone
 
 
 def falling(exponent: float, knot: float = 1.0, value: float = 1.0):
@@ -42,451 +18,42 @@ def falling(exponent: float, knot: float = 1.0, value: float = 1.0):
 CONST_ONE = falling(0.0)
 
 
-@st.composite
-def finite_discrete_pairs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    vals = st.floats(min_value=1e-3, max_value=1e3)
-    uc = [draw(vals) for _ in range(n)]
-    ur = [draw(vals) for _ in range(n)]
-    return discrete_pair(uc, ur)
-
-
-@st.composite
-def decaying_half_line_pairs(draw):
-    def side():
-        value = draw(st.floats(min_value=0.1, max_value=10.0))
-        expo = -round(draw(st.floats(min_value=1.2, max_value=3.0)), 1)
-        knot = draw(st.floats(min_value=0.5, max_value=4.0))
-        return falling(expo, knot=knot, value=value)
-
-    return half_line_pair(side(), side())
-
-
-class TestStepDensity:
-    def test_mass_and_eval(self):
-        d = StepDensity((0.0, 1.0, 3.0), (2.0, 0.5))
-        assert d.mass == pytest.approx(2.0 + 1.0)
-        assert d.eval(0.5) == 2.0
-        assert d.eval(1.0) == 2.0  # cells are left-open, right-closed
-        assert d.eval(1.5) == 0.5
-        assert d.eval(3.0) == 0.5
-        assert d.eval(3.5) == 0.0
-
-    def test_tail_mass(self):
-        d = StepDensity((0.0, 1.0, 3.0), (2.0, 0.5))
-        assert d.tail_mass(0.0) == pytest.approx(3.0)
-        assert d.tail_mass(2.0) == pytest.approx(0.5)
-        assert d.tail_mass(5.0) == 0.0
-
-    def test_eval_rejects_bad_abscissa(self):
-        d = StepDensity((0.0, 1.0), (1.0,))
-        with pytest.raises(DomainError):
-            d.eval(0.0)
-        with pytest.raises(DomainError):
-            d.eval(math.inf)
-
-    @pytest.mark.parametrize(
-        "edges, amps, err",
-        [
-            ((1.0, 2.0), (1.0,), BadParameter),  # must start at 0
-            ((0.0, 1.0, 1.0), (1.0, 1.0), BadParameter),  # not increasing
-            ((0.0, 1.0), (1.0, 2.0), BadParameter),  # length mismatch
-            ((0.0, 1.0), (0.0,), NonPositive),
-            ((0.0, 1.0), (-1.0,), NonPositive),
-        ],
-    )
-    def test_validation(self, edges, amps, err):
-        with pytest.raises(err):
-            StepDensity(edges, amps)
-
-
 class TestWeightPairConstruction:
-    def test_head_length_mismatch(self):
-        with pytest.raises(BadParameter):
-            discrete_pair([1.0, 2.0], [1.0])
-
-    def test_one_sided_tail_rejected(self):
-        with pytest.raises(BadParameter):
-            discrete_pair([1.0], [1.0], uc_tail=(1.0, -2.0))
-
     def test_nonpositive_value_rejected(self):
-        with pytest.raises(NonPositive):
-            discrete_pair([1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(NonPositive):
-            discrete_pair([1.0], [1.0], uc_tail=(0.0, -2.0), ur_tail=(1.0, -2.0))
+        # A density table cannot hold a nonpositive value, so no pair
+        # carries one.
+        with pytest.raises(NonMonotone):
+            WeightPair(falling(-2.0, value=0.0), CONST_ONE)
+        with pytest.raises(NonMonotone):
+            WeightPair(
+                CONST_ONE,
+                make_piecewise(
+                    [1.0, 2.0], [1.0, -1.0], right_exponent=-2.0,
+                    direction="nonincreasing",
+                ),
+            )
 
     def test_normalized_discrete_rejected(self):
+        # Masses on the integers are not densities on the half line.
         with pytest.raises(BadParameter):
-            WeightPair(domain="discrete", normalized=True,
-                       uc_head=(1.0,), ur_head=(1.0,))
-
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(BadParameter):
-            WeightPair(domain="lattice")
+            WeightPair((1.0,), (1.0,))
 
     def test_missing_densities_rejected(self):
         with pytest.raises(BadParameter):
-            WeightPair(domain="half_line", uc_fn=CONST_ONE)
+            WeightPair(CONST_ONE, None)
+        with pytest.raises(TypeError):
+            WeightPair(uc_fn=CONST_ONE)
 
-
-class TestPowerSum:
-    @pytest.mark.parametrize(
-        "e, expected",
-        [(-1.5, ZETA_15), (-2.0, ZETA_2), (-3.0, ZETA_3), (-4.0, ZETA_4)],
-    )
-    def test_matches_zeta_values(self, e, expected):
-        assert _power_sum(1.0, 1.0, e, 1, math.inf) == pytest.approx(
-            expected, rel=1e-11
+    def test_rising_density_rejected(self):
+        rising = make_piecewise(
+            [1.0], [1.0], right_exponent=0.5, direction="nondecreasing"
         )
-
-    def test_harmonic_partial_sum(self):
-        n = 1_000_000
-        expected = (
-            math.log(n) + EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n**2)
-        )
-        assert _power_sum(1.0, 1.0, -1.0, 1, float(n)) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_long_range_matches_explicit(self):
-        js = np.arange(5, 100_001, dtype=float)
-        expected = float(np.sum(3.0 * js**-1.3))
-        assert _power_sum(3.0, 1.0, -1.3, 5, 100_000.0) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_growing_range_matches_explicit(self):
-        js = np.arange(1, 50_001, dtype=float)
-        expected = float(np.sum(js**0.5))
-        assert _power_sum(1.0, 1.0, 0.5, 1, 50_000.0) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_divergent_tail(self):
-        with pytest.raises(Divergent):
-            _power_sum(1.0, 1.0, -1.0, 1, math.inf)
-
-    def test_empty_range(self):
-        assert _power_sum(1.0, 1.0, -2.0, 5, 4.0) == 0.0
-
-
-class TestCheckWeightCondition:
-    def test_geometric_row_weight(self):
-        uc = [1.0] * 60
-        ur = [2.0 ** -(j + 1) for j in range(60)]
-        p = discrete_pair(uc, ur)
-        assert check_weight_condition(p) == pytest.approx(1.0, abs=1e-10)
-
-    def test_equal_unit_weights_diverge(self):
-        p = discrete_pair([1.0], [1.0], uc_tail=(1.0, 0.0), ur_tail=(1.0, 0.0))
-        with pytest.raises(Divergent):
-            check_weight_condition(p)
-
-    def test_power_tail_crossing(self):
-        # u_c = 1 and u_r = 4 j^{-2} cross at j = 2; beyond it the row
-        # side is the minimum.
-        p = discrete_pair([1.0], [4.0], uc_tail=(1.0, 0.0), ur_tail=(4.0, -2.0))
-        expected = 1.0 + 4.0 * (ZETA_2 - 1.0)
-        assert check_weight_condition(p) == pytest.approx(expected, rel=1e-11)
-
-    def test_half_line_inverse_square(self):
-        p = half_line_pair(CONST_ONE, falling(-2.0))
-        assert check_weight_condition(p) == pytest.approx(2.0, rel=1e-12)
-
-    def test_half_line_constant_pair_diverges(self):
-        with pytest.raises(Divergent):
-            check_weight_condition(half_line_pair(CONST_ONE, CONST_ONE))
-
-    def test_support_window(self):
-        p = half_line_pair(CONST_ONE, falling(-2.0))
-        got = check_weight_condition(p, support=(1.0, math.inf))
-        assert got == pytest.approx(1.0, rel=1e-12)
-
-    def test_support_rejected_for_discrete(self):
         with pytest.raises(BadParameter):
-            check_weight_condition(
-                discrete_pair([1.0], [1.0]), support=(0.0, 1.0)
-            )
+            WeightPair(CONST_ONE, rising)
 
-    def test_steps_domain(self):
-        uc = StepDensity((0.0, 2.0), (1.0,))
-        ur = StepDensity((0.0, 1.0, 3.0), (2.0, 0.25))
-        p = step_pair(uc, ur)
-        # min is 1 on (0,1], 0.25 on (1,2], 0 beyond the column support.
-        assert check_weight_condition(p) == pytest.approx(1.25)
-        assert check_weight_condition(p, support=(1.0, 10.0)) == pytest.approx(
-            0.25
-        )
-
-    def test_normalized_pair_at_most_two(self):
-        p = normalize(half_line_pair(CONST_ONE, falling(-2.0)))
-        val = check_weight_condition(p)
-        assert 0.0 < val <= 2.0 + 1e-12
-
-
-class TestKNormFactor:
-    def test_equal_weights_half_integral(self):
-        w = falling(-2.0)
-        p = half_line_pair(w, w)
-        expected = integral(w, 0.0, math.inf) / 2.0
-        assert k_norm_factor(p) == pytest.approx(expected, rel=1e-12)
-
-    def test_geometric_example(self):
-        uc = [1.0] * 60
-        ur = [2.0 ** -(j + 1) for j in range(60)]
-        p = discrete_pair(uc, ur)
-        reference = sum(r / (1.0 + r) for r in ur)
-        got = k_norm_factor(p)
-        assert got == pytest.approx(reference, abs=1e-10)
-        assert round(got, 4) == 0.7645
-
-    def test_discrete_power_tail_bracketed_by_partial_sums(self):
-        p = discrete_pair(
-            [1.0], [1.0], uc_tail=(1.0, 0.0), ur_tail=(4.0, -2.0)
-        )
-        js = np.arange(2, 1_000_001, dtype=float)
-        r = 4.0 * js**-2.0
-        partial = 0.5 + float(np.sum(r / (1.0 + r)))
-        got = k_norm_factor(p)
-        assert partial <= got <= partial + 4.0e-6  # dropped tail < 4/N
-
-    def test_continuous_cross_checked_by_quadrature(self):
-        p = half_line_pair(CONST_ONE, falling(-3.0, value=4.0))
-        s = np.geomspace(1e-6, 1e8, 400_001)
-        uc = np.ones_like(s)
-        ur = np.where(s < 1.0, 4.0, 4.0 * s**-3.0)
-        integrand = uc * ur / (uc + ur)
-        brute = float(np.trapezoid(integrand, s)) + 0.8e-6  # head (0, 1e-6)
-        assert k_norm_factor(p) == pytest.approx(brute, rel=1e-5)
-
-    def test_nearly_parallel_tails(self):
-        # Ratio drifts across the band extremely slowly; the factor still
-        # sits between half the min-integral and the min-integral.
-        p = half_line_pair(falling(-2.0), falling(-2.001))
-        cond = check_weight_condition(p)
-        got = k_norm_factor(p)
-        assert cond / 2.0 <= got <= cond
-        assert got == pytest.approx(cond / 2.0, rel=2e-3)
-
-    def test_divergent_pair_rejected(self):
-        with pytest.raises(Divergent):
-            k_norm_factor(half_line_pair(CONST_ONE, CONST_ONE))
-
-    def test_support_additivity(self):
-        p = half_line_pair(falling(-1.5, value=2.0), falling(-2.5))
-        full = k_norm_factor(p)
-        parts = (
-            k_norm_factor(p, support=(0.0, 2.0))
-            + k_norm_factor(p, support=(2.0, 7.0))
-            + k_norm_factor(p, support=(7.0, math.inf))
-        )
-        assert parts == pytest.approx(full, rel=1e-9)
-
-    def test_restriction_stability(self):
-        # Dropping a window changes the factor by at most the smaller
-        # weight's mass over the window.
-        p = half_line_pair(falling(-1.5, value=2.0), falling(-2.5))
-        window = (2.0, 5.0)
-        dropped = k_norm_factor(p) - (
-            k_norm_factor(p, support=(0.0, window[0]))
-            + k_norm_factor(p, support=(window[1], math.inf))
-        )
-        bound = min(
-            integral(p.uc_fn, *window), integral(p.ur_fn, *window)
-        )
-        assert 0.0 <= dropped <= bound + 1e-12
-
-    @given(finite_discrete_pairs())
-    def test_at_most_condition_discrete(self, p):
-        assert k_norm_factor(p) <= check_weight_condition(p) + 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(decaying_half_line_pairs())
-    def test_at_most_condition_half_line(self, p):
-        mu = k_norm_factor(p)
-        cond = check_weight_condition(p)
-        assert mu <= cond * (1.0 + 1e-9)
-        assert mu >= cond / 2.0 * (1.0 - 1e-9)  # harmonic mean >= min/2
-
-    @settings(max_examples=25, deadline=None)
-    @given(decaying_half_line_pairs(), st.floats(min_value=0.1, max_value=50.0))
-    def test_split_additivity(self, p, cut):
-        full = k_norm_factor(p)
-        parts = k_norm_factor(p, support=(0.0, cut)) + k_norm_factor(
-            p, support=(cut, math.inf)
-        )
-        assert parts == pytest.approx(full, rel=1e-9)
-
-
-class TestDiscretize:
-    def test_worked_inverse_square_example(self):
-        p = half_line_pair(CONST_ONE, falling(-2.0))
-        out = discretize(p, ratio_base=4.0, support=(1.0, math.inf))
-        assert out.domain == "discrete" and out.uc_tail is None
-        n = len(out.uc_head)
-        assert 20 < n < 70  # truncated once bin masses are negligible
-        for j in range(1, 11):
-            assert out.uc_head[j - 1] == pytest.approx(2.0 ** (j - 1), rel=1e-12)
-            assert out.ur_head[j - 1] == pytest.approx(2.0 ** (-j - 1), rel=1e-12)
-
-    def test_equal_weights_single_bin(self):
-        w = falling(-2.0)
-        out = discretize(half_line_pair(w, w), ratio_base=2.0)
-        assert out.uc_head == pytest.approx((2.0,))
-        assert out.ur_head == pytest.approx((2.0,))
-
-    def test_condition_value_never_increases(self):
-        p = half_line_pair(CONST_ONE, falling(-1.5))
-        before = check_weight_condition(p)
-        out = discretize(p, ratio_base=2.0)
-        assert check_weight_condition(out) <= before + 1e-9 * before
-
-    def test_classes_sorted_ascending(self):
-        uc = StepDensity((0.0, 1.0, 2.0), (1.0, 1.0))
-        ur = StepDensity((0.0, 1.0, 2.0), (4.0, 0.25))
-        out = discretize(step_pair(uc, ur), ratio_base=4.0)
-        assert out.uc_head == pytest.approx((1.0, 1.0))
-        assert out.ur_head == pytest.approx((4.0, 0.25))
-
-    def test_bin_merging_within_base_factor(self):
-        uc = StepDensity((0.0, 1.0, 2.0), (1.0, 1.0))
-        ur = StepDensity((0.0, 1.0, 2.0), (0.4, 0.3))  # same dyadic class
-        out = discretize(step_pair(uc, ur), ratio_base=2.0)
-        assert len(out.uc_head) == 1
-        assert out.uc_head[0] == pytest.approx(2.0)
-        true_row_mass = 0.7
-        assert out.ur_head[0] <= true_row_mass <= 2.0 * out.ur_head[0]
-
-    def test_roundtrip_exact_for_dyadic_ratios(self):
-        p = discrete_pair([1.0, 1.0, 1.0], [0.5, 0.125, 0.03125])
-        out = discretize(continuize(p), ratio_base=2.0)
-        assert out.uc_head == pytest.approx(p.uc_head, rel=1e-12)
-        assert out.ur_head == pytest.approx(p.ur_head, rel=1e-12)
-
-    def test_bad_inputs(self):
-        p = half_line_pair(CONST_ONE, falling(-2.0))
+    def test_density_above_one_rejected(self):
         with pytest.raises(BadParameter):
-            discretize(p, ratio_base=1.0)
-        with pytest.raises(BadParameter):
-            discretize(discrete_pair([1.0], [1.0]), ratio_base=2.0)
-        with pytest.raises(BadParameter):
-            discretize(normalize(p), ratio_base=2.0)
-        with pytest.raises(Divergent):
-            discretize(half_line_pair(CONST_ONE, CONST_ONE), ratio_base=2.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(decaying_half_line_pairs(), st.floats(min_value=1.5, max_value=8.0))
-    def test_condition_monotone_property(self, p, base):
-        before = check_weight_condition(p)
-        out = discretize(p, ratio_base=base)
-        assert check_weight_condition(out) <= before * (1.0 + 1e-9)
-
-
-class TestContinuize:
-    def test_unit_indicators(self):
-        out = continuize(discrete_pair([1.0], [1.0]))
-        assert out.domain == "steps"
-        assert out.uc_steps.edges == (0.0, 1.0)
-        assert out.uc_steps.eval(0.5) == 1.0
-        assert out.uc_steps.mass == pytest.approx(1.0)
-        assert out.ur_steps.mass == pytest.approx(1.0)
-
-    def test_min_mass_preserved_exactly_for_finite(self):
-        p = discrete_pair([3.0, 1.0, 0.5], [1.0, 2.0, 0.25])
-        out = continuize(p)
-        assert check_weight_condition(out) == pytest.approx(
-            check_weight_condition(p), rel=1e-14
-        )
-
-    def test_fast_tails_truncated_within_tolerance(self):
-        p = discrete_pair([1.0], [1.0], uc_tail=(1.0, -4.0), ur_tail=(1.0, -4.0))
-        out = continuize(p)
-        assert len(out.uc_steps.amplitudes) < 2000
-        assert check_weight_condition(out) == pytest.approx(ZETA_4, rel=2e-9)
-
-    def test_slow_tails_hit_cell_cap(self, caplog):
-        p = discrete_pair([1.0], [1.0], uc_tail=(1.0, -2.0), ur_tail=(1.0, -2.0))
-        with caplog.at_level("WARNING", logger="osinv.weights"):
-            out = continuize(p)
-        assert "truncated" in caplog.text
-        assert len(out.uc_steps.amplitudes) == 100_001
-
-    def test_requires_discrete(self):
-        with pytest.raises(BadParameter):
-            continuize(half_line_pair(CONST_ONE, falling(-2.0)))
-
-
-class TestNormalize:
-    def test_equal_weights_become_pure_buffers(self):
-        w = falling(-2.0)
-        out = normalize(half_line_pair(w, w))
-        assert out.normalized and out.domain == "steps"
-        assert out.uc_steps.edges == (0.0, 1.0)
-        assert out.uc_steps.amplitudes == (1.0,)
-        assert out.ur_steps.edges == (0.0, 1.0)
-        assert out.ur_steps.amplitudes == (1.0,)
-
-    def test_inverse_square_row_masses(self):
-        out = normalize(half_line_pair(CONST_ONE, falling(-2.0)))
-        assert out.uc_steps.mass == pytest.approx(1.0, abs=1e-9)
-        assert out.ur_steps.mass == pytest.approx(1.0, abs=1e-9)
-        # Column side sees no ratio above 2: pure buffer.
-        assert out.uc_steps.amplitudes == (1.0,)
-        # Row side: unit buffer at least 1/2, then falling steps.
-        amps = out.ur_steps.amplitudes
-        assert amps[0] >= 0.5
-        assert all(a <= 1.0 + 1e-12 for a in amps)
-        assert all(x >= y for x, y in zip(amps, amps[1:]))
-
-    def test_inverse_square_tail_slope(self):
-        out = normalize(half_line_pair(CONST_ONE, falling(-2.0)))
-        d = out.ur_steps
-        mids = [
-            (lo + hi) / 2.0 for lo, hi in zip(d.edges[1:], d.edges[2:])
-        ]
-        slope, _ = fit_loglog_slope(zip(mids[:40], d.amplitudes[1:41]))
-        assert abs(slope + 2.0) <= 0.1
-
-    def test_discrete_geometric_input(self):
-        uc = [1.0] * 60
-        ur = [2.0 ** -(j + 1) for j in range(60)]
-        out = normalize(discrete_pair(uc, ur))
-        # lambda = 1; classes k = 1..59 each of unit column width.
-        assert out.ur_steps.mass == pytest.approx(1.0, abs=1e-12)
-        assert out.ur_steps.amplitudes[0] == pytest.approx(0.75, abs=1e-12)
-        assert out.ur_steps.amplitudes[1] == pytest.approx(2.0**-3, rel=1e-12)
-        assert out.uc_steps.amplitudes == (1.0,)
-
-    def test_two_sided_classes(self):
-        # Ratios 8 and 1/8 populate one class on each side.
-        p = discrete_pair([1.0, 8.0], [8.0, 1.0])
-        out = normalize(p)
-        assert len(out.uc_steps.amplitudes) == 2
-        assert len(out.ur_steps.amplitudes) == 2
-        assert out.uc_steps.mass == pytest.approx(1.0, abs=1e-12)
-        assert out.ur_steps.mass == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self):
-        out = normalize(half_line_pair(CONST_ONE, falling(-2.0)))
-        assert normalize(out) is out
-
-    def test_divergent_rejected(self):
-        with pytest.raises(Divergent):
-            normalize(half_line_pair(CONST_ONE, CONST_ONE))
-
-    @settings(max_examples=40, deadline=None)
-    @given(decaying_half_line_pairs())
-    def test_unit_masses_property(self, p):
-        out = normalize(p)
-        assert out.uc_steps.mass == pytest.approx(1.0, abs=1e-9)
-        assert out.ur_steps.mass == pytest.approx(1.0, abs=1e-9)
-        for d in (out.uc_steps, out.ur_steps):
-            assert d.amplitudes[0] >= 0.5 - 1e-12
-            assert all(x >= y for x, y in zip(d.amplitudes, d.amplitudes[1:]))
-        assert check_weight_condition(out) <= 2.0 + 1e-9
-
-    @given(finite_discrete_pairs())
-    def test_unit_masses_discrete_property(self, p):
-        out = normalize(p)
-        assert out.uc_steps.mass == pytest.approx(1.0, abs=1e-9)
-        assert out.ur_steps.mass == pytest.approx(1.0, abs=1e-9)
+            WeightPair(falling(-2.0, value=1.5), CONST_ONE)
+        # The canonical clamp is exactly 1 on its first stretch.
+        pair = WeightPair(CONST_ONE, falling(-2.0))
+        assert pair.uc_fn is CONST_ONE
