@@ -20,8 +20,6 @@ are written as CSV (default) or JSON, both carrying a metadata record
 of the descriptor, the grid, and the tool version; identical
 invocations produce byte-identical output.  Exit codes: 0 success,
 1 failed verification, 2 non-regular space, 3 parse/config errors.
-The environment variable ``OSINV_GRID_DENSITY`` overrides the default
-quadrature density (integer points per decade).
 """
 
 from __future__ import annotations

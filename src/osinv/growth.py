@@ -171,10 +171,14 @@ class TailIntegral:
         return self.density.knots
 
     def eval(self, t: float) -> float:
-        """Exact value of the tail integral at ``t > 0``."""
+        """Exact value of the tail integral at ``t >= 0``.
+
+        ``H(0) = mass`` bit for bit: the head piece is
+        ``mass - v_1 t_1 (t/t_1)`` and its second term vanishes at 0.
+        """
         t = float(t)
-        if not (math.isfinite(t) and t > 0.0):
-            raise DomainError(f"abscissa must be a positive real, got {t}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise DomainError(f"abscissa must be a real >= 0, got {t}")
         k = bisect_right(self._los, t) - 1
         right = self._near_log_right.get(k)
         if right is not None:
@@ -190,8 +194,8 @@ class TailIntegral:
     def eval_many(self, ts: Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`eval`."""
         arr = np.asarray(ts, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-            raise DomainError("abscissas must be positive finite reals")
+        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
+            raise DomainError("abscissas must be finite reals >= 0")
         out = np.empty_like(arr)
         los = np.asarray(self._los)
         idx = np.searchsorted(los, arr, side="right") - 1
@@ -357,11 +361,7 @@ class _ComposedTable:
         return total
 
 
-def tail_fn(
-    w: MonotoneFn,
-    per_decade: int | None = None,
-    extra_knots: Sequence[float] = (),
-) -> MonotoneFn:
+def tail_fn(w: MonotoneFn, extra_knots: Sequence[float] = ()) -> MonotoneFn:
     """Tail function ``h(t) = integral of w over [t, infinity)`` as a table.
 
     Exact at every knot (values come from :class:`TailIntegral`); between
@@ -380,7 +380,7 @@ def tail_fn(
     """
     hh = TailIntegral.from_density(w)
     t_lo = w.knots[0] * 1e-9
-    grid = {float(t) for t in log_grid(t_lo, w.knots[-1], per_decade)}
+    grid = {float(t) for t in log_grid(t_lo, w.knots[-1])}
     grid.update(w.knots)
     grid.update(float(t) for t in extra_knots if t > 0.0)
     knots = _merge_close(sorted(grid))

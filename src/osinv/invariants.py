@@ -32,6 +32,7 @@ from .growth import TailIntegral
 from .monotone_fn import (
     MonotoneFn,
     _fit_rank,
+    _local_power,
     compose,
     crossing_below,
     evaluate,
@@ -303,19 +304,6 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
     return _Exactness.build(desc).at(n)
 
 
-def _power_eval(f: MonotoneFn, x: float) -> float:
-    """Evaluate `f`, extending below the first knot as a pure power
-    (the table itself extends as a constant there)."""
-    t0 = f.knots[0]
-    if x >= t0:
-        return evaluate(f, x)
-    if len(f.knots) > 1:
-        e = f.segment_exponents[0]
-    else:
-        e = f.right_exponent
-    return f.values[0] * (x / t0) ** e
-
-
 def exactness_display(desc: SpaceDescriptor, n: int) -> float:
     """Closed-form display for the exactness constant (cross-check).
 
@@ -329,9 +317,13 @@ def exactness_display(desc: SpaceDescriptor, n: int) -> float:
     n = _check_dimension(n)
     a = evaluate(desc.phi_c, float(n))
     b = evaluate(desc.phi_r, float(n))
-    term_plus = n / a * _power_eval(desc.phi_r, a / b)
-    term_minus = n / b * _power_eval(desc.phi_c, b / a)
-    return math.sqrt(term_plus + term_minus)
+    total = 0.0
+    for f, num, den in ((desc.phi_r, a, b), (desc.phi_c, b, a)):
+        # Below its first knot, f extends with its first piece's power.
+        x = num / den
+        v0, t0, e = _local_power(f, x, f.exponents[0])
+        total += n / num * (v0 * (x / t0) ** e)
+    return math.sqrt(total)
 
 
 def projection(desc: SpaceDescriptor, n: int) -> float:

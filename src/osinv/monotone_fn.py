@@ -7,6 +7,18 @@ exponent is the chord slope in log-log coordinates, to the left of the
 first knot it is constant (``f(t) = v_1`` for ``t <= t_1``), and beyond the
 last knot it follows a single power with prescribed exponent ``e_inf``.
 
+Piece layout.  A table with knots ``t_1 < ... < t_m`` has ``m + 1`` power
+pieces ``v (t/t_a)^e``.  Piece 0 is the head below ``t_1``, anchored at
+``(t_1, v_1)``.  Piece ``k >= 1`` starts at ``t_k`` with anchor
+``(t_k, v_k)`` and exponent ``MonotoneFn.exponents[k - 1]``; the last
+piece, from ``t_m`` on, is the right tail.  The head exponent is not part
+of the table: it is 0 for the table's own constant head, and callers that
+extend the function below ``t_1`` as a pure power (Orlicz functions, the
+closed-form exactness display) pass the first piece's exponent.
+:func:`_local_power` finds the piece of a scalar abscissa by one
+bisection; the cached arrays ``MonotoneFn._table`` serve vectorized
+lookups.
+
 Every operation in this module — evaluation, generalized inversion,
 composition, reciprocal, and integration — is closed form per segment, so
 results carry no quadrature error.  Improper tail integrals converge
@@ -130,18 +142,22 @@ class MonotoneFn:
         return tuple(out)
 
     @cached_property
-    def _knots_arr(self) -> np.ndarray:
-        return np.asarray(self.knots, dtype=float)
+    def exponents(self) -> tuple[float, ...]:
+        """Exponent of the piece starting at each knot: the segment
+        exponents, then the right exponent (``m`` entries)."""
+        return self.segment_exponents + (self.right_exponent,)
 
     @cached_property
-    def _values_arr(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    @cached_property
-    def _exponents_arr(self) -> np.ndarray:
-        """Per-knot exponent array: segment exponents plus the tail."""
-        return np.asarray(
-            self.segment_exponents + (self.right_exponent,), dtype=float
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Search edges (the knots), then per piece its anchor abscissa,
+        anchor value and exponent; piece 0 is the constant head."""
+        edges = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        return (
+            edges,
+            np.concatenate((edges[:1], edges)),
+            np.concatenate((values[:1], values)),
+            np.asarray((0.0, *self.exponents), dtype=float),
         )
 
     @property
@@ -156,7 +172,6 @@ class MonotoneFn:
 def make_piecewise(
     knots: Sequence[float],
     values: Sequence[float],
-    left_mode: float | None = None,
     right_exponent: float = 0.0,
     direction: Direction = "nondecreasing",
 ) -> MonotoneFn:
@@ -166,9 +181,6 @@ def make_piecewise(
     ----------
     knots, values:
         The interpolation table (see :class:`MonotoneFn`).
-    left_mode:
-        Constant-extension value for ``t <= t_1``.  Continuity forces this
-        to equal ``values[0]``; pass ``None`` (default) to use it.
     right_exponent:
         Tail power beyond the last knot.
     direction:
@@ -181,23 +193,14 @@ def make_piecewise(
     NonMonotone
         Values (or the tail exponent's sign) violate `direction`.
     BadParameter
-        Unknown direction, non-finite exponent, or a `left_mode` that
-        differs from the first ordinate.
+        Unknown direction or non-finite exponent.
     """
-    fn = MonotoneFn(
+    return MonotoneFn(
         knots=tuple(float(t) for t in knots),
         values=tuple(float(v) for v in values),
         right_exponent=float(right_exponent),
         direction=direction,
     )
-    if left_mode is not None and not math.isclose(
-        float(left_mode), fn.values[0], rel_tol=1e-12
-    ):
-        raise BadParameter(
-            "left extension is constant at the first ordinate; "
-            f"got left_mode={left_mode} but values[0]={fn.values[0]}"
-        )
-    return fn
 
 
 def _solve_on_segment(t0: float, v0: float, e: float, y: float) -> float:
@@ -217,13 +220,6 @@ def _solve_on_segment(t0: float, v0: float, e: float, y: float) -> float:
         ) from None
 
 
-def _check_positive_abscissa(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"abscissa must be a positive real, got {t}")
-    return t
-
-
 def evaluate(f: MonotoneFn, t: float) -> float:
     """Value of `f` at ``t > 0`` (exact at knots).
 
@@ -232,16 +228,11 @@ def evaluate(f: MonotoneFn, t: float) -> float:
     DomainError
         If ``t <= 0`` or not finite.
     """
-    t = _check_positive_abscissa(t)
-    knots = f.knots
-    if t <= knots[0]:
-        return f.values[0]
-    i = bisect_right(knots, t) - 1
-    if i == len(knots) - 1:
-        e = f.right_exponent
-    else:
-        e = f.segment_exponents[i]
-    return f.values[i] * (t / knots[i]) ** e
+    t = float(t)
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"abscissa must be a positive real, got {t}")
+    v0, t0, e = _local_power(f, t)
+    return v0 * (t / t0) ** e
 
 
 def evaluate_many(f: MonotoneFn, ts: Iterable[float]) -> np.ndarray:
@@ -249,13 +240,9 @@ def evaluate_many(f: MonotoneFn, ts: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(ts) if not isinstance(ts, np.ndarray) else ts, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("abscissas must be positive finite reals")
-    idx = np.searchsorted(f._knots_arr, arr, side="right") - 1
-    below = idx < 0
-    idx = np.clip(idx, 0, len(f.knots) - 1)
-    anchor_t = f._knots_arr[idx]
-    anchor_v = f._values_arr[idx]
-    expo = np.where(below, 0.0, f._exponents_arr[idx])
-    return anchor_v * (arr / anchor_t) ** expo
+    edges, anchor_t, anchor_v, expo = f._table
+    idx = np.searchsorted(edges, arr, side="right")
+    return anchor_v[idx] * (arr / anchor_t[idx]) ** expo[idx]
 
 
 def generalized_inverse(f: MonotoneFn, y: float) -> float:
@@ -291,21 +278,9 @@ def generalized_inverse(f: MonotoneFn, y: float) -> float:
                 f"level {y} meets the flat tail; the sublevel set is unbounded"
             )
         return _solve_on_segment(f.knots[j], vals[j], e, y)
-    if vals[j + 1] == vals[j]:
-        # Flat run with y == v_j: sup of the level set is its right edge,
-        # found by walking to the run's last repeated ordinate.
-        k = j
-        while k + 1 < len(vals) and vals[k + 1] == vals[k]:
-            k += 1
-        if k == len(vals) - 1:
-            if f.right_exponent == 0.0:
-                raise Unbounded(
-                    f"level {y} meets the flat tail; the sublevel set is unbounded"
-                )
-            return f.knots[k]
-        return f.knots[k]
-    e = f.segment_exponents[j]
-    return _solve_on_segment(f.knots[j], vals[j], e, y)
+    # j is the last ordinate <= y, so the segment from knot j ends above y
+    # (a flat run at level y resolves to its right edge).
+    return _solve_on_segment(f.knots[j], vals[j], f.segment_exponents[j], y)
 
 
 def inverse_fn(f: MonotoneFn) -> MonotoneFn:
@@ -449,10 +424,9 @@ def crossing_below(f: MonotoneFn, y: float) -> float:
                 f"flat tail stays at {vals[-1]} >= {y}; crossing is at infinity"
             )
         return _solve_on_segment(f.knots[j], vals[j], e, y)
-    if vals[j + 1] == vals[j]:  # pragma: no cover - count lands on run end
-        return f.knots[j]
-    e = f.segment_exponents[j]
-    return _solve_on_segment(f.knots[j], vals[j], e, y)
+    # j is the last ordinate >= y, so the segment from knot j ends below y
+    # (a flat run at level y resolves to its right edge).
+    return _solve_on_segment(f.knots[j], vals[j], f.segment_exponents[j], y)
 
 
 def _log_ratio(x: float, t0: float) -> float:
@@ -495,17 +469,6 @@ def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> flo
     return v0 * t0 * (_ratio_pow(y, t0, p) - _ratio_pow(x, t0, p)) / p
 
 
-def _pieces(f: MonotoneFn) -> list[tuple[float, float, float, float, float]]:
-    """Piece table ``(lo, hi, anchor_v, anchor_t, exponent)`` covering (0, inf)."""
-    out = [(0.0, f.knots[0], f.values[0], f.knots[0], 0.0)]
-    for i, e in enumerate(f.segment_exponents):
-        out.append((f.knots[i], f.knots[i + 1], f.values[i], f.knots[i], e))
-    out.append(
-        (f.knots[-1], math.inf, f.values[-1], f.knots[-1], f.right_exponent)
-    )
-    return out
-
-
 def integral(f: MonotoneFn, a: float, b: float) -> float:
     """Exact ``integral of f`` over ``[a, b]`` (closed form per power segment).
 
@@ -533,27 +496,32 @@ def integral(f: MonotoneFn, a: float, b: float) -> float:
             f"tail exponent {f.right_exponent} >= -1: divergent at infinity"
         )
     total = 0.0
-    for lo, hi, v0, t0, e in _pieces(f):
-        x = max(a, lo)
+    x = a
+    # Right ends of the pieces from the one holding `a` on.
+    for hi in (*f.knots[bisect_right(f.knots, a):], math.inf):
         y = min(b, hi)
-        if x < y:
-            total += _segment_integral(v0, t0, e, x, y)
+        total += _segment_integral(*_local_power(f, x), x, y)
+        if y == b:
+            break
+        x = y
     return total
 
 
-def _local_power(f: MonotoneFn, t: float) -> tuple[float, float, float]:
-    """Anchor ``(v0, t0, e)`` of the piece of `f` containing abscissa `t`.
+def _local_power(
+    f: MonotoneFn, t: float, left: float = 0.0
+) -> tuple[float, float, float]:
+    """Anchor ``(v0, t0, e)`` of the piece of `f` holding abscissa `t`,
+    so that the piece reads ``v0 (t/t0)^e`` there.
 
-    The constant head ``(v_1, t_1, 0)`` below the first knot, the segment
-    starting at ``t_i`` for ``t_i <= t < t_{i+1}``, and the tail at and
-    beyond the last knot: the pieces of :func:`_pieces`, found by bisection.
+    Below the first knot this is the head ``(v_1, t_1, left)``: `left` is
+    the head exponent, 0 for the table's constant head.  At and beyond
+    knot ``t_i`` it is ``(v_i, t_i, exponents[i])``, the tail from the
+    last knot on.  One bisection finds the piece.
     """
     i = bisect_right(f.knots, t) - 1
     if i < 0:
-        return f.values[0], f.knots[0], 0.0
-    if i == len(f.knots) - 1:
-        return f.values[i], f.knots[i], f.right_exponent
-    return f.values[i], f.knots[i], f.segment_exponents[i]
+        return f.values[0], f.knots[0], left
+    return f.values[i], f.knots[i], f.exponents[i]
 
 
 def _unit_design(ln_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

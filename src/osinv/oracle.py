@@ -55,37 +55,6 @@ _SCAN_POINTS = 10_000
 _SCAN_CHUNK = 16_384
 
 
-class _Side:
-    """Exact view of one stored density table: pointwise values, tail
-    masses, and level crossings.
-    """
-
-    def __init__(self, density: MonotoneFn) -> None:
-        self._density = density
-        self._tail = TailIntegral.from_density(density)
-
-    def values(self, s: np.ndarray) -> np.ndarray:
-        return evaluate_many(self._density, s)
-
-    @property
-    def mass(self) -> float:
-        return self._tail.mass
-
-    def tail(self, t: float) -> float:
-        """Integral of the density over ``[t, infinity)`` (``t >= 0``)."""
-        if t <= 0.0:
-            return self.mass
-        return self._tail.eval(t)
-
-    def tail_many(self, ts: np.ndarray) -> np.ndarray:
-        out = self._tail.eval_many(np.maximum(ts, 1e-300))
-        return np.where(ts <= 0.0, self.mass, out)
-
-    def crossing(self, y: float) -> float:
-        """``sup { t : density(t) >= y }`` for ``y > 0`` (0 if below max)."""
-        return crossing_below(self._density, y)
-
-
 def _clean_abs(x: Iterable[float]) -> np.ndarray:
     arr = np.abs(np.asarray(list(x), dtype=float))
     if arr.size and np.any(~np.isfinite(arr)):
@@ -120,14 +89,14 @@ def aux_diag_norm(
     """
     if tau_points < 1:
         raise BadParameter(f"need at least one grid point, got {tau_points}")
-    row = _Side(p.ur_fn)
+    row_tail = TailIntegral.from_density(p.ur_fn)
     xs = _clean_abs(x)
     if xs.size == 0:
         return 0.0
 
     tau_hi = max(1e4, float(xs.sum() / xs.min()) ** 2)
     taus = np.concatenate(([0.0], np.geomspace(1e-4, tau_hi, tau_points)))
-    h_vals = row.tail_many(taus)
+    h_vals = row_tail.eval_many(taus)
     budgets = np.unique(np.outer(xs, np.sqrt(1.0 + taus)).ravel())
 
     # Largest grid tau each entry can afford within each budget.
@@ -187,21 +156,25 @@ def indicator_search(
         raise BadParameter(f"dimension must be a positive integer, got {n}")
     if grid < 2:
         raise BadParameter(f"need at least a 2x2 corner grid, got {grid}")
-    col = _Side(uE.uc_fn)
-    row = _Side(vF.ur_fn)
+    col = uE.uc_fn
+    row = vF.ur_fn
+    col_tail = TailIntegral.from_density(col)
+    row_tail = TailIntegral.from_density(row)
 
     edges, mids, widths = _lattice()
-    col_mid = col.values(mids)
-    cross = np.array([row.crossing(float(y)) for y in col_mid])
+    col_mid = evaluate_many(col, mids)
+    # Where the row density drops below each column level (0 when the
+    # level is above the row's maximum).
+    cross = np.array([crossing_below(row, float(y)) for y in col_mid])
     # Full row integral of min(col(s), row(.)) at each s-midpoint.
-    full_min = col_mid * cross + row.tail_many(cross)
+    full_min = col_mid * cross + row_tail.eval_many(cross)
     below = np.concatenate(([0.0], np.cumsum(full_min * widths)))
     # Constant head below the lattice: the column density is flat there.
-    y0 = float(col.values(np.array([_LATTICE_LO]))[0])
-    t0 = row.crossing(y0)
-    head = (y0 * t0 + row.tail(t0)) * _LATTICE_LO
+    y0 = float(evaluate_many(col, np.array([_LATTICE_LO]))[0])
+    t0 = crossing_below(row, y0)
+    head = (y0 * t0 + row_tail.eval(t0)) * _LATTICE_LO
 
-    col_tails = col.tail_many(edges)
+    col_tails = col_tail.eval_many(edges)
     nf = float(n)
     span = np.geomspace(0.25, max(16.0, 4.0 * nf), grid)
     corner_idx = np.unique(
@@ -213,9 +186,9 @@ def indicator_search(
     values = np.empty((corner_idx.size, t_corners.size))
     for j, t_star in enumerate(t_corners):
         tj = float(t_star)
-        row_tail_j = row.tail(tj)
+        row_tail_j = row_tail.eval(tj)
         clipped = np.minimum(cross, tj)
-        strip = col_mid * clipped + row.tail_many(clipped) - row_tail_j
+        strip = col_mid * clipped + row_tail.eval_many(clipped) - row_tail_j
         beyond = np.concatenate(
             (np.cumsum((strip * widths)[::-1])[::-1], [0.0])
         )

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -35,8 +35,9 @@ from .errors import (
 from .growth import TailIntegral
 from .monotone_fn import (
     MonotoneFn,
+    _local_power,
     _merge_close,
-    evaluate,
+    _solve_on_segment,
     generalized_inverse,
     integral,
     make_piecewise,
@@ -75,7 +76,7 @@ class OrliczFn:
     ----------
     body:
         Piecewise-power table of ``phi``.  Below the first knot the
-        *first segment's* exponent extends the function (so
+        exponent of the *first piece above it* extends the function (so
         ``phi(0+) = 0``), unlike a bare :class:`MonotoneFn` whose left
         extension is constant; above the last knot `body`'s own right
         exponent rules.
@@ -89,11 +90,9 @@ class OrliczFn:
     :func:`make_orlicz` (or the dedicated constructors), which computes
     the doubling constant.
 
-    :meth:`eval_many` reads a piece table built once per instance: the
-    body's knots as search edges, and per piece an anchor abscissa, an
-    anchor value and an exponent.  The left extension is piece 0
-    (anchored at the first knot, with :attr:`left_exponent`), piece
-    ``i`` starts at knot ``i``, and the last piece is the right tail.
+    Evaluation reads `body`'s piece layout (see :mod:`osinv.monotone_fn`)
+    with :attr:`left_exponent` as the head exponent: :meth:`eval` through
+    its scalar lookup, :meth:`eval_many` through its array table.
     """
 
     body: MonotoneFn
@@ -102,8 +101,7 @@ class OrliczFn:
     def __post_init__(self) -> None:
         if self.body.direction != "nondecreasing":
             raise NotAdmissible("an Orlicz function must be nondecreasing")
-        exps = self.body.segment_exponents + (self.body.right_exponent,)
-        worst = min(exps)
+        worst = min(self.body.exponents)
         if worst < 1.0 - _EXPONENT_TOL:
             raise NotAdmissible(
                 f"local exponent {worst} < 1: phi(t)/t would decrease"
@@ -116,10 +114,9 @@ class OrliczFn:
 
     @property
     def left_exponent(self) -> float:
-        """Exponent of the power piece extending below the first knot."""
-        if len(self.body.knots) >= 2:
-            return self.body.segment_exponents[0]
-        return self.body.right_exponent
+        """Exponent of the power piece extending below the first knot:
+        that of the first piece above it."""
+        return self.body.exponents[0]
 
     def eval(self, t: float) -> float:
         """``phi(t)`` for ``t >= 0`` (``phi(0) = 0``)."""
@@ -128,26 +125,11 @@ class OrliczFn:
             raise DomainError(f"argument must be a finite real >= 0, got {t}")
         if t == 0.0:
             return 0.0
-        t1 = self.body.knots[0]
-        if t >= t1:
-            return evaluate(self.body, t)
-        return self.body.values[0] * (t / t1) ** self.left_exponent
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Search edges, then per-piece anchor ``t``, anchor value and
-        exponent; piece 0 is the left extension."""
-        body = self.body
-        edges, values = body._knots_arr, body._values_arr
-        return (
-            edges,
-            np.concatenate((edges[:1], edges)),
-            np.concatenate((values[:1], values)),
-            np.concatenate(([self.left_exponent], body._exponents_arr)),
-        )
+        v0, t0, e = _local_power(self.body, t, self.left_exponent)
+        return v0 * (t / t0) ** e
 
     def eval_many(self, ts: Iterable[float]) -> np.ndarray:
-        """Vectorized :meth:`eval`: one lookup in the piece table."""
+        """Vectorized :meth:`eval`: one lookup in `body`'s piece table."""
         arr = np.asarray(ts, dtype=float)
         if not arr.size:
             return np.zeros_like(arr)
@@ -155,14 +137,16 @@ class OrliczFn:
         lo = flat.min()
         if not (lo >= 0.0 and flat.max() < math.inf):
             raise DomainError("arguments must be finite reals >= 0")
-        edges, anchor_t, anchor_v, expo = self._table
+        edges, anchor_t, anchor_v, expo = self.body._table
         idx = np.searchsorted(edges, flat, side="right")
         out = anchor_v[idx] * (flat / anchor_t[idx]) ** expo[idx]
         t1 = self.body.knots[0]
         if lo < t1:
-            # The left piece keeps its scalar exponent: numpy takes fast
-            # paths for some scalars (``square`` for 2.0) whose last bit
-            # differs from an array-exponent power.
+            # The head piece (idx 0), constant in the table, is the power
+            # of the left exponent here.  It is taken with that exponent
+            # as a scalar: numpy takes fast paths for some scalars
+            # (``square`` for 2.0) whose last bit differs from an
+            # array-exponent power.
             left = idx == 0
             out[left] = (
                 self.body.values[0]
@@ -179,25 +163,28 @@ class OrliczFn:
             raise DomainError(f"argument must be a finite real >= 0, got {y}")
         if y == 0.0:
             return 0.0
-        v1 = self.body.values[0]
-        if y >= v1:
-            return generalized_inverse(self.body, y)
-        return self.body.knots[0] * (y / v1) ** (1.0 / self.left_exponent)
+        body = self.body
+        if y >= body.values[0]:
+            return generalized_inverse(body, y)
+        return _solve_on_segment(
+            body.knots[0], body.values[0], self.left_exponent, y
+        )
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
 
 
-def _sup_doubling_ratio(phi_eval, knots: tuple[float, ...]) -> float:
+def _sup_doubling_ratio(phi: OrliczFn) -> float:
     """Exact ``sup_t phi(2t)/phi(t)`` for a piecewise-power ``phi``.
 
     The ratio is itself piecewise power with breakpoints at the knots and
     half-knots, monotone between them and constant outside, so the sup is
     attained on the breakpoint set (padded by one point on each flank).
     """
-    pts = sorted({k for k in knots} | {k / 2.0 for k in knots})
-    pts = [pts[0] / 4.0] + pts + [pts[-1] * 4.0]
-    return max(phi_eval(2.0 * t) / phi_eval(t) for t in pts)
+    knots = np.asarray(phi.body.knots)
+    pts = np.union1d(knots, knots / 2.0)
+    pts = np.concatenate(([pts[0] / 4.0], pts, [pts[-1] * 4.0]))
+    return float(np.max(phi.eval_many(2.0 * pts) / phi.eval_many(pts)))
 
 
 def make_orlicz(body: MonotoneFn) -> OrliczFn:
@@ -211,24 +198,10 @@ def make_orlicz(body: MonotoneFn) -> OrliczFn:
         `body` is nonincreasing, or some local exponent is below 1 (so
         ``phi(t)/t`` would decrease somewhere).
     """
-    if body.direction != "nondecreasing":
-        raise NotAdmissible("an Orlicz function must be nondecreasing")
-    exps = body.segment_exponents + (body.right_exponent,)
-    worst = min(exps)
-    if worst < 1.0 - _EXPONENT_TOL:
-        raise NotAdmissible(
-            f"local exponent {worst} < 1: phi(t)/t would decrease"
-        )
-    left_e = exps[0]
-
-    def full_eval(t: float) -> float:
-        t1 = body.knots[0]
-        if t >= t1:
-            return evaluate(body, t)
-        return body.values[0] * (t / t1) ** left_e
-
-    d2 = _sup_doubling_ratio(full_eval, body.knots)
-    return OrliczFn(body=body, delta2_constant=d2)
+    # Admissibility is checked before phi is evaluated; 1 is a valid
+    # placeholder for the doubling constant.
+    phi = OrliczFn(body=body, delta2_constant=1.0)
+    return replace(phi, delta2_constant=_sup_doubling_ratio(phi))
 
 
 def power_orlicz(p: float) -> OrliczFn:
@@ -248,7 +221,7 @@ def power_orlicz(p: float) -> OrliczFn:
     return make_orlicz(body)
 
 
-def from_weight(w: MonotoneFn, per_decade: int | None = None) -> OrliczFn:
+def from_weight(w: MonotoneFn) -> OrliczFn:
     """The Orlicz function ``phi(t) = t^2 h(t^{-2})`` induced by a weight.
 
     ``h`` is the exact tail integral of `w`; the table samples it on a
@@ -268,7 +241,7 @@ def from_weight(w: MonotoneFn, per_decade: int | None = None) -> OrliczFn:
     """
     hh = TailIntegral.from_density(w)
     u_lo, u_hi = GRID_SPAN[1] ** -2.0, GRID_SPAN[0] ** -2.0
-    grid = {float(u) for u in log_grid(u_lo, u_hi, per_decade)}
+    grid = {float(u) for u in log_grid(u_lo, u_hi)}
     grid.update(k for k in w.knots if u_lo <= k <= u_hi)
     # One flanking sample beyond the grid pins the exact small-t exponent.
     grid.add(u_hi * 1e4)
@@ -516,7 +489,7 @@ def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
     out = make_orlicz(out_body)
 
     # Sandwich self-check: phi <= raw <= E*phi on the tabulation grid.
-    e_max = max(body.segment_exponents + (body.right_exponent, e_left))
+    e_max = max(body.exponents)  # e_left is exponents[0]
     bound = max(4.0, e_max)
     raw_vals = raw.eval_many(pts)
     smooth_vals = out.eval_many(pts)

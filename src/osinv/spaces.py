@@ -102,14 +102,6 @@ class WeightPair:
                 )
 
 
-def _max_exponent(f: MonotoneFn) -> float:
-    return max(f.segment_exponents + (f.right_exponent,))
-
-
-def _min_exponent(f: MonotoneFn) -> float:
-    return min(f.segment_exponents + (f.right_exponent,))
-
-
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A homogeneous structure, recorded by its fundamental functions.
@@ -168,7 +160,7 @@ class SpaceDescriptor:
                     f"{name}(1) = {v1!r}; fundamental functions must be "
                     "normalised to 1 at 1"
                 )
-            if _max_exponent(f) > 1.0 + _NORM_TOL:
+            if max(f.exponents) > 1.0 + _NORM_TOL:
                 raise BadParameter(
                     f"{name} grows superlinearly somewhere; phi(n)/n must "
                     "be nonincreasing"
@@ -317,7 +309,7 @@ def _rescaled_to_one(f: MonotoneFn) -> MonotoneFn:
 def _canonical_pair(phi_c: MonotoneFn, phi_r: MonotoneFn) -> WeightPair:
     """Canonical densities ``min(1, 1/phi^{-1})`` per side."""
     for name, f in (("phi_c", phi_c), ("phi_r", phi_r)):
-        if _min_exponent(f) <= 0.0:
+        if min(f.exponents) <= 0.0:
             raise NotRegular(
                 f"{name} has a flat stretch; cannot invert it to recover "
                 "a weight"

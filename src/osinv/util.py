@@ -1,59 +1,28 @@
-"""Small shared helpers: logarithmic grids and environment-tunable density.
+"""Small shared helpers: logarithmic grids.
 
-The sampling density used by growth/orlicz tabulations and CLI sweeps is
-read from the ``OSINV_GRID_DENSITY`` environment variable (points per
-decade, default 64).
+The growth and Orlicz tabulations sample on geometric grids of a fixed
+density, :data:`POINTS_PER_DECADE` points per decade.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import BadParameter
 
-__all__ = ["points_per_decade", "log_grid", "DEFAULT_POINTS_PER_DECADE"]
+__all__ = ["log_grid", "POINTS_PER_DECADE"]
 
-DEFAULT_POINTS_PER_DECADE = 64
-
-_ENV_VAR = "OSINV_GRID_DENSITY"
+POINTS_PER_DECADE = 64
 
 
-def points_per_decade() -> int:
-    """Sampling density for log-spaced grids (points per decade).
-
-    Reads ``OSINV_GRID_DENSITY`` from the environment; unset means 64.
-
-    Raises
-    ------
-    BadParameter
-        If the variable is set but is not a positive integer.
-    """
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return DEFAULT_POINTS_PER_DECADE
-    try:
-        density = int(raw)
-    except ValueError as exc:
-        raise BadParameter(
-            f"{_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from exc
-    if density <= 0:
-        raise BadParameter(f"{_ENV_VAR} must be positive, got {density}")
-    return density
-
-
-def log_grid(lo: float, hi: float, per_decade: int | None = None) -> np.ndarray:
+def log_grid(lo: float, hi: float) -> np.ndarray:
     """Geometric grid from `lo` to `hi` inclusive.
 
-    The number of points is ``per_decade`` (default: :func:`points_per_decade`)
-    times the number of decades spanned, with a floor of two points.
+    The number of points is :data:`POINTS_PER_DECADE` times the number of
+    decades spanned, with a floor of two points.
     """
     if not (0.0 < lo < hi):
         raise BadParameter(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if per_decade is None:
-        per_decade = points_per_decade()
     decades = np.log10(hi / lo)
-    count = max(2, int(np.ceil(decades * per_decade)) + 1)
+    count = max(2, int(np.ceil(decades * POINTS_PER_DECADE)) + 1)
     return np.geomspace(lo, hi, count)

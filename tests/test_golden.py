@@ -3,8 +3,10 @@
 Each case runs :func:`osinv.cli.main` in-process and compares the sha256
 digest of what it wrote to stdout against a committed digest.  The set
 covers ``table`` and ``pi1`` on the four catalog families and on seeded
-many-knot fundamental tables (m = 25 and m = 200), so a change to the
-evaluation path that moves any printed digit fails here.
+many-knot fundamental tables (m = 25 and m = 200), ``fit`` on an m = 25
+table, and the full ``verify`` battery (the only path through the
+Orlicz and oracle code), so a change to the evaluation path that moves
+any printed digit fails here.
 
 The many-knot tables are generated with :class:`random.Random` and plain
 float arithmetic, whose outputs are reproducible across platforms and
@@ -79,11 +81,16 @@ CASES: dict[str, tuple[str, ...]] = {
     "table-m200": _table(K200_A),
     "pi1-m25": _pi1(K25_A, K25_B),
     "pi1-m200": _pi1(K200_A, K200_B, "--out", "json"),
+    "fit-m25": ("fit", "--space", _dump(K25_A), "--n", GRID, "--out", "json"),
+    "verify": ("verify",),
 }
 
 #: sha256 of each case's stdout, recorded before the hot-path rewrite
-#: (bisect piece lookup and per-sweep composed-integral tables).
+#: (bisect piece lookup and per-sweep composed-integral tables); the
+#: ``fit`` and ``verify`` digests were recorded before the piece lookups
+#: of the Orlicz and oracle paths were merged into one.
 DIGESTS = {
+    "fit-m25": "6647537fdf3cb4acaa7ceaa4d9eccf419497a562d47f7e23a366c9c5bea0305f",
     "pi1-column-row": "735e2885177ef46585e8f507e4d6a767773af41328dec66eb12219116b0a151a",
     "pi1-cr-oh": "1eb4ce6510ad7c3a3b88fdd706f2cd2d99a4f0629ab35f4fbe43f846630c722b",
     "pi1-m200": "e6cca76be50a0bc385d5f89c0b05a3f80be1920d5a40146650f338e851d36e0c",
@@ -96,6 +103,7 @@ DIGESTS = {
     "table-m25": "1c08b95e45fa90a5c7ab8067b42df81f5693bcd55ed88a8d99eecc6bfb07b213",
     "table-oh": "a74d1ff82565dc366ef3cbe762c7b3722d65dd7798a03a8bf8d73b8ec0ef8469",
     "table-row": "8f7f15af2e44877973bf4abe42f335fb7721b8fc08d38d7a131a43cb5a2b5e9c",
+    "verify": "0470543512c26ee813f05020e492bd5b6d894a47b28f7317c81be717f9110759",
 }
 
 

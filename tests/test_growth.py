@@ -131,6 +131,25 @@ class TestTailIntegral:
         for t, v in zip(ts, many):
             assert v == pytest.approx(hh.eval(float(t)), rel=1e-13)
 
+    @given(decaying_weights())
+    def test_zero_gives_mass_bitwise(self, w):
+        hh = TailIntegral.from_density(w)
+        mass = hh.mass
+        assert hh.eval(0.0) == mass
+        assert hh.eval(-0.0) == mass
+        many = hh.eval_many([0.0, w.knots[0], 1.0])
+        assert many[0].tobytes() == np.float64(mass).tobytes()
+        assert many[1] == hh.eval(w.knots[0])
+
+    def test_negative_abscissa_rejected(self):
+        hh = TailIntegral.from_density(two_piece_weight())
+        with pytest.raises(DomainError):
+            hh.eval(-1e-300)
+        with pytest.raises(DomainError):
+            hh.eval_many([0.0, -1.0])
+        with pytest.raises(DomainError):
+            hh.eval(math.nan)
+
     def test_divergent_tail(self):
         with pytest.raises(DivergentTail):
             TailIntegral.from_density(power_weight(1.0))

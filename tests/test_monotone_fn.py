@@ -118,11 +118,6 @@ class TestConstruction:
         with pytest.raises(BadParameter):
             make_piecewise([1.0], [1.0], direction="sideways")
 
-    def test_left_mode_must_match_first_value(self):
-        assert make_piecewise([1.0], [3.0], left_mode=3.0).left_value == 3.0
-        with pytest.raises(BadParameter):
-            make_piecewise([1.0], [3.0], left_mode=2.0)
-
     def test_hashable(self):
         assert len({power_fn(0.5), power_fn(0.5), power_fn(2.0)}) == 2
 
@@ -311,6 +306,15 @@ class TestCrossingBelow:
         with pytest.raises(DirectionError):
             crossing_below(power_fn(1.0), 1.0)
 
+    def test_flat_run_gives_right_edge(self):
+        w = make_piecewise([1.0, 2.0, 4.0, 8.0], [4.0, 2.0, 2.0, 1.0],
+                           right_exponent=-1.0, direction="nonincreasing")
+        assert crossing_below(w, 2.0) == 4.0
+        tail_run = make_piecewise([1.0, 2.0, 4.0], [4.0, 2.0, 2.0],
+                                  right_exponent=-1.0,
+                                  direction="nonincreasing")
+        assert crossing_below(tail_run, 2.0) == 4.0
+
     @given(monotone_fns(direction="nonincreasing"), st.floats(0.01, 0.99))
     def test_level_attained(self, w, frac):
         y = w.values[0] * frac
@@ -370,10 +374,12 @@ class TestIntegral:
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-300)
 
 
-def _piece_table(f: MonotoneFn) -> list[tuple[float, float, float, float, float]]:
-    """Reference pieces ``(lo, hi, v0, t0, e)``: constant head, one piece
-    per segment, power tail."""
-    pieces = [(0.0, f.knots[0], f.values[0], f.knots[0], 0.0)]
+def _piece_table(
+    f: MonotoneFn, left: float = 0.0
+) -> list[tuple[float, float, float, float, float]]:
+    """Reference pieces ``(lo, hi, v0, t0, e)``: a head with exponent
+    `left`, one piece per segment, power tail."""
+    pieces = [(0.0, f.knots[0], f.values[0], f.knots[0], left)]
     for i, e in enumerate(f.segment_exponents):
         pieces.append((f.knots[i], f.knots[i + 1], f.values[i], f.knots[i], e))
     pieces.append(
@@ -391,9 +397,13 @@ def _scan_local_power(pieces, t: float) -> tuple[float, float, float]:
 
 
 class TestLocalPower:
-    @given(monotone_fns(max_knots=200), st.data())
+    @given(
+        monotone_fns(max_knots=200),
+        st.one_of(st.just(0.0), st.floats(-3.0, 4.0)),
+        st.data(),
+    )
     @settings(deadline=None, max_examples=60)
-    def test_bisection_matches_scan(self, f, data):
+    def test_bisection_matches_scan(self, f, left, data):
         knots = f.knots
         points = list(knots)
         points += [math.nextafter(t, 0.0) for t in knots]
@@ -402,9 +412,12 @@ class TestLocalPower:
                    knots[-1] * 1e9]
         points += data.draw(st.lists(
             st.floats(min_value=1e-6, max_value=1e6), max_size=20))
-        pieces = _piece_table(f)
+        pieces = _piece_table(f, left)
         for t in points:
-            assert _local_power(f, t) == _scan_local_power(pieces, t)
+            assert _local_power(f, t, left) == _scan_local_power(pieces, t)
+        if left == 0.0:
+            for t in points:
+                assert _local_power(f, t) == _scan_local_power(pieces, t)
 
     def test_head_segment_and_tail_anchors(self):
         f = make_piecewise([1.0, 4.0], [2.0, 8.0], right_exponent=0.5)
@@ -412,6 +425,8 @@ class TestLocalPower:
         assert _local_power(f, 1.0) == (2.0, 1.0, 1.0)
         assert _local_power(f, 4.0) == (8.0, 4.0, 0.5)
         assert _local_power(f, 400.0) == (8.0, 4.0, 0.5)
+        assert _local_power(f, 0.25, 1.0) == (2.0, 1.0, 1.0)
+        assert _local_power(f, 1.0, 3.0) == (2.0, 1.0, 1.0)
 
 
 class TestFitLoglogSlope:
