@@ -28,6 +28,7 @@ exactly when ``e_inf < -1``.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -413,10 +414,9 @@ def crossing_below(f: MonotoneFn, y: float) -> float:
     vals = f.values
     if y > vals[0]:
         return 0.0
-    # Number of ordinates still >= y (vals is nonincreasing).
-    neg = [-v for v in vals]
-    count = bisect_right(neg, -y)
-    j = count - 1
+    # Last ordinate still >= y (vals is nonincreasing, its negation is
+    # sorted).
+    j = bisect_right(vals, -y, key=operator.neg) - 1
     if j == len(vals) - 1:
         e = f.right_exponent
         if e == 0.0:

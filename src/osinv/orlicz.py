@@ -137,24 +137,45 @@ class OrliczFn:
         lo = flat.min()
         if not (lo >= 0.0 and flat.max() < math.inf):
             raise DomainError("arguments must be finite reals >= 0")
-        edges, anchor_t, anchor_v, expo = self.body._table
-        idx = np.searchsorted(edges, flat, side="right")
-        out = anchor_v[idx] * (flat / anchor_t[idx]) ** expo[idx]
-        t1 = self.body.knots[0]
-        if lo < t1:
+        idx = np.searchsorted(self.body._table[0], flat, side="right")
+        out = self._power_terms(flat, *self._gather(idx))
+        if lo == 0.0:  # phi(-0.0) is +0.0 too, whatever the exponent
+            out[flat == 0.0] = 0.0
+        return out.reshape(arr.shape)
+
+    def _gather(
+        self, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The anchor values, anchor abscissas and exponents of the pieces
+        `idx` of `body`'s table, then the mask of the head entries (None
+        when there are none)."""
+        _, anchor_t, anchor_v, expo = self.body._table
+        head = idx == 0
+        return (anchor_v[idx], anchor_t[idx], expo[idx],
+                head if head.any() else None)
+
+    def _power_terms(
+        self,
+        flat: np.ndarray,
+        anchor_v: np.ndarray,
+        anchor_t: np.ndarray,
+        expo: np.ndarray,
+        head: np.ndarray | None,
+    ) -> np.ndarray:
+        """``phi`` at the entries of `flat` from their gathered pieces
+        (see :meth:`_gather`)."""
+        out = anchor_v * (flat / anchor_t) ** expo
+        if head is not None:
             # The head piece (idx 0), constant in the table, is the power
             # of the left exponent here.  It is taken with that exponent
             # as a scalar: numpy takes fast paths for some scalars
             # (``square`` for 2.0) whose last bit differs from an
             # array-exponent power.
-            left = idx == 0
-            out[left] = (
+            out[head] = (
                 self.body.values[0]
-                * (flat[left] / t1) ** self.left_exponent
+                * (flat[head] / self.body.knots[0]) ** self.left_exponent
             )
-            if lo == 0.0:  # phi(-0.0) is +0.0 too, whatever the exponent
-                out[flat == 0.0] = 0.0
-        return out.reshape(arr.shape)
+        return out
 
     def inverse(self, y: float) -> float:
         """``phi^{-1}(y) = sup {t : phi(t) <= y}`` (0 at ``y = 0``)."""
@@ -263,8 +284,16 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
     bracket ``[max|x_k|/phi^{-1}(1), sum|x_k|/phi^{-1}(1/n)]``.  The zero
     or empty sequence has norm 0, and a norm beyond the float range is
     ``inf``.
+
+    Each step looks up the piece of every ``|x_k|/lam`` only until the
+    pieces at both ends of the bracket agree: from then on every
+    midpoint inside the bracket has those pieces too, so the step reuses
+    their gathered anchors and exponents.  The arithmetic per entry is
+    that of :meth:`OrliczFn.eval_many`, so the norm is bit-identical to
+    a full lookup at every step.
     """
-    arr = np.abs(np.asarray(list(x), dtype=float))
+    arr = np.abs(np.asarray(x if isinstance(x, np.ndarray) else list(x),
+                            dtype=float))
     if arr.size and np.any(~np.isfinite(arr)):
         raise DomainError("sequence entries must be finite reals")
     arr = arr[arr > 0.0]
@@ -273,20 +302,36 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
     n = arr.size
     lo = float(arr.max()) / phi.inverse(1.0)
     hi = quiet_sum(arr) / phi.inverse(1.0 / n)
-    if not math.isfinite(hi):
-        # Scale the lower end near 1; for an admissible phi the upper
-        # end is at most n**2 times the lower.
+    if lo == 0.0 or not math.isfinite(hi):
+        # The bracket underflows or overflows.  Scale the lower end near
+        # 1; for an admissible phi the upper end is at most n**2 times
+        # the lower.
         e = math.frexp(float(arr.max()))[1] - math.frexp(phi.inverse(1.0))[1]
         return rescaled_norm(sequence_norm, phi, arr, e)
     if hi <= lo * (1.0 + _BISECT_RTOL):
         return lo
 
-    def modular(lam: float) -> float:
-        return float(np.sum(phi.eval_many(arr / lam)))
-
+    edges = phi.body._table[0]
+    idx_lo = np.searchsorted(edges, arr / lo, side="right")
+    idx_hi = np.searchsorted(edges, arr / hi, side="right")
+    frozen = None  # the gathers of idx_lo, once it equals idx_hi
     for _ in range(200):
         mid = math.sqrt(lo) * math.sqrt(hi)
-        if modular(mid) > 1.0:
+        ts = arr / mid
+        # The piece index is monotone in lam, so a midpoint inside the
+        # bracket has the frozen pieces; one outside it is looked up.
+        if frozen is not None and lo <= mid <= hi:
+            over = np.add.reduce(phi._power_terms(ts, *frozen)) > 1.0
+        else:
+            idx = np.searchsorted(edges, ts, side="right")
+            pieces = phi._gather(idx)
+            over = np.add.reduce(phi._power_terms(ts, *pieces)) > 1.0
+            if over:
+                idx_lo = idx
+            else:
+                idx_hi = idx
+            frozen = pieces if np.array_equal(idx_lo, idx_hi) else None
+        if over:
             lo = mid
         else:
             hi = mid

@@ -1,7 +1,9 @@
 """Singular values, Schatten norms, and the summing norm of a matrix.
 
-Matrices are plain 2-D complex arrays (anything ``np.asarray`` accepts,
-stored row-major).  The module computes
+Matrices are plain 2-D arrays (anything ``np.asarray`` accepts, stored
+row-major).  Boolean, integer and real arrays are taken as float64 and go
+through the real SVD driver; every other dtype (complex, object, string)
+is cast to complex as ``x.astype(complex)`` would.  The module computes
 
 * singular values (dense SVD; intended for desk-scale matrices up to a
   few hundred rows — no sparse or iterative machinery),
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -43,14 +46,16 @@ _PHI_GRID: tuple[int, ...] = tuple(2**k for k in range(21))
 
 
 def _as_matrix(x: object) -> np.ndarray:
-    """Validate and return `x` as a nonempty 2-D complex array."""
+    """Validate and return `x` as a nonempty 2-D float64 array if its
+    dtype is boolean, integer or real, else as a complex128 one."""
     arr = np.asarray(x)
     if arr.ndim != 2 or arr.size == 0:
         raise BadParameter(
             f"need a nonempty 2-D matrix, got shape {arr.shape}"
         )
-    arr = arr.astype(complex)
-    if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex,
+                     copy=False)
+    if not np.isfinite(arr).all():
         raise DomainError("matrix entries must be finite")
     return arr
 
@@ -59,7 +64,8 @@ def singular_values(x: object) -> np.ndarray:
     """Singular values of `x` in nonincreasing order, with multiplicity.
 
     These are the eigenvalues of ``sqrt(x* x)``; the returned array has
-    ``min(rows, cols)`` nonnegative entries.
+    ``min(rows, cols)`` nonnegative entries.  A singular value beyond
+    the float range (finite entries can have one) is ``inf``.
 
     Raises
     ------
@@ -71,12 +77,49 @@ def singular_values(x: object) -> np.ndarray:
     return np.linalg.svd(_as_matrix(x), compute_uv=False)
 
 
+def _norm_of_singular_values(
+    norm: Callable[[np.ndarray], float], x: object
+) -> float:
+    """``norm`` of the singular values of `x`, for a positively
+    homogeneous `norm`.
+
+    Where the largest singular value overflows, the SVD is taken again
+    of `x` scaled by a power of two that brings its largest entry near 1
+    (exact, bar entries pushed below the normal range, whose singular
+    values are negligible beside the largest), and the norm is scaled
+    back; a norm beyond the float range is ``inf``.
+    """
+    s = singular_values(x)
+    if not math.isinf(s[0]):
+        return norm(s)
+    arr = _as_matrix(x)
+    top = max(float(np.abs(arr.real).max()), float(np.abs(arr.imag).max()))
+    e = math.frexp(top)[1]
+    s = singular_values(arr * math.ldexp(1.0, -e))
+    try:
+        return math.ldexp(norm(s), e)
+    except OverflowError:
+        return math.inf
+
+
+def _p_norm(s: np.ndarray, p: float) -> float:
+    """``l_p`` norm of nonincreasing singular values `s`."""
+    top = float(s[0])
+    if top == 0.0:
+        return 0.0
+    if math.isinf(p):
+        return top
+    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+
+
 def schatten_p_norm(x: object, p: float) -> float:
     """Schatten p-norm: the ``l_p`` norm of the singular values.
 
     ``p = math.inf`` gives the operator (sup) norm.  The sum is scaled
-    by the top singular value before exponentiation so large entries and
-    large `p` cannot overflow.
+    by the top singular value before exponentiation, and a matrix whose
+    top singular value overflows is scaled by a power of two first, so
+    large entries and large `p` cannot overflow; a norm beyond the float
+    range is ``inf``.
 
     Raises
     ------
@@ -86,22 +129,18 @@ def schatten_p_norm(x: object, p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise BadParameter(f"need p >= 1, got {p}")
-    s = singular_values(x)
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return top
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    return _norm_of_singular_values(functools.partial(_p_norm, p=p), x)
 
 
 def schatten_orlicz_norm(x: object, phi: OrliczFn) -> float:
     """Luxemburg norm of the singular-value sequence of `x`.
 
     ``phi(t) = t**2`` recovers the Hilbert-Schmidt norm; the value is
-    unitarily invariant because the singular values are.
+    unitarily invariant because the singular values are.  Singular
+    values beyond the float range are handled as in
+    :func:`schatten_p_norm`; a norm beyond it is ``inf``.
     """
-    return sequence_norm(phi, singular_values(x))
+    return _norm_of_singular_values(functools.partial(sequence_norm, phi), x)
 
 
 # Descriptor pairs whose Orlicz functions stay cached; a bound on memory

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from osinv.monotone_fn import (
     MonotoneFn,
     _fit_rank,
     _local_power,
+    _solve_on_segment,
     compose,
     crossing_below,
     evaluate,
@@ -314,6 +316,44 @@ class TestCrossingBelow:
                                   right_exponent=-1.0,
                                   direction="nonincreasing")
         assert crossing_below(tail_run, 2.0) == 4.0
+
+    @staticmethod
+    def _negated_copy_crossing(w: MonotoneFn, y: float) -> float:
+        """The crossing found by bisecting a negated copy of the values."""
+        vals = w.values
+        if y > vals[0]:
+            return 0.0
+        j = bisect_right([-v for v in vals], -y) - 1
+        if j == len(vals) - 1:
+            if w.right_exponent == 0.0:
+                raise Unbounded("flat tail")
+            return _solve_on_segment(w.knots[j], vals[j], w.right_exponent, y)
+        return _solve_on_segment(w.knots[j], vals[j], w.segment_exponents[j],
+                                 y)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 500, 2000])
+    def test_matches_negated_copy_with_flat_runs(self, m):
+        rng = np.random.default_rng(m)
+        knots = np.cumsum(rng.uniform(0.1, 2.0, size=m)).tolist()
+        steps = rng.uniform(0.0, 0.05, size=m)
+        steps[rng.random(m) < 0.3] = 0.0  # flat runs, some of them long
+        values = (4.0 * np.exp(-np.cumsum(steps))).tolist()
+        for right in (-1.5, 0.0):
+            w = make_piecewise(knots, values, right_exponent=right,
+                               direction="nonincreasing")
+            vals = np.asarray(w.values)
+            levels = np.concatenate([
+                vals, np.nextafter(vals, 0.0), np.nextafter(vals, np.inf),
+                np.sqrt(vals[1:] * vals[:-1]), [vals[-1] / 3.0, 5.0],
+            ])
+            for y in levels.tolist():
+                try:
+                    want = self._negated_copy_crossing(w, y)
+                except Unbounded:
+                    with pytest.raises(Unbounded):
+                        crossing_below(w, y)
+                    continue
+                assert crossing_below(w, y) == want
 
     @given(monotone_fns(direction="nonincreasing"), st.floats(0.01, 0.99))
     def test_level_attained(self, w, frac):

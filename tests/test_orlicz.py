@@ -28,6 +28,8 @@ from osinv.orlicz import (
     make_orlicz,
     power_orlicz,
     psi,
+    quiet_sum,
+    rescaled_norm,
     sequence_norm,
     smooth_from_raw,
 )
@@ -326,10 +328,149 @@ class TestSequenceNorm:
             value = sequence_norm(phi, [1.0] * 20_000)
         assert value == pytest.approx(2e304, rel=1e-12)
 
+    def test_bracket_underflowing_from_a_shallow_phi(self):
+        # phi(t) = 1e-300 t: phi^{-1}(1) = 1e300 puts the bracket's lower
+        # end below the float range, the norm 1e-300 * sum is not.
+        phi = make_orlicz(make_piecewise([1.0], [1e-300], right_exponent=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sequence_norm(phi, [1e-24] * 20_000)
+        assert value == pytest.approx(2e-320, rel=1e-3)
+
     def test_norm_beyond_the_float_range_is_inf(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sequence_norm(power_orlicz(1.0), [1e308, 1e308]) == math.inf
+
+
+def _per_step_sequence_norm(phi: OrliczFn, x) -> float:
+    """Reference Luxemburg norm: the bisection with a full piece lookup
+    at every step, through ``_two_region_eval_many`` (bitwise equal to
+    ``eval_many``, see ``TestEvalManyPieceTable``)."""
+    arr = np.abs(np.asarray(list(x), dtype=float))
+    if arr.size and np.any(~np.isfinite(arr)):
+        raise DomainError("sequence entries must be finite reals")
+    arr = arr[arr > 0.0]
+    if arr.size == 0:
+        return 0.0
+    n = arr.size
+    lo = float(arr.max()) / phi.inverse(1.0)
+    hi = quiet_sum(arr) / phi.inverse(1.0 / n)
+    if not math.isfinite(hi):
+        e = math.frexp(float(arr.max()))[1] - math.frexp(phi.inverse(1.0))[1]
+        return rescaled_norm(_per_step_sequence_norm, phi, arr, e)
+    if hi <= lo * (1.0 + 1e-12):
+        return lo
+
+    def modular(lam: float) -> float:
+        return float(np.sum(_two_region_eval_many(phi, arr / lam)))
+
+    for _ in range(200):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if modular(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi <= lo * (1.0 + 1e-12):
+            break
+    return math.sqrt(lo) * math.sqrt(hi)
+
+
+_NAMED_PHIS = (power_orlicz(1.0), power_orlicz(1.5), power_orlicz(2.0), psi())
+
+
+@st.composite
+def norm_sequences(draw) -> np.ndarray:
+    """1 to 40 signed entries below a largest one anywhere from 1e-304
+    to the float maximum, spread over up to 800 e-folds so that small
+    entries sit in the head piece or underflow to 0 once divided."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    top = draw(st.floats(-700.0, 709.7))
+    spread = draw(st.sampled_from([0.0, 1.0, 8.0, 60.0, 800.0]))
+    logs = draw(st.lists(st.floats(top - spread, top), min_size=n,
+                         max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                          max_size=n))
+    return np.array([s * math.exp(v) for s, v in zip(signs, logs)])
+
+
+class TestSequenceNormBitwise:
+    """``sequence_norm`` reuses frozen piece gathers once every entry's
+    piece is fixed on the bracket; it must return, to the bit, what the
+    per-step lookup returns."""
+
+    @given(st.one_of(st.sampled_from(_NAMED_PHIS), orlicz_tables()),
+           norm_sequences())
+    @settings(deadline=None, max_examples=300)
+    def test_random_sequences(self, phi, x):
+        want = _per_step_sequence_norm(phi, x)
+        assert sequence_norm(phi, x) == want
+        assert sequence_norm(phi, x.tolist()) == want
+
+    @pytest.mark.parametrize("phi", _NAMED_PHIS, ids=["p1", "p1.5", "p2",
+                                                      "psi"])
+    @pytest.mark.parametrize("x", [
+        [3.0],  # n = 1
+        [1e-300, 2.5e-310, 5e-324, 1.0, 0.0],  # underflow beside the max
+        [1.0] + [1e-7] * 50,  # most entries in the head piece
+        [1e308, 1e308, -3e307],  # the rescaled path
+        np.linspace(0.5, 2.0, 128),
+    ], ids=["one", "underflow", "head", "rescaled", "spread"])
+    def test_named_cases(self, phi, x):
+        assert sequence_norm(phi, x) == _per_step_sequence_norm(phi, x)
+
+    def test_singular_values_of_summing_functions(self):
+        from osinv import catalog
+        from osinv.schatten import _summing_orlicz_fn
+
+        rng = np.random.default_rng(67)
+        phi = _summing_orlicz_fn(catalog("oh"), catalog("column_p", 3))
+        for r in (8, 32, 128):
+            s = np.linalg.svd(rng.normal(size=(r, 128)), compute_uv=False)
+            assert sequence_norm(phi, s) == _per_step_sequence_norm(phi, s)
+
+    @staticmethod
+    def _recorded_terms(monkeypatch) -> list:
+        """Record every term vector the bisection sums, with its
+        abscissas."""
+        seen = []
+        power_terms = OrliczFn._power_terms
+
+        def recording(self, flat, *pieces):
+            out = power_terms(self, flat, *pieces)
+            seen.append((self, flat.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(OrliczFn, "_power_terms", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 128])
+    def test_every_modular_matches_the_lookup(self, monkeypatch, n):
+        seen = self._recorded_terms(monkeypatch)
+        rng = np.random.default_rng(73)
+        for phi in (psi(), from_weight(OH_WEIGHT), power_orlicz(2.0)):
+            for _ in range(10):
+                sequence_norm(phi, np.exp(rng.uniform(-3.0, 0.0, size=n)))
+        assert len(seen) > 1000
+        for phi, ts, terms in seen:
+            assert _same_bits(terms, _two_region_eval_many(phi, ts))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 128])
+    def test_midpoint_off_the_bracket(self, monkeypatch, n):
+        # A geometric midpoint biased low leaves [lo, hi] once the
+        # bracket is narrow, where the pieces frozen for the bracket no
+        # longer hold: the lookup must be made afresh.
+        seen = self._recorded_terms(monkeypatch)
+        sqrt = math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda v: sqrt(v) * (1.0 - 1e-3))
+        rng = np.random.default_rng(71)
+        for phi in (psi(), from_weight(OH_WEIGHT)):
+            for _ in range(10):
+                x = np.exp(rng.uniform(-3.0, 0.0, size=n))
+                assert (sequence_norm(phi, x)
+                        == _per_step_sequence_norm(phi, x))
+        for phi, ts, terms in seen:
+            assert _same_bits(terms, _two_region_eval_many(phi, ts))
 
 
 class TestFundamentalSequence:

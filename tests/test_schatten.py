@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +13,17 @@ import pytest
 from osinv import catalog, evaluate, power_orlicz, psi
 from osinv.errors import BadParameter, DomainError, NotRegular
 from osinv.invariants import pi1_fundamental
+from osinv.monotone_fn import make_piecewise
+from osinv.orlicz import make_orlicz
 from osinv.schatten import (
+    _as_matrix,
     _summing_orlicz_fn,
     pi1_of_map,
     schatten_orlicz_norm,
     schatten_p_norm,
     singular_values,
 )
+from osinv.spaces import descriptor_from_json
 
 OH = catalog("oh")
 C2 = catalog("column_p", 2)
@@ -96,6 +103,133 @@ class TestSingularValues:
             singular_values([[1.0, math.nan], [0.0, 1.0]])
         with pytest.raises(DomainError):
             singular_values(np.array([[1.0, 1j * math.inf], [0.0, 1.0]]))
+
+
+class TestDtypeRouting:
+    """Real matrices go through the real SVD driver, everything else
+    through the complex one, exactly as a complex cast would."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _complex_svd(x: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(x.astype(complex), compute_uv=False)
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.float16, int,
+                                       np.int8, np.uint16, bool])
+    def test_real_kinds_take_the_real_driver(self, dtype):
+        rng = np.random.default_rng(53)
+        for rows, cols in [(1, 1), (3, 7), (16, 16), (40, 9)]:
+            x = (rng.normal(size=(rows, cols)) * 5.0).astype(dtype)
+            assert _as_matrix(x).dtype == np.float64
+            got = singular_values(x)
+            want = self._complex_svd(x)
+            bound = 16.0 * self.EPS * max(float(want[0]), 1e-300)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= bound
+
+    def test_nested_lists_of_floats_are_real(self):
+        assert _as_matrix([[1.0, 2.0], [3.0, 4.0]]).dtype == np.float64
+
+    def test_complex_input_is_bitwise_unchanged(self):
+        rng = np.random.default_rng(59)
+        for dtype in (np.complex128, np.complex64):
+            x = random_matrix(rng, 12, 7).astype(dtype)
+            assert _as_matrix(x).dtype == np.complex128
+            assert (singular_values(x).tobytes()
+                    == self._complex_svd(x).tobytes())
+
+    def test_object_complex_input_is_bitwise_unchanged(self):
+        rng = np.random.default_rng(61)
+        x = np.empty((5, 4), dtype=object)
+        x[...] = [[complex(v) for v in row] for row in random_matrix(rng, 5, 4)]
+        x[0, 0] = 2.5  # a Python float among the complex values
+        assert _as_matrix(x).dtype == np.complex128
+        assert singular_values(x).tobytes() == self._complex_svd(x).tobytes()
+
+    def test_object_real_input_takes_the_complex_driver(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)
+        assert _as_matrix(x).dtype == np.complex128
+        assert singular_values(x).tobytes() == self._complex_svd(x).tobytes()
+
+    def test_string_input_is_bitwise_unchanged(self):
+        x = np.array([["1+2j", "0.5"], ["-3", "2j"]])
+        assert _as_matrix(x).dtype == np.complex128
+        assert singular_values(x).tobytes() == self._complex_svd(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, np.float32])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_real_input_rejected(self, dtype, bad):
+        x = np.array([[1.0, 2.0], [bad, 4.0]]).astype(dtype)
+        with pytest.raises(DomainError):
+            singular_values(x)
+        with pytest.raises(DomainError):
+            pi1_of_map(OH, OH, x)
+
+
+class TestOverflowingSingularValues:
+    """Finite entries whose largest singular value overflows: the norm
+    is computed from the SVD of a power-of-two rescaling."""
+
+    X = np.array([[1.5e308, 1.5e308]])  # s_1 = 1.5e308 * sqrt(2)
+    S1_OVER_4 = 1.5e308 / 4.0 * math.sqrt(2.0)
+
+    @staticmethod
+    def _quiet(fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn(*args)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.5, math.inf])
+    def test_p_norm_is_inf(self, p):
+        assert self._quiet(schatten_p_norm, self.X, p) == math.inf
+
+    def test_p_norm_is_inf_for_complex(self):
+        x = self.X * (1.0 + 0.5j)
+        assert self._quiet(schatten_p_norm, x, 2.0) == math.inf
+
+    def test_orlicz_norm_that_overflows_is_inf(self):
+        value = self._quiet(schatten_orlicz_norm, self.X, power_orlicz(2.0))
+        assert value == math.inf
+
+    def test_orlicz_norm_that_fits_stays_finite(self):
+        # phi(t) = (t/4)**2: the norm of one singular value s is s/4.
+        phi = make_orlicz(make_piecewise([4.0], [1.0], right_exponent=2.0))
+        for x in (self.X, self.X.T, self.X.astype(complex)):
+            value = self._quiet(schatten_orlicz_norm, x, phi)
+            assert value == pytest.approx(self.S1_OVER_4, rel=1e-12)
+
+    def test_orlicz_norm_of_many_values_that_fits(self):
+        # Singular values s, s, t with s = 1.5e308 * sqrt(2) overflowing
+        # and t tiny: ||(s, s, t)||_phi = sqrt(2) s / 4 = 0.75e308.
+        phi = make_orlicz(make_piecewise([4.0], [1.0], right_exponent=2.0))
+        x = np.array([[1.5e308, 1.5e308, 0.0],
+                      [1.5e308, -1.5e308, 0.0],
+                      [0.0, 0.0, 1e-300]])
+        value = self._quiet(schatten_orlicz_norm, x, phi)
+        assert value == pytest.approx(0.75e308, rel=1e-12)
+
+    def test_pi1_of_map_is_inf(self):
+        # Every summing function here has phi^{-1}(1) < 1, so the norm
+        # is at least s_1.
+        for domain, codomain in [(OH, OH), (C2, C4)]:
+            value = self._quiet(pi1_of_map, domain, codomain, self.X)
+            assert value == math.inf
+
+    def test_finite_input_takes_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        schatten_p_norm(np.diag([1e300, 1.0]), 2.0)
+        schatten_orlicz_norm(np.eye(3) * 1e307, power_orlicz(2.0))
+        assert len(calls) == 2
+        schatten_p_norm(self.X, 2.0)
+        assert len(calls) == 4
 
 
 class TestSchattenPNorm:
@@ -295,3 +429,56 @@ class TestSummingCache:
         assert pi1_of_map(C3, CR15, x) == first
         assert _summing_orlicz_fn.cache_info().misses == misses + 1
 
+
+
+def _knotted_table(rng: random.Random, m: int) -> dict:
+    """Table on ``m`` log-spaced knots over ``[1, 1e6]`` with chord
+    exponents and right exponent drawn from (0.3, 0.7)."""
+    knots = [10.0 ** (6.0 * i / (m - 1)) for i in range(m)]
+    exps = [rng.uniform(0.3, 0.7) for _ in range(m)]
+    values = [1.0]
+    for i in range(m - 1):
+        values.append(values[-1] * (knots[i + 1] / knots[i]) ** exps[i])
+    return {"knots": knots, "values": values, "right_exponent": exps[-1]}
+
+
+def _knotted_space(seed: int, m: int = 25):
+    rng = random.Random(seed)
+    return descriptor_from_json({
+        "kind": "fundamental",
+        "phi_c": _knotted_table(rng, m),
+        "phi_r": _knotted_table(rng, m),
+    })
+
+
+class TestPi1OfMapDigest:
+    """``pi1_of_map`` on seeded complex matrices, to the bit.
+
+    The matrices come from :class:`random.Random` so the inputs are
+    reproducible everywhere; the digest covers every returned float's
+    ``repr``, so any change to the SVD driver or the norm bisection that
+    moves a last bit on complex input fails here.
+    """
+
+    PAIRS = (
+        (OH, OH),
+        (C2, C4),
+        (CR15, catalog("row_p", 3)),
+        (_knotted_space(25), _knotted_space(2025)),
+    )
+    SHAPES = ((1, 1), (1, 4), (3, 5), (8, 8), (17, 6), (32, 40), (64, 64))
+    DIGEST = "05187f2e5794ef6982f42c117e3f07d09cde871b03710da03b9cbe1adf95a7b0"
+
+    def test_values_bitwise(self):
+        rng = random.Random(9)
+        values = []
+        for domain, codomain in self.PAIRS:
+            for rows, cols in self.SHAPES:
+                x = np.array([
+                    [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ])
+                values.append(pi1_of_map(domain, codomain, x))
+        text = " ".join(map(repr, values))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
