@@ -394,7 +394,15 @@ def tail_fn(w: MonotoneFn, extra_knots: Sequence[float] = ()) -> MonotoneFn:
 
 
 def _solve_growth(hh: TailIntegral, s: float) -> float:
-    """Unique root of ``t = s H(t)`` (the map ``t - s H(t)`` is increasing)."""
+    """Unique root of ``t = s H(t)`` (the map ``t - s H(t)`` is increasing).
+
+    The bisection looks up the piece of ``H`` at each midpoint only until
+    both ends of the bracket lie in one piece: from then on a midpoint
+    inside the bracket lies in it too, and is evaluated with that piece's
+    expression, the arithmetic of :meth:`TailIntegral.eval`, so the root
+    is bit-identical to a full lookup at every step.  Near-log pieces,
+    and midpoints that round outside the bracket, take the full lookup.
+    """
 
     def f(t: float) -> float:
         return t - s * hh.eval(t)
@@ -418,9 +426,28 @@ def _solve_growth(hh: TailIntegral, s: float) -> float:
             raise BracketFailure(
                 f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} halvings"
             )
+    los, near_log = hh._los, hh._near_log_right
+    k_lo = bisect_right(los, lo) - 1
+    k_hi = bisect_right(los, hi) - 1
+    frozen = False  # whether const, coef, q, anchor hold the shared piece
     for _ in range(_MAX_DOUBLINGS):
         mid = math.sqrt(lo) * math.sqrt(hi)
-        if f(mid) < 0.0:
+        if frozen and lo <= mid <= hi:
+            r = mid / anchor
+            below = mid - s * (
+                const + coef * (math.log(r) if q is None else r ** q)
+            ) < 0.0
+        else:
+            k = bisect_right(los, mid) - 1
+            below = f(mid) < 0.0
+            if below:
+                k_lo = k
+            else:
+                k_hi = k
+            frozen = k_lo == k_hi and k not in near_log
+            if frozen:
+                _, const, coef, q, anchor = hh.pieces[k]
+        if below:
             lo = mid
         else:
             hi = mid

@@ -261,7 +261,8 @@ class _Exactness:
 
     tail_c: TailIntegral
     tail_r: TailIntegral
-    anti: SpaceDescriptor
+    anti_c: MonotoneFn
+    anti_r: MonotoneFn
 
     @classmethod
     def build(cls, desc: SpaceDescriptor) -> "_Exactness":
@@ -270,12 +271,13 @@ class _Exactness:
         return cls(
             tail_r=TailIntegral.from_density(w.ur_fn),
             tail_c=TailIntegral.from_density(w.uc_fn),
-            anti=anti,
+            anti_c=anti.phi_c,
+            anti_r=anti.phi_r,
         )
 
     def at(self, n: int) -> float:
-        col_level = evaluate(self.anti.phi_c, float(n))
-        row_level = evaluate(self.anti.phi_r, float(n))
+        col_level = evaluate(self.anti_c, float(n))
+        row_level = evaluate(self.anti_r, float(n))
         i_plus = _clipped_mass(col_level, row_level, self.tail_r)
         i_minus = _clipped_mass(row_level, col_level, self.tail_c)
         return math.sqrt(i_plus + i_minus)
@@ -420,7 +422,12 @@ def sweep(
         )
     self_sweep = codomain is None
     quads = _pair_quadrants(domain, domain if self_sweep else codomain)
-    ex = _Exactness.build(domain) if self_sweep else None
+    ex = None
+    if self_sweep:
+        # Each quadrant's `a` is an antidual fundamental function and its
+        # `tail_b` a tail integral of the domain's own densities.
+        ex = _Exactness(tail_c=quads[1].tail_b, tail_r=quads[0].tail_b,
+                        anti_c=quads[0].a, anti_r=quads[1].a)
     reports: list[InvariantReport] = []
     for n in ns:
         rep = _report(quads, n)

@@ -48,10 +48,15 @@ _LATTICE_LO = 1e-6
 _LATTICE_HI = 1e8
 _LATTICE_PER_DECADE = 96
 
-# Scan resolution of orlicz_norm_scan, and the number of (entry, lam)
-# pairs it evaluates per chunk of ascending lam: 8k-16k pairs ran
-# fastest on the verify battery's sequences, 32k and up slower.
+# Scan resolution of orlicz_norm_scan; the candidates per block of its
+# largest-term bound row; and the (entry, lam) pairs it evaluates in its
+# first chunk of ascending lam, doubling per chunk up to the cap.  The
+# crossing lies a few hundred candidates past the first unskipped one on
+# the verify battery's sequences, so small first chunks waste little;
+# chunks of 8k-16k pairs ran fastest there, 32k and up slower.
 _SCAN_POINTS = 10_000
+_SCAN_BLOCK = 1_024
+_SCAN_FIRST_CHUNK = 1_024
 _SCAN_CHUNK = 16_384
 
 
@@ -290,10 +295,13 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
     first crossing.  The bound needs no monotonicity of ``phi``.  It is
     taken with a 1e-9 margin, which covers last-bit differences between
     the bound's row of terms and the same terms evaluated in a chunk.
-    The rest are evaluated in ascending chunks, from the last skipped
-    candidate (the left end of a crossing cell), and the scan stops at
-    the first chunk holding a crossing; later candidates cannot change
-    the first crossing, so the result is that of a full scan.
+    The bound row is taken in blocks of 1,024 candidates up to the first
+    block holding an unskipped candidate.  The rest are evaluated in
+    ascending chunks, from the last skipped candidate (the left end of a
+    crossing cell), starting at about 1,024 (entry, lam) pairs and
+    doubling per chunk up to 16,384, and the scan stops at the first
+    chunk holding a crossing; later candidates cannot change the first
+    crossing, so the result is that of a full scan.
 
     Raises
     ------
@@ -309,13 +317,18 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
         e = math.frexp(largest)[1]  # the largest entry to [0.5, 1)
         return rescaled_norm(orlicz_norm_scan, phi, xs, e)
     lams = np.geomspace(largest / 1e3, top, _SCAN_POINTS)
-    over = phi.eval_many(largest / lams) > 1.0 + 1e-9
-    if over.all():
+    for block in range(0, lams.size, _SCAN_BLOCK):
+        bound = phi.eval_many(largest / lams[block:block + _SCAN_BLOCK])
+        over = bound > 1.0 + 1e-9
+        if not over.all():
+            break
+    else:
         return float(lams[-1])
-    first = int(np.argmin(over))
-    step = max(1, _SCAN_CHUNK // xs.size)
+    start = max(block + int(np.argmin(over)) - 1, 0)
+    cap = max(1, _SCAN_CHUNK // xs.size)
+    step = min(max(1, _SCAN_FIRST_CHUNK // xs.size), cap)
     m_prev = math.nan  # modular at the candidate before the chunk
-    for start in range(max(first - 1, 0), lams.size, step):
+    while start < lams.size:
         chunk = lams[start:start + step]
         # Entry-major ratios keep each row sorted for the piece lookup;
         # each lam's terms are then summed as one contiguous row, in the
@@ -325,6 +338,8 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
         under = modular <= 1.0
         if not under.any():
             m_prev = float(modular[-1])
+            start += step
+            step = min(2 * step, cap)
             continue
         j = int(np.argmax(under))
         k = start + j

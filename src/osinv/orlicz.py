@@ -134,10 +134,14 @@ class OrliczFn:
         if not arr.size:
             return np.zeros_like(arr)
         flat = arr.reshape(-1)
-        lo = flat.min()
-        if not (lo >= 0.0 and flat.max() < math.inf):
+        lo, hi = flat.min(), flat.max()
+        if not (lo >= 0.0 and hi < math.inf):
             raise DomainError("arguments must be finite reals >= 0")
-        idx = np.searchsorted(self.body._table[0], flat, side="right")
+        # Edges below `a` are at most every key and those from `b` on
+        # exceed every key, so only edges[a:b] need searching.
+        edges = self.body._table[0]
+        a, b = np.searchsorted(edges, (lo, hi), side="right")
+        idx = np.searchsorted(edges[a:b], flat, side="right") + a
         out = self._power_terms(flat, *self._gather(idx))
         if lo == 0.0:  # phi(-0.0) is +0.0 too, whatever the exponent
             out[flat == 0.0] = 0.0

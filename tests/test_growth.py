@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osinv import growth
 from osinv.errors import (
+    BracketFailure,
     DirectionError,
     DivergentTail,
     DomainError,
@@ -20,7 +22,10 @@ from osinv.errors import (
     Unbounded,
 )
 from osinv.growth import (
+    _BISECT_REL_TOL,
+    _MAX_DOUBLINGS,
     TailIntegral,
+    _solve_growth,
     clamped_reciprocal_inverse,
     growth_fn,
     growth_profile,
@@ -37,6 +42,7 @@ from osinv.monotone_fn import (
     integral,
     make_piecewise,
 )
+from osinv.spaces import canonical_weights, from_fundamental
 
 
 def power_weight(a: float) -> "make_piecewise":
@@ -552,6 +558,159 @@ class TestGrowthFn:
             growth_fn(power_weight(2.0), s_grid=[0.0, 1.0])
         with pytest.raises(DomainError):
             growth_fn(power_weight(2.0), s_grid=[])
+
+
+def _full_lookup_solve_growth(hh: TailIntegral, s: float) -> float:
+    """Reference root of ``t = s H(t)``: every step evaluates ``H``
+    through :meth:`TailIntegral.eval`."""
+
+    def f(t: float) -> float:
+        return t - s * hh.eval(t)
+
+    lo = hi = 1.0
+    if f(1.0) < 0.0:
+        for _ in range(_MAX_DOUBLINGS):
+            hi *= 2.0
+            if f(hi) >= 0.0:
+                break
+        else:
+            raise BracketFailure(
+                f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} doublings"
+            )
+    else:
+        for _ in range(_MAX_DOUBLINGS):
+            lo /= 2.0
+            if f(lo) <= 0.0:
+                break
+        else:
+            raise BracketFailure(
+                f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} halvings"
+            )
+    for _ in range(_MAX_DOUBLINGS):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _BISECT_REL_TOL * hi:
+            break
+    return math.sqrt(lo) * math.sqrt(hi)
+
+
+def _knotted_densities(seed: int, m: int) -> tuple:
+    """Canonical densities of a seeded fundamental pair on
+    ``geomspace(1, 1e6, m)`` with chord exponents in (0.3, 0.7)."""
+    rng = np.random.default_rng(seed)
+
+    def table():
+        knots = np.geomspace(1.0, 1e6, m)
+        exps = rng.uniform(0.3, 0.7, size=m)
+        values = [1.0]
+        for i in range(m - 1):
+            values.append(values[-1] * (knots[i + 1] / knots[i]) ** exps[i])
+        return make_piecewise([float(k) for k in knots], values,
+                              right_exponent=float(exps[-1]))
+
+    w = canonical_weights(from_fundamental(table(), table()))
+    return w.uc_fn, w.ur_fn
+
+
+def _levels(hh: TailIntegral) -> list[float]:
+    """Levels `s` whose roots lie below 1, at every knot of the density
+    (and one ulp to either side), between knots and past the last one,
+    plus a log grid."""
+    knots = hh.density.knots
+    ts = [0.3, 0.999, 1.0, knots[-1] * 2.0, knots[-1] * 1e3]
+    for a, b in zip(knots, knots[1:]):
+        ts.append(math.sqrt(a * b))
+    for t in knots:
+        ts += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+    levels = [t / hh.eval(t) for t in ts]
+    return levels + [float(s) for s in np.geomspace(1e-3, 1e12, 31)]
+
+
+def _assert_solves_bitwise(hh: TailIntegral, levels) -> None:
+    for s in levels:
+        assert _solve_growth(hh, s) == _full_lookup_solve_growth(hh, s), s
+
+
+class TestSolveGrowthBitwise:
+    """Once both ends of the bracket share a piece of ``H`` the solver
+    evaluates that piece directly; its roots must equal, to the bit,
+    those of a full :meth:`TailIntegral.eval` at every step."""
+
+    @pytest.mark.parametrize("m", [5, 12, 40, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_canonical_densities_of_knotted_tables(self, seed, m):
+        for w in _knotted_densities(seed, m):
+            hh = TailIntegral.from_density(w)
+            assert len(hh.pieces) > m
+            _assert_solves_bitwise(hh, _levels(hh))
+
+    def test_log_piece(self):
+        # Chord exponent within 1e-9 of -1: H is stored as a log piece.
+        w = make_piecewise([1.0, 10.0], [1.0, 0.1 * (1.0 + 1e-12)],
+                           right_exponent=-3.0, direction="nonincreasing")
+        hh = TailIntegral.from_density(w)
+        assert any(p[3] is None for p in hh.pieces)
+        _assert_solves_bitwise(hh, _levels(hh))
+
+    @pytest.mark.parametrize("q", [1e-5, -3e-7, 9.5e-4])
+    def test_near_log_piece(self, q):
+        hh = TailIntegral.from_density(_near_log_weight(q))
+        assert hh.near_log
+        _assert_solves_bitwise(hh, _levels(hh))
+
+    @settings(max_examples=60, deadline=None)
+    @given(many_knot_fns("nonincreasing", max_knots=60),
+           st.lists(st.floats(-4.0, 14.0), min_size=1, max_size=8))
+    def test_random_densities(self, w, log_s):
+        hh = TailIntegral.from_density(w)
+        _assert_solves_bitwise(hh, [10.0**v for v in log_s])
+
+    @pytest.mark.parametrize("s, which", [(1e80, "doublings"),
+                                          (1e-70, "halvings")])
+    def test_bracket_failures_unchanged(self, s, which):
+        hh = TailIntegral.from_density(power_weight(1.2))
+        with pytest.raises(BracketFailure) as want:
+            _full_lookup_solve_growth(hh, s)
+        with pytest.raises(BracketFailure) as got:
+            _solve_growth(hh, s)
+        assert which in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_midpoints_outside_the_bracket(self, monkeypatch):
+        # A square root biased low puts late midpoints below the bracket;
+        # those take the full lookup, in the solver as in the reference.
+        cases = [(hh, _levels(hh)) for hh in map(TailIntegral.from_density, (
+            *_knotted_densities(3, 12), two_piece_weight(),
+            log_segment_weight(), _near_log_weight(1e-5)))]
+        sqrt = math.sqrt
+        biased = type(sys)("biased_math")
+        biased.__dict__.update(vars(math))
+        biased.sqrt = lambda x: sqrt(x) * (1.0 - 1e-3)
+        monkeypatch.setattr(growth, "math", biased)
+        monkeypatch.setitem(_full_lookup_solve_growth.__globals__, "math",
+                            biased)
+        for hh, levels in cases:
+            _assert_solves_bitwise(hh, levels)
+
+    def test_frozen_steps_skip_the_lookup(self, monkeypatch):
+        calls = 0
+        full_eval = TailIntegral.eval
+
+        def counting_eval(self, t):
+            nonlocal calls
+            calls += 1
+            return full_eval(self, t)
+
+        monkeypatch.setattr(TailIntegral, "eval", counting_eval)
+        hh = TailIntegral.from_density(power_weight(2.0))
+        for s in (10.0, 1e4, 1e7):
+            calls = 0
+            _solve_growth(hh, s)
+            # The bracket's evaluations, then one step before freezing.
+            assert calls <= math.log2(s) + 3
 
 
 class TestGrowthProfile:

@@ -25,8 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osinv.invariants
 from osinv import catalog, dual, from_fundamental, make_piecewise
 from osinv.errors import BadParameter, Inconsistent, NotRegular, TooFewPoints
+from osinv.growth import TailIntegral
 from osinv.invariants import (
     InvariantReport,
     exactness,
@@ -357,6 +359,27 @@ class TestSweep:
                     want.lambda1, want.lambda2, want.lambda3)
                 if codomain is None:
                     assert rep.ex == exactness(domain, rep.n)
+
+    def test_self_sweep_builds_each_table_once(self, monkeypatch):
+        # The exactness setup reads the antidual's fundamental functions
+        # and the tail integrals off the two quadrants.
+        calls = {"dual": 0, "tail": 0}
+        counted_dual = osinv.invariants.dual
+        from_density = TailIntegral.from_density.__func__
+
+        def dual(desc):
+            calls["dual"] += 1
+            return counted_dual(desc)
+
+        def counted_from_density(cls, w):
+            calls["tail"] += 1
+            return from_density(cls, w)
+
+        monkeypatch.setattr(osinv.invariants, "dual", dual)
+        monkeypatch.setattr(TailIntegral, "from_density",
+                            classmethod(counted_from_density))
+        sweep(CR15, n_grid=DYADIC)
+        assert calls == {"dual": 1, "tail": 4}
 
     def test_sorts_and_dedupes_grid(self):
         res = sweep(OH, n_grid=[256, 16, 16, 64])

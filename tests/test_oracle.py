@@ -264,6 +264,17 @@ def _first_not_over(phi, x) -> int:
     return lams.size if over.all() else int(np.argmin(over))
 
 
+def _chunk_starts(start: int, step: int, cap: int) -> list[int]:
+    """First candidates of the scan's chunks: `step` candidates from
+    `start`, doubling per chunk up to `cap`."""
+    starts = []
+    while start < 10_000:
+        starts.append(start)
+        start += step
+        step = min(2 * step, cap)
+    return starts
+
+
 @st.composite
 def _orlicz_tables(draw):
     """Random admissible tables, exponents in [1, 4], often integers."""
@@ -310,27 +321,61 @@ class TestScanMatchesFullGrid:
         ids=["first-1", "first-2", "none-1", "none-3"],
     )
     def test_crossing_at_the_ends(self, scale, x, k) -> None:
+        # With none crossing, every candidate is over the bound.
         phi = _scaled_power(scale)
         want, k_ref = _full_grid_scan(phi, x)
         assert k_ref == k
+        if k == 10_000:
+            assert _first_not_over(phi, x) == 10_000
         assert orlicz_norm_scan(phi, x) == want
 
     @pytest.mark.parametrize("i", range(5))
     def test_crossing_at_a_chunk_start(self, monkeypatch, i) -> None:
-        # Chunks start at the last skipped candidate; chunks of exactly
-        # k - start candidates put the crossing first in the second
-        # chunk, so the cell's left modular comes from the first.  With
-        # one candidate per chunk the first unskipped candidate starts a
-        # chunk too.
+        # Chunks start at the last skipped candidate with `step` candidates
+        # and double up to `cap`.  A first chunk of k - start candidates
+        # puts the crossing first in the doubled second chunk, so the
+        # cell's left modular comes from the first; one of (k - start)/3
+        # puts it first in the third (twice doubled), when that divides;
+        # and one of a = lowbit(k - start) candidates capped at 2a puts it
+        # first in a later doubled chunk.  With one candidate per chunk the
+        # first unskipped candidate starts a chunk too.
         rng = np.random.default_rng(i)
         phi = self.PHIS[i]
         x = rng.lognormal(0.0, 1.5, size=int(rng.integers(2, 30)))
         want, k = _full_grid_scan(phi, x)
         assert 0 < k < 10_000
         start = max(_first_not_over(phi, x) - 1, 0)
-        for step in (k - start, 1, 7, k - start - 1, k - start + 1):
-            monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", step * len(x))
+        gap = k - start
+        lowbit = gap & -gap
+        big = 10**9
+        for step, cap, crossing_starts_a_chunk in (
+            (gap, big, True), (max(gap // 3, 1), big, gap % 3 == 0),
+            (lowbit, 2 * lowbit, True), (1, 1, True),
+            (1, big, False), (7, big, False), (max(gap - 1, 1), big, False),
+            (gap + 1, big, False), (gap, gap, True),
+        ):
+            starts = _chunk_starts(start, step, cap)
+            if crossing_starts_a_chunk:
+                assert k in starts[1:]
+            monkeypatch.setattr("osinv.oracle._SCAN_FIRST_CHUNK",
+                                step * len(x))
+            monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", cap * len(x))
             assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize("first", [1, 1023, 1024, 1025, 2048, 9216, 9999])
+    @pytest.mark.parametrize(
+        "x", [[1.0], [1.0, 1e-4], [2.0, 1.0, 0.5, 0.25]],
+        ids=["one", "two", "four"],
+    )
+    def test_first_unskipped_at_a_bound_block_edge(self, first, x) -> None:
+        # phi(t) = c t with c putting the largest term at candidate
+        # `first` near 1: it is the first not skipped.  The bound row is
+        # taken in blocks of 1,024 candidates; 9,216 starts the last,
+        # partial block.
+        lams = np.geomspace(max(x) / 1e3, 1e3 * sum(x), 10_000)
+        phi = _scaled_power(float(lams[first]) / max(x))
+        assert _first_not_over(phi, x) == first
+        assert orlicz_norm_scan(phi, x) == _full_grid_scan(phi, x)[0]
 
     @pytest.mark.parametrize(
         "x", [[0.3], [1.0], [42.0], [1e9], [5.0, 1e-6, 2e-6]],
@@ -383,7 +428,9 @@ class TestScanWork:
     def test_battery_scans_skip_most_evaluations(self, monkeypatch) -> None:
         # phi evaluations in the 100 scans of the verify battery's
         # bisection-vs-scan check; scanning in the same chunks from the
-        # first candidate, with no skip, takes 10,197,956.
+        # first candidate, with no skip, takes 10,197,956, and a bound
+        # row over all candidates with fixed 16,384-pair chunks from the
+        # last skipped one takes 2,703,281.
         count = 0
         inside = False
         eval_many = OrliczFn.eval_many
@@ -408,6 +455,7 @@ class TestScanWork:
         passed, _ = osinv.verify._check_bisection_vs_scan()
         assert passed
         assert 0 < count <= 10_197_956 // 3
+        assert count <= 1_300_000
 
 
 class TestOrliczNormScan:
