@@ -53,10 +53,8 @@ from .invariants import (
     InvariantReport,
     SweepResult,
     exactness,
-    exactness_display,
     pi1_fundamental,
     projection,
-    projection_display,
     sweep,
 )
 from .oracle import (
@@ -131,9 +129,7 @@ __all__ = [
     "SweepResult",
     "pi1_fundamental",
     "exactness",
-    "exactness_display",
     "projection",
-    "projection_display",
     "sweep",
     "singular_values",
     "schatten_p_norm",

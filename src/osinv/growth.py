@@ -8,12 +8,13 @@ computes
 * the recovered weight ``w = 1 / g^{-1}`` (clamped to 1 near the origin),
 * sharp power-envelope regularity diagnostics for increasing tables.
 
-The central object is :class:`TailIntegral`, which stores ``h`` *exactly*:
-on each segment of ``w`` the tail integral is ``const + coef (t/anchor)^q``
-(or ``const + coef ln(t/anchor)`` when the segment exponent is -1), so
-evaluation and the composed integrals used by the invariant formulas carry
-no quadrature error.  :func:`tail_fn` exposes a sampled piecewise-power
-view of the same function for callers that need a :class:`MonotoneFn`.
+The central object is :class:`TailIntegral`, which stores ``h`` *exactly*
+per piece of ``w``: on each piece the tail integral is
+``const + coef (t/anchor)^q``, or, where ``q`` is near 0, a series in ``q``
+that is exact at ``q = 0``, so evaluation and the composed integrals used
+by the invariant formulas carry no quadrature error.  :func:`tail_fn`
+exposes a sampled piecewise-power view of the same function for callers
+that need a :class:`MonotoneFn`.
 """
 
 from __future__ import annotations
@@ -85,19 +86,21 @@ class TailIntegral:
     density:
         The underlying density `w` (tail exponent < -1).
     pieces:
-        Tuples ``(lo, const, coef, q, anchor)``, ascending in `lo`; on the
-        span from `lo` to the next piece's `lo`,
-        ``H(t) = const + coef (t/anchor)^q``, with ``q = None`` meaning
-        ``H(t) = const + coef ln(t/anchor)``.
+        Triples ``(const, coef, q)``, one per piece of `density` in the
+        :class:`MonotoneFn` layout (``bisect_right(density.knots, t)`` is
+        the piece of `t`); on piece `k`, ``H(t) = const + coef (t/a)^q``
+        with anchor ``a`` the piece's first knot (``t_1`` for the head).
     near_log:
         Pairs ``(k, h)`` for the segment pieces whose ``q`` is so close to
-        0 that ``const`` and ``coef`` (both of order ``1/q``) cancel: `h`
-        is ``H`` at the right end of piece `k`, and :meth:`eval` adds the
-        density's integral up to there (``_segment_integral``'s series).
+        0 that ``const`` and ``coef`` (both of order ``1/q``) cancel, down
+        to ``q = 0`` exactly; their triples hold ``const = coef = 0``.
+        `h` is ``H`` at the right end of piece `k`, and :meth:`eval` adds
+        the density's integral up to there (``_segment_integral``'s
+        series, exact at ``q = 0``).
     """
 
     density: MonotoneFn
-    pieces: tuple[tuple[float, float, float, float | None, float], ...]
+    pieces: tuple[tuple[float, float, float], ...]
     near_log: tuple[tuple[int, float], ...] = ()
 
     @classmethod
@@ -119,42 +122,32 @@ class TailIntegral:
             )
         knots, vals = w.knots, w.values
         m = len(knots)
-        pieces: list[tuple[float, float, float, float | None, float]] = []
+        pieces: list[tuple[float, float, float]] = []
         near_log: list[tuple[int, float]] = []
         # Beyond the last knot: H(t) = coef (t/t_m)^q with q = e_inf + 1 < 0.
         q_inf = w.right_exponent + 1.0
         h_right = -vals[-1] * knots[-1] / q_inf
-        pieces.append((knots[-1], 0.0, h_right, q_inf, knots[-1]))
+        pieces.append((0.0, h_right, q_inf))
         h_next = h_right  # H at the left edge of the piece just added
         for i in range(m - 2, -1, -1):
             t0, t1 = knots[i], knots[i + 1]
             v0 = vals[i]
             e = w.segment_exponents[i]
-            if abs(e + 1.0) < 1e-9:
-                # Chord exponents within float noise of -1 are stored as
-                # log pieces; the swap error is O(|e+1| ln^2) and for chord
-                # tables that is far below every tolerance used here.
-                const = h_next + v0 * t0 * math.log(t1 / t0)
-                pieces.append((t0, const, -v0 * t0, None, t0))
-                h_next = const
+            q = e + 1.0
+            # Every chord exponent within 1e-9 of -1 lands here too, since
+            # ln(t1/t0) < 1455 for floats.
+            if abs(q) * math.log(t1 / t0) < _NEAR_LOG:
+                pieces.append((0.0, 0.0, q))
+                near_log.append((i + 1, h_next))
+                h_next = h_next + _segment_integral(v0, t0, e, t0, t1)
             else:
-                q = e + 1.0
                 const = h_next + (v0 * t0 / q) * (t1 / t0) ** q
-                pieces.append((t0, const, -v0 * t0 / q, q, t0))
-                if abs(q) * math.log(t1 / t0) < _NEAR_LOG:
-                    near_log.append((i + 1, h_next))
-                    h_next = h_next + _segment_integral(v0, t0, e, t0, t1)
-                else:
-                    h_next = const - v0 * t0 / q
+                pieces.append((const, -v0 * t0 / q, q))
+                h_next = const - v0 * t0 / q
         # Constant head: H(t) = H(t_1) + v_1 (t_1 - t) on (0, t_1].
-        pieces.append((0.0, h_next + vals[0] * knots[0], -vals[0] * knots[0],
-                       1.0, knots[0]))
+        pieces.append((h_next + vals[0] * knots[0], -vals[0] * knots[0], 1.0))
         pieces.reverse()
         return cls(density=w, pieces=tuple(pieces), near_log=tuple(near_log))
-
-    @cached_property
-    def _los(self) -> list[float]:
-        return [p[0] for p in self.pieces]
 
     @cached_property
     def _near_log_right(self) -> dict[int, float]:
@@ -163,12 +156,7 @@ class TailIntegral:
     @property
     def mass(self) -> float:
         """Total mass ``H(0+) = integral of w over (0, infinity)``."""
-        return self.pieces[0][1]
-
-    @property
-    def boundaries(self) -> tuple[float, ...]:
-        """Interior piece edges (the knots of the density)."""
-        return self.density.knots
+        return self.pieces[0][0]
 
     def eval(self, t: float) -> float:
         """Exact value of the tail integral at ``t >= 0``.
@@ -179,17 +167,16 @@ class TailIntegral:
         t = float(t)
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"abscissa must be a real >= 0, got {t}")
-        k = bisect_right(self._los, t) - 1
+        knots = self.density.knots
+        k = bisect_right(knots, t)
         right = self._near_log_right.get(k)
         if right is not None:
             w, i = self.density, k - 1
             return right + _segment_integral(
-                w.values[i], w.knots[i], w.segment_exponents[i], t, w.knots[i + 1]
+                w.values[i], knots[i], w.segment_exponents[i], t, knots[k]
             )
-        _, const, coef, q, anchor = self.pieces[k]
-        if q is None:
-            return const + coef * math.log(t / anchor)
-        return const + coef * (t / anchor) ** q
+        const, coef, q = self.pieces[k]
+        return const + coef * (t / knots[k - 1 if k else 0]) ** q
 
     def eval_many(self, ts: Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`eval`."""
@@ -197,18 +184,17 @@ class TailIntegral:
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
             raise DomainError("abscissas must be finite reals >= 0")
         out = np.empty_like(arr)
-        los = np.asarray(self._los)
-        idx = np.searchsorted(los, arr, side="right") - 1
-        for k, (_, const, coef, q, anchor) in enumerate(self.pieces):
+        knots = self.density.knots
+        idx = np.searchsorted(knots, arr, side="right")
+        for k, (const, coef, q) in enumerate(self.pieces):
             mask = idx == k
             if not np.any(mask):
                 continue
             if k in self._near_log_right:
                 out[mask] = [self.eval(float(t)) for t in arr[mask]]
-            elif q is None:
-                out[mask] = const + coef * np.log(arr[mask] / anchor)
             else:
-                out[mask] = const + coef * (arr[mask] / anchor) ** q
+                out[mask] = const + coef * (
+                    arr[mask] / knots[k - 1 if k else 0]) ** q
         return out
 
     def integral_of_composed(self, tau: MonotoneFn, lo: float, hi: float) -> float:
@@ -247,19 +233,14 @@ class TailIntegral:
         mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
         v0, t0, m_exp = _local_power(tau, mid)
         tau_mid = v0 * (mid / t0) ** m_exp
-        k = bisect_right(self._los, tau_mid) - 1
+        knots = self.density.knots
+        k = bisect_right(knots, tau_mid)
         right = self._near_log_right.get(k)
         if right is not None:
             return self._near_log_segment(k, right, v0, t0, m_exp, x, y)
-        _, const, coef, q, anchor = self.pieces[k]
-        if q is None:
-            # H(tau(s)) = const + coef ln(v0/anchor) + coef m ln(s/t0)
-            base = const + coef * math.log(v0 / anchor)
-            return base * (y - x) + coef * m_exp * (
-                (_xlog(y, t0) - y) - (_xlog(x, t0) - x)
-            )
+        const, coef, q = self.pieces[k]
         return const * (y - x) + _segment_integral(
-            coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
+            coef * (v0 / knots[k - 1 if k else 0]) ** q, t0, m_exp * q, x, y
         )
 
     def _near_log_segment(
@@ -299,11 +280,6 @@ class TailIntegral:
         )
 
 
-def _xlog(s: float, t0: float) -> float:
-    """``s ln(s/t0)``, with its limit 0 at ``s = 0``."""
-    return s * _log_ratio(s, t0) if s > 0.0 else 0.0
-
-
 class _ComposedTable:
     """Cut points of ``H(tau(s))`` on the half line, with running integrals.
 
@@ -325,7 +301,7 @@ class _ComposedTable:
     def __init__(self, hh: TailIntegral, tau: MonotoneFn) -> None:
         self.tau = tau
         cuts = list(tau.knots)
-        for edge in hh.boundaries:
+        for edge in hh.density.knots:
             try:
                 pre = generalized_inverse(tau, edge)
             except Unbounded:
@@ -426,19 +402,16 @@ def _solve_growth(hh: TailIntegral, s: float) -> float:
             raise BracketFailure(
                 f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} halvings"
             )
-    los, near_log = hh._los, hh._near_log_right
-    k_lo = bisect_right(los, lo) - 1
-    k_hi = bisect_right(los, hi) - 1
+    knots, near_log = hh.density.knots, hh._near_log_right
+    k_lo = bisect_right(knots, lo)
+    k_hi = bisect_right(knots, hi)
     frozen = False  # whether const, coef, q, anchor hold the shared piece
     for _ in range(_MAX_DOUBLINGS):
         mid = math.sqrt(lo) * math.sqrt(hi)
         if frozen and lo <= mid <= hi:
-            r = mid / anchor
-            below = mid - s * (
-                const + coef * (math.log(r) if q is None else r ** q)
-            ) < 0.0
+            below = mid - s * (const + coef * (mid / anchor) ** q) < 0.0
         else:
-            k = bisect_right(los, mid) - 1
+            k = bisect_right(knots, mid)
             below = f(mid) < 0.0
             if below:
                 k_lo = k
@@ -446,7 +419,8 @@ def _solve_growth(hh: TailIntegral, s: float) -> float:
                 k_hi = k
             frozen = k_lo == k_hi and k not in near_log
             if frozen:
-                _, const, coef, q, anchor = hh.pieces[k]
+                const, coef, q = hh.pieces[k]
+                anchor = knots[k - 1 if k else 0]
         if below:
             lo = mid
         else:
@@ -473,18 +447,18 @@ def growth_fn(w: MonotoneFn, s_grid: Sequence[float] | None = None) -> MonotoneF
     BracketFailure
         The solver found no sign change after 200 doublings.
     DomainError
-        Grid contains nonpositive entries.
+        Grid is empty or has an entry that is not a positive finite real.
     """
     hh = TailIntegral.from_density(w)
     if s_grid is None:
         grid = [float(s) for s in log_grid(1.0, 1e8)]
     else:
-        grid = sorted(float(s) for s in s_grid)
+        grid = [float(s) for s in s_grid]
         if not grid:
             raise DomainError("s_grid must be nonempty")
-        if grid[0] <= 0.0 or not math.isfinite(grid[-1]):
+        if not all(math.isfinite(s) and s > 0.0 for s in grid):
             raise DomainError("s_grid entries must be positive finite reals")
-        grid = _merge_close(grid)
+        grid = _merge_close(sorted(grid))
     roots = [_solve_growth(hh, s) for s in grid]
     # Tail exponent from an auxiliary solve past the grid's end.
     s_aux = grid[-1] * 4.0

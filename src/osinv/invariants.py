@@ -14,11 +14,6 @@ evaluated in closed form per power piece:
   densities on each half line.
 * ``projection`` is pinned to ``n / pi1`` by the two-sided sandwich
   between the summing norm and the projection constant.
-
-The closed-form displays that usually accompany these quantities are
-ambiguous where their arguments fall below 1, so they are exposed only
-as cross-checks (``exactness_display``, ``projection_display``) that
-track the integral values within bounded ratios.
 """
 
 from __future__ import annotations
@@ -32,12 +27,10 @@ from .growth import TailIntegral
 from .monotone_fn import (
     MonotoneFn,
     _fit_rank,
-    _local_power,
     compose,
     crossing_below,
     evaluate,
     fit_loglog_slope,
-    integral,
     inverse_fn,
 )
 from .spaces import SpaceDescriptor, canonical_weights, dual
@@ -46,10 +39,8 @@ __all__ = [
     "InvariantReport",
     "SweepResult",
     "exactness",
-    "exactness_display",
     "pi1_fundamental",
     "projection",
-    "projection_display",
     "sweep",
 ]
 
@@ -306,28 +297,6 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
     return _Exactness.build(desc).at(n)
 
 
-def exactness_display(desc: SpaceDescriptor, n: int) -> float:
-    """Closed-form display for the exactness constant (cross-check).
-
-    Evaluates ``sqrt((n/phi_c(n)) * phi_r(phi_c(n)/phi_r(n)) +
-    (n/phi_r(n)) * phi_c(phi_r(n)/phi_c(n)))`` on the structure's own
-    fundamental functions, reading ``phi`` below 1 as a pure power (the
-    clamped reading makes one term spuriously dominant).  Tracks
-    :func:`exactness` within a bounded ratio on catalog structures; the
-    integral form is the authoritative value.
-    """
-    n = _check_dimension(n)
-    a = evaluate(desc.phi_c, float(n))
-    b = evaluate(desc.phi_r, float(n))
-    total = 0.0
-    for f, num, den in ((desc.phi_r, a, b), (desc.phi_c, b, a)):
-        # Below its first knot, f extends with its first piece's power.
-        x = num / den
-        v0, t0, e = _local_power(f, x, f.exponents[0])
-        total += n / num * (v0 * (x / t0) ** e)
-    return math.sqrt(total)
-
-
 def projection(desc: SpaceDescriptor, n: int) -> float:
     """Projection constant of the n-dimensional truncation.
 
@@ -342,45 +311,6 @@ def projection(desc: SpaceDescriptor, n: int) -> float:
     """
     n = _check_dimension(n)
     return n / pi1_fundamental(desc, desc, n).pi1
-
-
-def _ratio_integral(outer: MonotoneFn, inner: MonotoneFn, hi: float) -> float:
-    """Exact ``integral_1^hi outer(inner^{-1}(t)) / inner^{-1}(t) dt``."""
-    if hi <= 1.0:
-        return 0.0
-    quotient = MonotoneFn(
-        knots=outer.knots,
-        values=tuple(v / t for t, v in zip(outer.knots, outer.values)),
-        right_exponent=outer.right_exponent - 1.0,
-        direction="nonincreasing",
-    )
-    return integral(compose(quotient, inverse_fn(inner)), 1.0, hi)
-
-
-def projection_display(desc: SpaceDescriptor, n: int) -> float:
-    """Closed-form display for the projection constant (cross-check).
-
-    Evaluates the reciprocal of the symmetric two-block expression: a
-    ``1/sqrt(phi * phi-antidual)`` head plus ``1/sqrt(n)`` times the
-    square root of four cross integrals of ``phi_b(phi_a^{-1}(t))/
-    phi_a^{-1}(t)`` between the structure and its antidual.  Tracks
-    :func:`projection` within a bounded ratio on catalog structures.
-    """
-    n = _check_dimension(n)
-    anti = dual(desc)
-    nf = float(n)
-    a = evaluate(desc.phi_c, nf)
-    b = evaluate(desc.phi_r, nf)
-    a_star = evaluate(anti.phi_c, nf)
-    b_star = evaluate(anti.phi_r, nf)
-    head = math.sqrt(1.0 / (a * b_star) + 1.0 / (b * a_star))
-    cross = (
-        _ratio_integral(desc.phi_r, anti.phi_c, a_star)
-        + _ratio_integral(desc.phi_c, anti.phi_r, b_star)
-        + _ratio_integral(anti.phi_r, desc.phi_c, a)
-        + _ratio_integral(anti.phi_c, desc.phi_r, b)
-    )
-    return 1.0 / (head + math.sqrt(cross) / math.sqrt(nf))
 
 
 def sweep(

@@ -13,8 +13,8 @@ pieces ``v (t/t_a)^e``.  Piece 0 is the head below ``t_1``, anchored at
 ``(t_k, v_k)`` and exponent ``MonotoneFn.exponents[k - 1]``; the last
 piece, from ``t_m`` on, is the right tail.  The head exponent is not part
 of the table: it is 0 for the table's own constant head, and callers that
-extend the function below ``t_1`` as a pure power (Orlicz functions, the
-closed-form exactness display) pass the first piece's exponent.
+extend the function below ``t_1`` as a pure power (Orlicz functions) pass
+the first piece's exponent.
 :func:`_local_power` finds the piece of a scalar abscissa by one
 bisection; the cached arrays ``MonotoneFn._table`` serve vectorized
 lookups.

@@ -60,7 +60,8 @@ def two_piece_weight() -> "make_piecewise":
 
 
 def log_segment_weight() -> "make_piecewise":
-    """w = 1 head, s^{-1} on [1,10], s^{-3} tail (exercises the log piece)."""
+    """w = 1 head, s^{-1} on [1,10], s^{-3} tail (a near-log piece of H
+    whose ``q`` is exactly 0)."""
     return make_piecewise(
         [1.0, 10.0], [1.0, 0.1], right_exponent=-3.0, direction="nonincreasing"
     )
@@ -115,7 +116,7 @@ class TestTailIntegral:
         )
 
     def test_exponent_near_minus_one(self):
-        # Chord exponent -0.99999: the (lo, const, coef, q) closed form
+        # Chord exponent -0.99999: the (const, coef, q) closed form
         # cancels to ~1e-11 relative, so such pieces integrate the density.
         w = make_piecewise([math.e, math.e**2], [1.0, 0.367883119984248],
                            right_exponent=-4.0, direction="nonincreasing")
@@ -210,8 +211,8 @@ class TestIntegralOfComposed:
             hh.integral_of_composed(ident, 1.0, math.inf)
 
     def test_log_piece_from_zero(self):
-        # tau = 2 on (0, 1] lands in the log piece of H, so the first
-        # segment starts at s = 0, where s ln(s) has the limit 0.
+        # tau = 2 on (0, 1] lands in the q = 0 near-log piece of H, so the
+        # first segment starts at s = 0, where s ln(s) has the limit 0.
         hh = TailIntegral.from_density(log_segment_weight())
         tau = make_piecewise([1.0], [2.0], right_exponent=1.0)
         # H(t) = 0.5 + ln(10/t) on [1, 10]: the integral is 5 (0.5 + ln 5)
@@ -237,15 +238,20 @@ def _mp_composed(w, tau, lo: float, hi: float) -> float:
         return float(_mp_composed_at_precision(mpmath, w, tau, lo, hi))
 
 
-def _mp_composed_at_precision(mpmath, w, tau, lo: float, hi: float):
+def _mp_tail(mpmath, w):
+    """mpmath ``H`` of a two-knot `w`, from the exact decimal values of
+    its float table (call inside ``mpmath.workdps``)."""
     t0, t1 = (mpmath.mpf(t) for t in w.knots)
     v0, v1 = (mpmath.mpf(v) for v in w.values)
-    c = mpmath.log(v1 / v0) / mpmath.log(t1 / t0)
+    p = mpmath.log(v1 / v0) / mpmath.log(t1 / t0) + 1
     tail_q = mpmath.mpf(w.right_exponent) + 1
     h_t1 = -v1 * t1 / tail_q
 
-    def seg(a, b):  # integral of v0 (u/t0)^c over [a, b]
-        return v0 * t0 * ((b / t0) ** (c + 1) - (a / t0) ** (c + 1)) / (c + 1)
+    def seg(a, b):  # integral of v0 (u/t0)^(p-1) over [a, b]
+        if p == 0:
+            return v0 * t0 * mpmath.log(b / a)
+        return (v0 * t0 * (a / t0) ** p
+                * mpmath.expm1(p * mpmath.log(b / a)) / p)
 
     def h(t):
         if t >= t1:
@@ -253,6 +259,12 @@ def _mp_composed_at_precision(mpmath, w, tau, lo: float, hi: float):
         if t >= t0:
             return h_t1 + seg(t, t1)
         return h_t1 + seg(t0, t1) + v0 * (t0 - t)
+
+    return h
+
+
+def _mp_composed_at_precision(mpmath, w, tau, lo: float, hi: float):
+    h = _mp_tail(mpmath, w)
 
     def tau_mp(s):
         knot, value = mpmath.mpf(tau.knots[0]), mpmath.mpf(tau.values[0])
@@ -266,9 +278,49 @@ def _mp_composed_at_precision(mpmath, w, tau, lo: float, hi: float):
     return mpmath.quad(lambda s: h(tau_mp(s)), pts)
 
 
+#: Chord exponents at or within 1e-9 of -1, on a short and a long
+#: segment: every one is a near-log piece, ``q = 0`` exactly included.
+_FORMER_LOG_CHORDS = [
+    pytest.param([1.0, 2.0], [1.0, 0.5], id="chord=-1"),
+    pytest.param([1.0, 2.0], [1.0, 0.5 * 2.0**-4.3e-10],
+                 id="chord=-1-4.3e-10"),
+    pytest.param([1.0, 1e6], [1.0, 1e-6 * 1e6**-7.2e-11],
+                 id="chord=-1-7.2e-11"),
+]
+
+
+def _former_log_tail(knots, values) -> TailIntegral:
+    w = make_piecewise(knots, values, right_exponent=-3.0,
+                       direction="nonincreasing")
+    hh = TailIntegral.from_density(w)
+    assert [k for k, _ in hh.near_log] == [1]
+    return hh
+
+
+def _mp_growth_root(w, s: float) -> float:
+    """mpmath root of ``t = s H(t)``: 200 geometric bisection steps on
+    ``[1e-6, 1e12]`` at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        h = _mp_tail(mpmath, w)
+        s_mp = mpmath.mpf(s)
+        lo, hi = mpmath.mpf("1e-6"), mpmath.mpf("1e12")
+        for _ in range(200):
+            mid = mpmath.sqrt(lo * hi)
+            if mid - s_mp * h(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.sqrt(lo * hi))
+
+
 class TestNearLogComposed:
     """Pieces of H whose chord exponent is near -1 integrate through the
-    series of ``_segment_integral`` instead of ``const + coef (t/a)^q``."""
+    series of ``_segment_integral`` instead of ``const + coef (t/a)^q``.
+    Chord exponents at or within 1e-9 of -1 take that series too, and
+    ``eval``, the composed integral and the growth solver stay within
+    1e-13 of 40-digit mpmath on them."""
 
     @pytest.mark.parametrize(
         "tau_knot, tau_value, tau_exp, lo, hi",
@@ -291,13 +343,63 @@ class TestNearLogComposed:
             exact, rel=1e-13
         )
 
+    @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
+    def test_former_log_eval(self, knots, values):
+        import mpmath
+
+        hh = _former_log_tail(knots, values)
+        t0, t1 = knots
+        ts = [0.5 * t0, t0, *np.geomspace(t0, t1, 9)[1:-1].tolist(),
+              math.nextafter(t1, 0.0), t1, 2.0 * t1]
+        with mpmath.workdps(40):
+            h = _mp_tail(mpmath, hh.density)
+            want = [float(h(mpmath.mpf(t))) for t in ts]
+            mass = float(h(mpmath.mpf(0)))
+        for t, v in zip(ts, want):
+            assert hh.eval(t) == pytest.approx(v, rel=1e-13, abs=0.0), t
+        assert list(hh.eval_many(ts)) == [hh.eval(t) for t in ts]
+        assert hh.mass == pytest.approx(mass, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
+    @pytest.mark.parametrize(
+        "tau_value, tau_exp, lo, hi",
+        [
+            (1.0, 1.0, 1.05, 0.95),     # identity, inside the piece
+            (1.0, 1.0, 0.5, 2.0),       # identity, across both edges
+            (1.0, 0.5, 1.05, 0.95),     # square root, inside the piece
+            (1.5, 0.5, 0.0, 2.0),       # from 0, constant head inside it
+        ],
+    )
+    def test_former_log_composed(self, knots, values, tau_value,
+                                  tau_exp, lo, hi):
+        hh = _former_log_tail(knots, values)
+        tau = make_piecewise([1.0], [tau_value], right_exponent=tau_exp)
+        # lo and hi scale the piece's ends and map back through tau.
+        lo = (lo * knots[0] / tau_value) ** (1.0 / tau_exp) if lo else 0.0
+        hi = (hi * knots[1] / tau_value) ** (1.0 / tau_exp)
+        exact = _mp_composed(hh.density, tau, lo, hi)
+        assert hh.integral_of_composed(tau, lo, hi) == pytest.approx(
+            exact, rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
+    def test_former_log_solve_growth(self, knots, values):
+        hh = _former_log_tail(knots, values)
+        t0, t1 = knots
+        for t in np.geomspace(t0, t1, 7)[1:-1].tolist():
+            s = t / hh.eval(t)
+            assert _solve_growth(hh, s) == pytest.approx(
+                _mp_growth_root(hh.density, s), rel=1e-13, abs=0.0
+            ), s
+
 
 @st.composite
 def many_knot_fns(draw, direction: str, max_knots: int = 200):
     """Tables with up to `max_knots` knots, some of them closer than the
     1e-13 merge tolerance of composed-integral cuts.  Densities
-    (nonincreasing) get log pieces (exponent -1) and an integrable tail;
-    inner functions (nondecreasing) get flat runs and may be bounded."""
+    (nonincreasing) get exponent -1 (near-log pieces with ``q = 0``) and
+    an integrable tail; inner functions (nondecreasing) get flat runs and
+    may be bounded."""
     m = draw(st.integers(min_value=1, max_value=max_knots))
     gaps = draw(st.lists(
         st.one_of(st.floats(0.01, 0.3), st.sampled_from([3e-14, 8e-14, 2e-13])),
@@ -341,7 +443,7 @@ def _scan_local_power(pieces, t: float) -> tuple[float, float, float]:
 def _cuts(hh: TailIntegral, tau) -> list[float]:
     """`tau`'s knots and the positive preimages of the tail's edges."""
     out = list(tau.knots)
-    for edge in hh.boundaries:
+    for edge in hh.density.knots:
         try:
             pre = generalized_inverse(tau, edge)
         except Unbounded:
@@ -363,24 +465,19 @@ def _loop_integral_of_composed(hh: TailIntegral, tau, lo: float, hi: float):
         mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
         v0, t0, m_exp = _scan_local_power(pieces, mid)
         tau_mid = v0 * (mid / t0) ** m_exp
-        k = sum(1 for p in hh.pieces if p[0] <= tau_mid) - 1
+        knots = hh.density.knots
+        k = sum(1 for t in knots if t <= tau_mid)
         if k in dict(hh.near_log):
             # Near-log pieces have their own closed form, checked
             # against mpmath in TestNearLogComposed.
             total += hh._near_log_segment(
                 k, dict(hh.near_log)[k], v0, t0, m_exp, x, y)
             continue
-        _, const, coef, q, anchor = hh.pieces[k]
-        if q is None:
-            base = const + coef * math.log(v0 / anchor)
-            x_log = x * math.log(x / t0) if x > 0.0 else 0.0
-            total += base * (y - x) + coef * m_exp * (
-                (y * math.log(y / t0) - y) - (x_log - x)
-            )
-        else:
-            total += const * (y - x) + _segment_integral(
-                coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
-            )
+        const, coef, q = hh.pieces[k]
+        anchor = knots[k - 1] if k else knots[0]
+        total += const * (y - x) + _segment_integral(
+            coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
+        )
     return total
 
 
@@ -559,6 +656,16 @@ class TestGrowthFn:
         with pytest.raises(DomainError):
             growth_fn(power_weight(2.0), s_grid=[])
 
+    @pytest.mark.parametrize("grid", [
+        [math.nan, 1.0], [1.0, math.nan, 2.0], [2.0, 1.0, math.nan],
+        [1.0, math.inf], [-math.inf, 1.0], [1.0, -0.0, 2.0],
+        np.array([1.0, np.nan, 3.0]),
+    ])
+    def test_grid_entry_not_a_positive_finite_real(self, grid):
+        # Every entry is checked, whatever its place after sorting.
+        with pytest.raises(DomainError, match="positive finite reals"):
+            growth_fn(power_weight(2.0), s_grid=grid)
+
 
 def _full_lookup_solve_growth(hh: TailIntegral, s: float) -> float:
     """Reference root of ``t = s H(t)``: every step evaluates ``H``
@@ -648,11 +755,11 @@ class TestSolveGrowthBitwise:
             _assert_solves_bitwise(hh, _levels(hh))
 
     def test_log_piece(self):
-        # Chord exponent within 1e-9 of -1: H is stored as a log piece.
+        # Chord exponent within 1e-9 of -1: H is stored as a near-log piece.
         w = make_piecewise([1.0, 10.0], [1.0, 0.1 * (1.0 + 1e-12)],
                            right_exponent=-3.0, direction="nonincreasing")
         hh = TailIntegral.from_density(w)
-        assert any(p[3] is None for p in hh.pieces)
+        assert hh.near_log
         _assert_solves_bitwise(hh, _levels(hh))
 
     @pytest.mark.parametrize("q", [1e-5, -3e-7, 9.5e-4])

@@ -32,12 +32,12 @@ from osinv.growth import TailIntegral
 from osinv.invariants import (
     InvariantReport,
     exactness,
-    exactness_display,
     pi1_fundamental,
     projection,
-    projection_display,
     sweep,
 )
+
+from displays import exactness_display, projection_display
 
 OH = catalog("oh")
 C2 = catalog("column_p", 2)

@@ -1,7 +1,7 @@
 """Every piecewise-power evaluation reads one piece lookup.
 
 ``evaluate``, ``integral``, ``OrliczFn.eval``, ``OrliczFn.inverse`` and
-``exactness_display`` all find their power piece through
+the tests' ``exactness_display`` all find their power piece through
 ``monotone_fn._local_power``, and ``generalized_inverse`` and
 ``crossing_below`` solve on the piece their bisection lands on.  Each is
 compared here, with ``==``, against the separate formula it replaced:
@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osinv.errors import Unbounded
-from osinv.invariants import exactness_display
 from osinv.monotone_fn import (
     MonotoneFn,
     _segment_integral,
@@ -39,6 +38,8 @@ from osinv.monotone_fn import (
 )
 from osinv.orlicz import make_orlicz
 from osinv.spaces import SpaceDescriptor
+
+from displays import exactness_display
 
 
 # --- the formulas the piece lookup replaced --------------------------------
