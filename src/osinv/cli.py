@@ -253,19 +253,24 @@ def _emit(text: str, out_path: str) -> None:
 
 def _render(
     cfg: RunConfig,
-    comment: str,
-    meta: dict[str, Any],
+    command: str,
+    ns: Sequence[int],
+    descs: dict[str, SpaceDescriptor],
     header: str,
     csv_rows: list[str],
     json_body: dict[str, Any],
 ) -> str:
+    """The output in `cfg`'s format, with only that format's header built
+    (each serialises every descriptor)."""
     if cfg.out_format == "json":
+        meta = _json_meta(command, ns, **descs)
         return (
             json.dumps(
                 {"meta": meta, **json_body}, indent=2, sort_keys=True
             )
             + "\n"
         )
+    comment = _csv_comment(command, ns, **descs)
     return "\n".join([comment, header, *csv_rows]) + "\n"
 
 
@@ -313,8 +318,9 @@ def cmd_table(cfg: RunConfig) -> int:
     _emit(
         _render(
             cfg,
-            _csv_comment("table", ns, space=desc),
-            _json_meta("table", ns, space=desc),
+            "table",
+            ns,
+            {"space": desc},
             _TABLE_HEADER,
             csv_rows,
             json_body,
@@ -362,8 +368,9 @@ def cmd_pi1(cfg: RunConfig) -> int:
     _emit(
         _render(
             cfg,
-            _csv_comment("pi1", ns, domain=domain, codomain=codomain),
-            _json_meta("pi1", ns, domain=domain, codomain=codomain),
+            "pi1",
+            ns,
+            {"domain": domain, "codomain": codomain},
             _PI1_HEADER,
             csv_rows,
             json_body,
@@ -387,8 +394,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     _emit(
         _render(
             cfg,
-            _csv_comment("fit", ns, space=desc),
-            _json_meta("fit", ns, space=desc),
+            "fit",
+            ns,
+            {"space": desc},
             _FIT_HEADER,
             csv_rows,
             json_body,

@@ -16,8 +16,9 @@ is cast to complex as ``x.astype(complex)`` would.  The module computes
   (up to universal constants) by the fundamental sequence
   ``n -> pi1_fundamental(domain, codomain, n)``; the function is
   reconstructed once per descriptor pair on a geometric dimension grid
-  and cached, so repeated evaluations cost one SVD plus one
-  sequence-norm bisection.
+  and cached, so repeated evaluations cost one SVD plus one sequence
+  norm: a few Newton steps on the modular, then a bisection replayed
+  from the Newton root that evaluates only its last few steps.
 """
 
 from __future__ import annotations

@@ -499,6 +499,34 @@ class TestFitCommand:
         assert all(float(v[1]) >= 0.99 for v in rows.values())
 
 
+class TestOneHeaderPerFormat:
+    """Each output format builds only its own header, which serialises
+    every descriptor once."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("argv, descriptors", [
+        (("table", "--space", OH_JSON), 1),
+        (("fit", "--space", OH_JSON), 1),
+        (("pi1", "--domain", OH_JSON, "--codomain", OH_JSON), 2),
+    ], ids=["table", "fit", "pi1"])
+    def test_one_serialisation_per_descriptor(
+        self, capsys, monkeypatch, argv, descriptors, out_format
+    ) -> None:
+        calls = []
+        to_json = cli.descriptor_to_json
+        monkeypatch.setattr(
+            cli, "descriptor_to_json",
+            lambda desc: calls.append(desc) or to_json(desc))
+        code, out, _ = run_cli(capsys, *argv, "--n", "16,64,256",
+                               "--out", out_format)
+        assert code == 0
+        assert len(calls) == descriptors
+        if out_format == "json":
+            assert set(json.loads(out)["meta"]) >= {"tool", "n_grid"}
+        else:
+            assert out.startswith("# osinv ")
+
+
 class TestVerifyCommand:
     def test_growth_suite_passes(self, capsys) -> None:
         code, out, _ = run_cli(capsys, "verify", "--suite", "growth")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from osinv.errors import (
     NotAdmissible,
     TooFewPoints,
 )
+from osinv import orlicz
 from osinv.monotone_fn import evaluate_many, make_piecewise
 from osinv.orlicz import (
     OrliczFn,
@@ -445,10 +448,56 @@ def norm_sequences(draw) -> np.ndarray:
     return np.array([s * math.exp(v) for s, v in zip(signs, logs)])
 
 
+def _knot_drop_phi() -> OrliczFn:
+    """Exponent 1, then 4 on ``ln t`` in [-0.1, 0.1], then 1 again, with
+    ``phi(1) = 1/2``.
+
+    The norm of ``[1, 1]`` is 1.  ``ln M`` is linear with slope -1 on
+    either side of the steep piece, and the line through any point on
+    one side reaches 0 at ``ln lam = -+0.3``, on the other side: plain
+    Newton from ``lo`` (``ln lam ~ -0.39``) cycles between ``+-0.3``
+    for ever, so only the bracket safeguard lets it settle.
+    """
+    knots = [math.exp(-0.5), math.exp(-0.1), math.exp(0.1)]
+    values = [0.5 * math.exp(-0.8), 0.5 * math.exp(-0.4),
+              0.5 * math.exp(0.4)]
+    return make_orlicz(make_piecewise(knots, values, right_exponent=1.0))
+
+
+#: A single exponent (3) over several pieces.
+_CUBE_TABLE = make_orlicz(make_piecewise(
+    [0.25, 0.5, 1.0, 2.0], [0.25**3, 0.5**3, 1.0, 8.0], right_exponent=3.0))
+
+_ROOT_CASES = {
+    "one": (power_orlicz(1.5), [3.0]),
+    "one-beside-underflow": (psi(), [3.0, 1e-300]),
+    "single-exponent": (_CUBE_TABLE, np.linspace(0.1, 3.0, 40)),
+    "knot-drop": (_knot_drop_phi(), [1.0, 1.0]),
+    "knot-drop-spread": (_knot_drop_phi(), [1.0, 0.9, 1.1, 0.3, -0.7]),
+    "head": (psi(), [1.0] + [1e-9] * 60),
+    "head-only": (_CUBE_TABLE, [1e-3, 2e-3, 5e-4]),
+    "rescaled": (_knot_drop_phi(), [1e308, 3e307, 1e308]),
+}
+
+
+def _recorded_terms(monkeypatch) -> list:
+    """Record every term vector the norm sums, with its abscissas."""
+    seen = []
+    power_terms = OrliczFn._power_terms
+
+    def recording(self, flat, *pieces):
+        out = power_terms(self, flat, *pieces)
+        seen.append((self, flat.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(OrliczFn, "_power_terms", recording)
+    return seen
+
+
 class TestSequenceNormBitwise:
-    """``sequence_norm`` reuses frozen piece gathers once every entry's
-    piece is fixed on the bracket; it must return, to the bit, what the
-    per-step lookup returns."""
+    """``sequence_norm`` finds the root by Newton and replays the
+    bisection, evaluating only the steps near that root; it must return,
+    to the bit, what the bisection evaluating every step returns."""
 
     @given(st.one_of(st.sampled_from(_NAMED_PHIS), orlicz_tables()),
            norm_sequences())
@@ -480,27 +529,25 @@ class TestSequenceNormBitwise:
             s = np.linalg.svd(rng.normal(size=(r, 128)), compute_uv=False)
             assert sequence_norm(phi, s) == _per_step_sequence_norm(phi, s)
 
-    @staticmethod
-    def _recorded_terms(monkeypatch) -> list:
-        """Record every term vector the bisection sums, with its
-        abscissas."""
-        seen = []
-        power_terms = OrliczFn._power_terms
+    @pytest.mark.parametrize("case", list(_ROOT_CASES))
+    def test_root_cases(self, case):
+        phi, x = _ROOT_CASES[case]
+        assert sequence_norm(phi, x) == _per_step_sequence_norm(phi, x)
 
-        def recording(self, flat, *pieces):
-            out = power_terms(self, flat, *pieces)
-            seen.append((self, flat.copy(), out.copy()))
-            return out
-
-        monkeypatch.setattr(OrliczFn, "_power_terms", recording)
-        return seen
+    @pytest.mark.parametrize("case", list(_ROOT_CASES))
+    def test_without_a_root_every_step_is_evaluated(self, monkeypatch,
+                                                    case):
+        phi, x = _ROOT_CASES[case]
+        want = _per_step_sequence_norm(phi, x)
+        monkeypatch.setattr(orlicz, "_modular_root", lambda *args: None)
+        assert sequence_norm(phi, x) == want
 
     @pytest.mark.parametrize("n", [2, 3, 10, 128])
     def test_every_modular_matches_the_lookup(self, monkeypatch, n):
-        seen = self._recorded_terms(monkeypatch)
+        seen = _recorded_terms(monkeypatch)
         rng = np.random.default_rng(73)
         for phi in (psi(), from_weight(OH_WEIGHT), power_orlicz(2.0)):
-            for _ in range(10):
+            for _ in range(100):
                 sequence_norm(phi, np.exp(rng.uniform(-3.0, 0.0, size=n)))
         assert len(seen) > 1000
         for phi, ts, terms in seen:
@@ -509,9 +556,10 @@ class TestSequenceNormBitwise:
     @pytest.mark.parametrize("n", [2, 3, 10, 128])
     def test_midpoint_off_the_bracket(self, monkeypatch, n):
         # A geometric midpoint biased low leaves [lo, hi] once the
-        # bracket is narrow, where the pieces frozen for the bracket no
-        # longer hold: the lookup must be made afresh.
-        seen = self._recorded_terms(monkeypatch)
+        # bracket is narrow.  Far from the Newton root its side is the
+        # root's, near it the modular is evaluated there: either way the
+        # side must be the one the evaluated modular gives.
+        seen = _recorded_terms(monkeypatch)
         sqrt = math.sqrt
         monkeypatch.setattr(math, "sqrt", lambda v: sqrt(v) * (1.0 - 1e-3))
         rng = np.random.default_rng(71)
@@ -522,6 +570,155 @@ class TestSequenceNormBitwise:
                         == _per_step_sequence_norm(phi, x))
         for phi, ts, terms in seen:
             assert _same_bits(terms, _two_region_eval_many(phi, ts))
+
+
+def _bracket(phi: OrliczFn, x) -> tuple[np.ndarray, float, float] | None:
+    """The positive entries and bisection bracket of ``sequence_norm``,
+    or None where it returns before bisecting."""
+    arr = np.abs(np.asarray(x, dtype=float))
+    arr = arr[arr > 0.0]
+    if arr.size == 0:
+        return None
+    lo = float(arr.max()) / phi.inverse(1.0)
+    hi = quiet_sum(arr) / phi.inverse(1.0 / arr.size)
+    if lo == 0.0 or not math.isfinite(hi) or hi <= lo * (1.0 + 1e-12):
+        return None
+    return arr, lo, hi
+
+
+def _mp_root(phi: OrliczFn, arr: np.ndarray, lam: float):
+    """40-digit root of ``sum phi(arr_k/lam) = 1``, by Newton in
+    ``ln lam`` from `lam`, with ``phi`` evaluated from its knots, values
+    and exponents (the head piece with the left exponent)."""
+    knots = phi.body.knots
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        xs = [mpmath.mpf(float(v)) for v in arr]
+        for _ in range(50):
+            terms, slopes = [], []
+            for x in xs:
+                t = x / lam
+                j = bisect.bisect_right(knots, t)
+                if j == 0:
+                    v0, t0, e = phi.body.values[0], knots[0], phi.left_exponent
+                else:
+                    v0, t0 = phi.body.values[j - 1], knots[j - 1]
+                    e = phi.body.exponents[j - 1]
+                terms.append(v0 * (t / t0) ** e)
+                slopes.append(e * terms[-1])
+            m = mpmath.fsum(terms)
+            step = mpmath.log(m) * m / mpmath.fsum(slopes)
+            lam *= mpmath.exp(step)
+            if abs(step) < mpmath.mpf(10) ** -36:
+                return lam
+    raise AssertionError("mpmath Newton did not settle")
+
+
+def _maps_like_inputs(count: int) -> list[tuple[OrliczFn, np.ndarray]]:
+    """Singular values of seeded real matrices, 8 to 128 wide, against
+    summing functions of catalog pairs, as ``pi1_of_map`` sees them."""
+    from osinv import catalog
+    from osinv.schatten import _summing_orlicz_fn
+
+    phis = [_summing_orlicz_fn(catalog(a, *pa), catalog(b, *pb))
+            for (a, pa), (b, pb) in (
+                (("oh", ()), ("column_p", (3,))),
+                (("column_p", (2,)), ("column_p", (4,))),
+                (("cr_p", (1.5,)), ("row_p", (3,))),
+                (("row_p", (4 / 3,)), ("oh", ())),
+            )]
+    rng = np.random.default_rng(79)
+    out = []
+    for k in range(count):
+        r = int(rng.choice((8, 16, 32, 64, 128)))
+        x = rng.normal(size=(r, int(rng.integers(r, 129))))
+        out.append((phis[k % len(phis)],
+                    np.linalg.svd(x, compute_uv=False)))
+    return out
+
+
+def _battery_inputs(monkeypatch) -> list[tuple[OrliczFn, np.ndarray]]:
+    """Every ``sequence_norm`` input of the ``osinv verify`` battery."""
+    from osinv import verify
+
+    seen = []
+
+    def recording(phi, x):
+        seen.append((phi, np.asarray(x, dtype=float)))
+        return sequence_norm(phi, x)
+
+    monkeypatch.setattr(verify, "sequence_norm", recording)
+    verify._check_euclidean_norm()
+    verify._check_bisection_vs_scan()
+    verify._check_diag_decomposition()
+    return seen
+
+
+class TestModularRoot:
+    """``_modular_root`` against 40-digit roots: the replay is bit-exact
+    only if the root lies well inside ``_ROOT_BAND``."""
+
+    @pytest.mark.parametrize("case", list(_ROOT_CASES))
+    def test_named_roots_settle_near_the_true_root(self, monkeypatch, case):
+        phi, x = _ROOT_CASES[case]
+        calls = []
+        modular_root = orlicz._modular_root
+
+        def recording(phi, arr, lo, hi):
+            root = modular_root(phi, arr, lo, hi)
+            calls.append((arr, root))
+            return root
+
+        monkeypatch.setattr(orlicz, "_modular_root", recording)
+        sequence_norm(phi, x)
+        # n = 1 returns the bracket's lower end before any root is sought;
+        # the rescaled case seeks it once, on the scaled entries.
+        assert len(calls) == (case != "one")
+        for arr, root in calls:
+            assert root is not None
+            want = _mp_root(phi, arr, root)
+            assert abs(root - want) <= orlicz._ROOT_BAND / 100 * want
+
+    def test_knot_drop_needs_the_safeguard(self):
+        # The root is 1 (see _knot_drop_phi), and the bracket's midpoint
+        # is what lands on it.
+        root = orlicz._modular_root(_knot_drop_phi(),
+                                    *_bracket(_knot_drop_phi(), [1.0, 1.0]))
+        assert root == pytest.approx(1.0, rel=1e-15)
+
+    def test_single_exponent_takes_one_step(self, monkeypatch):
+        seen = _recorded_terms(monkeypatch)
+        for phi in (_CUBE_TABLE, power_orlicz(1.5), power_orlicz(2.0)):
+            for n in (2, 17, 64):
+                x = np.exp(np.random.default_rng(n).uniform(-3, 1, size=n))
+                seen.clear()
+                assert orlicz._modular_root(phi, *_bracket(phi, x)) is not None
+                # The step, then one that stops (rarely two, by rounding).
+                assert len(seen) <= 3
+
+    def test_few_evaluations_on_singular_values(self, monkeypatch):
+        inputs = _maps_like_inputs(200)
+        seen = _recorded_terms(monkeypatch)
+        for phi, s in inputs:
+            sequence_norm(phi, s)
+        # A bisection that evaluates every step takes about 42.
+        assert len(seen) / len(inputs) <= 8.0
+
+    def test_within_the_band_on_battery_and_maps_inputs(self, monkeypatch):
+        inputs = _battery_inputs(monkeypatch)
+        assert len(inputs) == 175
+        inputs += _maps_like_inputs(500)
+        checked = 0
+        for phi, x in inputs:
+            bracket = _bracket(phi, x)
+            if bracket is None:
+                continue
+            root = orlicz._modular_root(phi, *bracket)
+            assert root is not None
+            want = _mp_root(phi, bracket[0], root)
+            assert abs(root - want) <= orlicz._ROOT_BAND / 100 * want
+            checked += 1
+        assert checked > 650
 
 
 class TestFundamentalSequence:
