@@ -15,11 +15,17 @@ Four subcommands drive the library end to end:
     Run the named self-check suites and report pass/fail per check.
 
 Space descriptors are given as inline JSON or as a path to a JSON
-file; n-grids as ``"16,64,256"`` or ``"geometric:a:b:count"``.  Tables
-are written as CSV (default) or JSON, both carrying a metadata record
-of the descriptor, the grid, and the tool version; identical
-invocations produce byte-identical output.  Exit codes: 0 success,
-1 failed verification, 2 non-regular space, 3 parse/config errors.
+file; n-grids as ``"16,64,256"`` or ``"geometric:a:b:count"``.
+
+The three sweep commands share one driver: it parses the descriptors
+and the grid, sweeps once, and writes the command's view of the sweep
+(its rows, slopes and CSV footer) as CSV (default) or JSON.  Both
+formats carry a metadata record of the descriptors, the grid, and the
+tool version; ``fit`` has no rows, so its JSON holds only ``meta`` and
+``slopes``.  Identical invocations produce byte-identical output.
+
+Exit codes: 0 success, 1 failed verification, 2 non-regular space,
+3 parse/config errors.
 """
 
 from __future__ import annotations
@@ -29,9 +35,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .errors import NotRegular, OsinvError, ParseError
@@ -43,22 +48,11 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = [
     "MAX_GRID_COUNT",
     "MAX_N",
-    "RunConfig",
-    "cmd_fit",
-    "cmd_pi1",
-    "cmd_table",
     "cmd_verify",
     "main",
     "parse_n_grid",
     "parse_space_descriptor",
 ]
-
-_TABLE_HEADER = "n,phi_c,phi_r,ex,proj,pi1"
-_PI1_HEADER = (
-    "n,pi1,lambda1_mp,lambda1_pm,lambda2_mp,lambda2_pm,"
-    "lambda3_mp,lambda3_pm,s_break,t_break"
-)
-_FIT_HEADER = "quantity,slope,r_squared"
 
 #: Largest dimension an n-grid may hold: the top of the range over which
 #: the invariants are checked exact (OH ``pi1`` against its closed form).
@@ -72,21 +66,6 @@ MAX_GRID_COUNT = 10_000
 _QUOTE_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the command plus its inputs and sinks."""
-
-    command: str
-    space: str | None = None
-    domain: str | None = None
-    codomain: str | None = None
-    n_grid: str | None = None
-    out_format: str = "csv"
-    out_path: str = "-"
-    suite: str = "all"
-    timings: bool = False
-
-
 def parse_space_descriptor(text: str) -> SpaceDescriptor:
     """Descriptor from inline JSON (leading ``{``) or a JSON file path.
 
@@ -94,8 +73,8 @@ def parse_space_descriptor(text: str) -> SpaceDescriptor:
     ------
     ParseError
         Unreadable or non-UTF-8 file, malformed JSON (with line/column),
-        JSON nested too deeply to decode, or a structurally invalid
-        descriptor.
+        JSON nested too deeply to decode or holding an integer too long
+        to convert, or a structurally invalid descriptor.
     NotRegular
         Explicit fundamental tables that fail the regularity gate.
     """
@@ -118,6 +97,11 @@ def parse_space_descriptor(text: str) -> SpaceDescriptor:
     except RecursionError as exc:
         raise ParseError(
             "descriptor JSON is nested too deeply to decode"
+        ) from exc
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ParseError(
+            "descriptor JSON has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
         ) from exc
     return descriptor_from_json(obj)
 
@@ -210,35 +194,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _descriptor_json(desc: SpaceDescriptor) -> str:
-    return json.dumps(
-        descriptor_to_json(desc), sort_keys=True, separators=(",", ":")
-    )
-
-
-def _csv_comment(
-    command: str, ns: Sequence[int], **descs: SpaceDescriptor
-) -> str:
-    parts = [f"# osinv {__version__} {command}"]
-    parts += [f"{key}={_descriptor_json(d)}" for key, d in descs.items()]
-    parts.append(f"n_grid={','.join(str(n) for n in ns)}")
-    return " ".join(parts)
-
-
-def _json_meta(
-    command: str, ns: Sequence[int], **descs: SpaceDescriptor
-) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "tool": "osinv",
-        "version": __version__,
-        "command": command,
-        "n_grid": list(ns),
-    }
-    for key, d in descs.items():
-        meta[key] = descriptor_to_json(d)
-    return meta
-
-
 def _emit(text: str, out_path: str) -> None:
     if out_path == "-":
         sys.stdout.write(text)
@@ -251,39 +206,24 @@ def _emit(text: str, out_path: str) -> None:
         ) from exc
 
 
-def _render(
-    cfg: RunConfig,
-    command: str,
-    ns: Sequence[int],
-    descs: dict[str, SpaceDescriptor],
-    header: str,
-    csv_rows: list[str],
-    json_body: dict[str, Any],
-) -> str:
-    """The output in `cfg`'s format, with only that format's header built
-    (each serialises every descriptor)."""
-    if cfg.out_format == "json":
-        meta = _json_meta(command, ns, **descs)
-        return (
-            json.dumps(
-                {"meta": meta, **json_body}, indent=2, sort_keys=True
-            )
-            + "\n"
-        )
-    comment = _csv_comment(command, ns, **descs)
-    return "\n".join([comment, header, *csv_rows]) + "\n"
+#: A sweep command's view of its sweep: column names, data rows (``None``
+#: for none, and then no ``rows`` key in JSON), slopes, and the CSV lines
+#: after the rows.
+_View = tuple[
+    tuple[str, ...],
+    list[tuple[Any, ...]] | None,
+    Mapping[str, tuple[float, float]],
+    list[str],
+]
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    """Self-sweep table: fundamental functions and invariants per n."""
-    desc = parse_space_descriptor(cfg.space or "")
-    ns = parse_n_grid(cfg.n_grid or "")
-    result = sweep(desc, n_grid=ns)
+def _table_view(result: SweepResult, space: SpaceDescriptor) -> _View:
+    """Fundamental functions and invariants per n, slopes in a footer."""
     rows = [
         (
             rep.n,
-            evaluate(desc.phi_c, float(rep.n)),
-            evaluate(desc.phi_r, float(rep.n)),
+            evaluate(space.phi_c, float(rep.n)),
+            evaluate(space.phi_r, float(rep.n)),
             float(rep.ex or 0.0),
             float(rep.proj or 0.0),
             rep.pi1,
@@ -298,122 +238,89 @@ def cmd_table(cfg: RunConfig) -> int:
         "proj": result.slopes["proj"],
         "pi1": result.slopes["pi1"],
     }
-    csv_rows = [
-        ",".join([str(r[0])] + [_fmt(v) for v in r[1:]]) for r in rows
-    ]
-    csv_rows.append(
-        "slope,"
-        + ",".join(
-            _fmt(slopes[key][0])
-            for key in ("phi_c", "phi_r", "ex", "proj", "pi1")
-        )
-    )
-    json_body = {
-        "rows": [
-            dict(zip(("n", "phi_c", "phi_r", "ex", "proj", "pi1"), r))
-            for r in rows
-        ],
-        "slopes": {k: list(v) for k, v in slopes.items()},
-    }
-    _emit(
-        _render(
-            cfg,
-            "table",
-            ns,
-            {"space": desc},
-            _TABLE_HEADER,
-            csv_rows,
-            json_body,
-        ),
-        cfg.out_path,
-    )
-    return 0
+    # One column, and one footer entry, per fitted quantity.
+    footer = "slope," + ",".join(_fmt(s) for s, _ in slopes.values())
+    return ("n", *slopes), rows, slopes, [footer]
 
 
-def cmd_pi1(cfg: RunConfig) -> int:
-    """Pair sweep: summing norm with per-quadrant breakdown per n."""
-    domain = parse_space_descriptor(cfg.domain or "")
-    codomain = parse_space_descriptor(cfg.codomain or "")
-    ns = parse_n_grid(cfg.n_grid or "")
-    result = sweep(domain, codomain, n_grid=ns)
-    fields = (
+def _pi1_view(result: SweepResult, *_: SpaceDescriptor) -> _View:
+    """Summing norm with its per-quadrant breakdown per n."""
+    columns = (
         "n", "pi1", "lambda1_mp", "lambda1_pm", "lambda2_mp",
         "lambda2_pm", "lambda3_mp", "lambda3_pm", "s_break", "t_break",
     )
     rows = [
-        (
-            rep.n,
-            rep.pi1,
-            rep.lambda1[0],
-            rep.lambda1[1],
-            rep.lambda2[0],
-            rep.lambda2[1],
-            rep.lambda3[0],
-            rep.lambda3[1],
-            rep.s_break,
-            rep.t_break,
-        )
+        (rep.n, rep.pi1, *rep.lambda1, *rep.lambda2, *rep.lambda3,
+         rep.s_break, rep.t_break)
         for rep in result.reports
     ]
-    csv_rows = [
-        ",".join([str(r[0])] + [_fmt(v) for v in r[1:]]) for r in rows
-    ]
-    csv_rows.append(
-        "slope," + _fmt(result.slopes["pi1"][0]) + "," * (len(fields) - 2)
+    footer = (
+        "slope," + _fmt(result.slopes["pi1"][0]) + "," * (len(columns) - 2)
     )
-    json_body = {
-        "rows": [dict(zip(fields, r)) for r in rows],
-        "slopes": {k: list(v) for k, v in result.slopes.items()},
-    }
-    _emit(
-        _render(
-            cfg,
-            "pi1",
-            ns,
-            {"domain": domain, "codomain": codomain},
-            _PI1_HEADER,
-            csv_rows,
-            json_body,
-        ),
-        cfg.out_path,
-    )
+    return columns, rows, result.slopes, [footer]
+
+
+def _fit_view(result: SweepResult, *_: SpaceDescriptor) -> _View:
+    """Fitted exponents of a self-sweep, one CSV line per quantity."""
+    slopes = {k: result.slopes[k] for k in ("ex", "proj", "pi1")}
+    lines = [f"{k},{_fmt(s)},{_fmt(r2)}" for k, (s, r2) in slopes.items()]
+    return ("quantity", "slope", "r_squared"), None, slopes, lines
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    """``table``, ``pi1`` or ``fit``: parse the descriptors and grid,
+    sweep once, and write the command's view as CSV or JSON.
+
+    Only the chosen format's header is built, so each descriptor is
+    serialised once.
+    """
+    keys = ("domain", "codomain") if args.command == "pi1" else ("space",)
+    descs = {key: parse_space_descriptor(getattr(args, key)) for key in keys}
+    ns = parse_n_grid(args.n_grid)
+    result = sweep(*descs.values(), n_grid=ns)
+    columns, rows, slopes, footer = args.view(result, *descs.values())
+    if args.out_format == "json":
+        doc: dict[str, Any] = {
+            "meta": {
+                "tool": "osinv",
+                "version": __version__,
+                "command": args.command,
+                "n_grid": list(ns),
+                **{key: descriptor_to_json(d) for key, d in descs.items()},
+            },
+            "slopes": {k: list(v) for k, v in slopes.items()},
+        }
+        if rows is not None:
+            doc["rows"] = [dict(zip(columns, r)) for r in rows]
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        comment = " ".join([
+            f"# osinv {__version__} {args.command}",
+            *(
+                f"{key}=" + json.dumps(descriptor_to_json(d), sort_keys=True,
+                                       separators=(",", ":"))
+                for key, d in descs.items()
+            ),
+            "n_grid=" + ",".join(str(n) for n in ns),
+        ])
+        data = [
+            ",".join([str(r[0]), *(_fmt(v) for v in r[1:])])
+            for r in rows or ()
+        ]
+        lines = [comment, ",".join(columns), *data, *footer]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out_path)
     return 0
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    """Fitted exponents of a self-sweep, one row per quantity."""
-    desc = parse_space_descriptor(cfg.space or "")
-    ns = parse_n_grid(cfg.n_grid or "")
-    result: SweepResult = sweep(desc, n_grid=ns)
-    order = ("ex", "proj", "pi1")
-    csv_rows = [
-        f"{key},{_fmt(result.slopes[key][0])},{_fmt(result.slopes[key][1])}"
-        for key in order
-    ]
-    json_body = {"slopes": {k: list(result.slopes[k]) for k in order}}
-    _emit(
-        _render(
-            cfg,
-            "fit",
-            ns,
-            {"space": desc},
-            _FIT_HEADER,
-            csv_rows,
-            json_body,
-        ),
-        cfg.out_path,
-    )
-    return 0
-
-
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the self-check suites; exit 0 only if every check passes.
 
     With ``timings`` set, each check's wall time also goes to standard
     error, one ``suite.check elapsed_ms`` line per check.
     """
-    results = run_suite(cfg.suite)
-    if cfg.timings:
+    results = run_suite(args.suite)
+    if args.timings:
         for r in results:
             print(f"{r.suite + '.' + r.name:<30} {r.elapsed_ms:.1f}",
                   file=sys.stderr)
@@ -462,7 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--space", required=True, help="inline JSON descriptor or a path"
     )
-    for cmd in (table, pi1, fit):
+    views = ((table, _table_view), (pi1, _pi1_view), (fit, _fit_view))
+    for cmd, view in views:
+        cmd.set_defaults(run=_run_sweep, view=view)
         cmd.add_argument(
             "--n",
             dest="n_grid",
@@ -494,31 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print each check's elapsed milliseconds to standard error",
     )
+    verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        space=getattr(args, "space", None),
-        domain=getattr(args, "domain", None),
-        codomain=getattr(args, "codomain", None),
-        n_grid=getattr(args, "n_grid", None),
-        out_format=getattr(args, "out_format", "csv"),
-        out_path=getattr(args, "out_path", "-"),
-        suite=getattr(args, "suite", "all"),
-        timings=getattr(args, "timings", False),
-    )
-    handlers = {
-        "table": cmd_table,
-        "pi1": cmd_pi1,
-        "fit": cmd_fit,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[cfg.command](cfg)
+        return args.run(args)
     except NotRegular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

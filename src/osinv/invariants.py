@@ -19,7 +19,7 @@ evaluated in closed form per power piece:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import BadParameter, Inconsistent, TooFewPoints
@@ -179,18 +179,27 @@ def _pair_quadrants(
     )
 
 
-def _report(quads: tuple[_Quadrant, _Quadrant], n: int) -> InvariantReport:
+def _report(
+    quads: tuple[_Quadrant, _Quadrant],
+    n: int,
+    ex: _Exactness | None = None,
+) -> InvariantReport:
+    """The report at `n`.  A self-sweep passes its exactness setup `ex`,
+    and the report then also carries ``ex`` and ``proj = n/pi1``."""
     l1m, l2m, l3m, s_n, t_n = quads[0].contributions(n)
     l1p, l2p, l3p, _, _ = quads[1].contributions(n)
     total = 2.0 * n + l1m + l2m + l3m + l1p + l2p + l3p
+    pi1 = math.sqrt(total)
     return InvariantReport(
         n=n,
-        pi1=math.sqrt(total),
+        pi1=pi1,
         lambda1=(l1m, l1p),
         lambda2=(l2m, l2p),
         lambda3=(l3m, l3p),
         s_break=s_n,
         t_break=t_n,
+        ex=None if ex is None else ex.at(n),
+        proj=None if ex is None else n / pi1,
     )
 
 
@@ -358,12 +367,7 @@ def sweep(
         # `tail_b` a tail integral of the domain's own densities.
         ex = _Exactness(tail_c=quads[1].tail_b, tail_r=quads[0].tail_b,
                         anti_c=quads[0].a, anti_r=quads[1].a)
-    reports: list[InvariantReport] = []
-    for n in ns:
-        rep = _report(quads, n)
-        if ex is not None:
-            rep = replace(rep, ex=ex.at(n), proj=n / rep.pi1)
-        reports.append(rep)
+    reports = [_report(quads, n, ex) for n in ns]
     upper = reports[-window:]
     slopes: dict[str, tuple[float, float]] = {
         "pi1": fit_loglog_slope([(r.n, r.pi1) for r in upper])

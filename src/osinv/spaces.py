@@ -516,6 +516,15 @@ def _reject_booleans(where: str, *items: Any) -> None:
         raise ParseError(f"{where} must be numbers, not booleans")
 
 
+def _floats(where: str, *items: Any) -> list[float]:
+    """`items` as floats; a JSON integer beyond the float range is a
+    parse error, not an ``OverflowError``."""
+    try:
+        return [float(x) for x in items]
+    except OverflowError as exc:
+        raise ParseError(f"{where} must lie within the float range") from exc
+
+
 def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     sub = obj.get(key)
     if not isinstance(sub, Mapping):
@@ -523,8 +532,9 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     knots = sub.get("knots")
     values = sub.get("values")
     exponent = sub.get("right_exponent")
+    where = f"{key!r} entries"
     if isinstance(knots, list) and isinstance(values, list):
-        _reject_booleans(f"{key!r} entries", *knots, *values, exponent)
+        _reject_booleans(where, *knots, *values, exponent)
     if (
         not isinstance(knots, list)
         or not isinstance(values, list)
@@ -535,11 +545,14 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
             f"{key!r} needs numeric 'knots', 'values' and "
             "'right_exponent'"
         )
+    knots_f = _floats(where, *knots)
+    values_f = _floats(where, *values)
+    (exponent_f,) = _floats(where, exponent)
     try:
         return make_piecewise(
-            [float(x) for x in knots],
-            [float(x) for x in values],
-            right_exponent=float(exponent),
+            knots_f,
+            values_f,
+            right_exponent=exponent_f,
             direction="nondecreasing",
         )
     except OsinvError as exc:
@@ -577,7 +590,7 @@ def descriptor_from_json(obj: Mapping[str, Any]) -> SpaceDescriptor:
         if kind in _P_FAMILIES and not isinstance(p, (int, float)):
             raise ParseError(f"family {kind!r} needs a numeric 'p'")
         try:
-            desc = catalog(kind, float(p) if p is not None else None)
+            desc = catalog(kind, None if p is None else _floats("'p'", p)[0])
         except BadParameter as exc:
             raise ParseError(str(exc)) from exc
     else:

@@ -301,18 +301,19 @@ class TestTableCommand:
         assert [row["n"] for row in doc["rows"]] == [16, 64, 256]
         assert set(doc["slopes"]) == {"phi_c", "phi_r", "ex", "proj", "pi1"}
 
-    def test_out_path_writes_the_same_bytes(self, capsys, tmp_path) -> None:
-        _, streamed, _ = run_cli(
-            capsys, "table", "--space", OH_JSON, "--n", "16,64,256"
-        )
-        path = tmp_path / "table.csv"
-        code, out, _ = run_cli(
-            capsys,
-            "table",
-            "--space", OH_JSON,
-            "--n", "16,64,256",
-            "--out-path", str(path),
-        )
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("table", "--space", OH_JSON),
+        ("pi1", "--domain", OH_JSON, "--codomain", '{"kind":"row_p","p":3}'),
+        ("fit", "--space", OH_JSON),
+    ], ids=["table", "pi1", "fit"])
+    def test_out_path_writes_the_same_bytes(
+        self, capsys, tmp_path, argv, out_format
+    ) -> None:
+        argv = (*argv, "--n", "16,64,256", "--out", out_format)
+        _, streamed, _ = run_cli(capsys, *argv)
+        path = tmp_path / f"out.{out_format}"
+        code, out, _ = run_cli(capsys, *argv, "--out-path", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == streamed
 
@@ -388,6 +389,55 @@ class TestInputOutputErrorsExitThree:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: cannot write output file")
         assert proc.stderr.count("\n") == 1
+
+
+class TestOversizedIntegersExitThree:
+    """JSON integers beyond the float range, or longer than the
+    interpreter converts from text, are parse errors: one line, exit 3."""
+
+    HUGE = "1" + "0" * 400  # an int, but too large for a float
+    LONG = "1" * 5000  # more digits than int() parses from text
+
+    @staticmethod
+    def _space(number: str, where: str) -> str:
+        """A descriptor with `number` as its `where` field, in JSON text
+        (the number is spliced in, since it does not fit a float)."""
+        if where == "p":
+            return f'{{"kind":"column_p","p":{number}}}'
+        table = {"knots": [1.0, 4.0], "values": [1.0, 2.0],
+                 "right_exponent": 0.5}
+        table[where] = "NUMBER" if where == "right_exponent" else [
+            1.0, "NUMBER"]
+        plain = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
+        space = {"kind": "fundamental", "phi_c": table, "phi_r": plain}
+        return json.dumps(space).replace('"NUMBER"', number)
+
+    @pytest.mark.parametrize("size", ["HUGE", "LONG"])
+    @pytest.mark.parametrize(
+        "where", ["p", "knots", "values", "right_exponent"]
+    )
+    def test_descriptor_number(self, capsys, size, where) -> None:
+        space = self._space(getattr(self, size), where)
+        code, out, err = run_cli(
+            capsys, "table", "--space", space, "--n", "16,64,256"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+        if size == "HUGE":
+            assert repr(where if where == "p" else "phi_c") in err
+            assert "float" in err
+        else:
+            assert "digits" in err and "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("number", [HUGE, LONG], ids=["huge", "long"])
+    def test_grid_point(self, capsys, number) -> None:
+        code, out, err = run_cli(
+            capsys, "table", "--space", OH_JSON, "--n", f"16,64,{number}"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"2**60 = {2**60}" in err and len(err) < 200
 
 
 class TestParserCache:

@@ -3,8 +3,8 @@
 Each case runs :func:`osinv.cli.main` in-process and compares the sha256
 digest of what it wrote to stdout against a committed digest.  The set
 covers ``table`` and ``pi1`` on the four catalog families and on seeded
-many-knot fundamental tables (m = 25 and m = 200), ``fit`` on an m = 25
-table, and the full ``verify`` battery (the only path through the
+many-knot fundamental tables (m = 25 and m = 200), ``fit`` on OH and on
+an m = 25 table in both formats, and the full ``verify`` battery (the only path through the
 Orlicz and oracle code), so a change to the evaluation path that moves
 any printed digit fails here.
 
@@ -82,15 +82,20 @@ CASES: dict[str, tuple[str, ...]] = {
     "pi1-m25": _pi1(K25_A, K25_B),
     "pi1-m200": _pi1(K200_A, K200_B, "--out", "json"),
     "fit-m25": ("fit", "--space", _dump(K25_A), "--n", GRID, "--out", "json"),
+    "fit-m25-csv": ("fit", "--space", _dump(K25_A), "--n", GRID),
+    "fit-oh": ("fit", "--space", _dump(OH), "--n", GRID),
     "verify": ("verify",),
 }
 
 #: sha256 of each case's stdout, recorded before the hot-path rewrite
 #: (bisect piece lookup and per-sweep composed-integral tables); the
 #: ``fit`` and ``verify`` digests were recorded before the piece lookups
-#: of the Orlicz and oracle paths were merged into one.
+#: of the Orlicz and oracle paths were merged into one; the ``fit`` CSV
+#: digests were recorded before the three sweep commands shared a driver.
 DIGESTS = {
     "fit-m25": "6647537fdf3cb4acaa7ceaa4d9eccf419497a562d47f7e23a366c9c5bea0305f",
+    "fit-m25-csv": "e5e90cbc0255bde4f9789621fb6f4f7ede4abf43d9fa8031d421b7fa79c52981",
+    "fit-oh": "59e137b4fc0171ad262f1ba07615f69a937a402af0275f06e4ae6947159d05d9",
     "pi1-column-row": "735e2885177ef46585e8f507e4d6a767773af41328dec66eb12219116b0a151a",
     "pi1-cr-oh": "1eb4ce6510ad7c3a3b88fdd706f2cd2d99a4f0629ab35f4fbe43f846630c722b",
     "pi1-m200": "e6cca76be50a0bc385d5f89c0b05a3f80be1920d5a40146650f338e851d36e0c",

@@ -381,6 +381,22 @@ class TestSweep:
         sweep(CR15, n_grid=DYADIC)
         assert calls == {"dual": 1, "tail": 4}
 
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_builds_each_report_once(self, monkeypatch, pair):
+        # A self-sweep passes ex and proj at construction, so every
+        # report is checked once, not built and then copied.
+        calls = []
+        post_init = InvariantReport.__post_init__
+
+        def counted(rep):
+            calls.append(rep.n)
+            post_init(rep)
+
+        monkeypatch.setattr(InvariantReport, "__post_init__", counted)
+        res = sweep(OH, OH if pair else None, n_grid=DYADIC)
+        assert calls == DYADIC
+        assert all((rep.ex is None) == pair for rep in res.reports)
+
     def test_sorts_and_dedupes_grid(self):
         res = sweep(OH, n_grid=[256, 16, 16, 64])
         assert [r.n for r in res.reports] == [16, 64, 256]

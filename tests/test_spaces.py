@@ -489,6 +489,21 @@ class TestDescriptorJson:
         with pytest.raises(ParseError, match="boolean"):
             descriptor_from_json(bad)
 
+    @pytest.mark.parametrize("field", ["knots", "values", "right_exponent"])
+    def test_table_entry_beyond_the_float_range(self, field):
+        table = {"knots": [1.0, 4.0], "values": [1.0, 2.0],
+                 "right_exponent": 0.5}
+        table[field] = (10**400 if field == "right_exponent"
+                        else [1.0, 10**400])
+        wire = {"kind": "fundamental", "phi_c": {"knots": [1.0],
+                "values": [1.0], "right_exponent": 0.5}, "phi_r": table}
+        with pytest.raises(ParseError, match="'phi_r'.*float range"):
+            descriptor_from_json(wire)
+
+    def test_p_beyond_the_float_range(self):
+        with pytest.raises(ParseError, match="'p'.*float range"):
+            descriptor_from_json({"kind": "cr_p", "p": 10**400})
+
     def test_fundamental_tables_must_be_regular(self):
         wire = {
             "kind": "fundamental",
