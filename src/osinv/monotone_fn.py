@@ -15,9 +15,10 @@ piece, from ``t_m`` on, is the right tail.  The head exponent is not part
 of the table: it is 0 for the table's own constant head, and callers that
 extend the function below ``t_1`` as a pure power (Orlicz functions) pass
 the first piece's exponent.
-:func:`_local_power` finds the piece of a scalar abscissa by one
-bisection; the cached arrays ``MonotoneFn._table`` serve vectorized
-lookups.
+Scalars bisect (:func:`_local_power`, :func:`generalized_inverse`);
+:func:`compose` walks its ascending abscissas, stepping from one point's
+piece to the next; the cached arrays ``MonotoneFn._table`` serve
+vectorized lookups.
 
 Every operation in this module — evaluation, generalized inversion,
 composition, reciprocal, and integration — is closed form per segment, so
@@ -135,12 +136,11 @@ class MonotoneFn:
     @cached_property
     def segment_exponents(self) -> tuple[float, ...]:
         """Chord exponent of each bounded segment (``m - 1`` entries)."""
-        out = []
-        for (t0, t1), (v0, v1) in zip(
-            zip(self.knots, self.knots[1:]), zip(self.values, self.values[1:])
-        ):
-            out.append(math.log(v1 / v0) / math.log(t1 / t0))
-        return tuple(out)
+        k, v = self.knots, self.values
+        div = operator.truediv
+        # Through a list, so that the tuple is allocated at its size.
+        return tuple(list(map(div, map(math.log, map(div, v[1:], v)),
+                              map(math.log, map(div, k[1:], k)))))
 
     @cached_property
     def exponents(self) -> tuple[float, ...]:
@@ -366,7 +366,26 @@ def compose(f: MonotoneFn, g: MonotoneFn) -> MonotoneFn:
         if pre > 0.0:
             pts.append(pre)
     pts = _merge_close(sorted(pts))
-    raw = [evaluate(f, evaluate(g, t)) for t in pts]
+    # f(g(t)) as evaluate reads it, walking the pieces: pts ascend, and
+    # g at them only up to rounding, so f's piece may step back.
+    g_knots, g_vals, g_expo = g.knots, g.values, g.exponents
+    f_knots, f_vals, f_expo = f.knots, f.values, f.exponents
+    i, j, g_end, f_end = 0, 0, len(g_knots), len(f_knots)
+    v0, t0, e = g_vals[0], g_knots[0], 0.0  # g's constant head
+    raw = []
+    for t in pts:
+        while i < g_end and g_knots[i] <= t:
+            v0, t0, e = g_vals[i], g_knots[i], g_expo[i]
+            i += 1
+        u = v0 * (t / t0) ** e
+        if not 0.0 < u < math.inf:  # evaluate(f, u) rejects it
+            raise DomainError(f"abscissa must be a positive real, got {u}")
+        while j and f_knots[j - 1] > u:
+            j -= 1
+        while j < f_end and f_knots[j] <= u:
+            j += 1
+        k = j - 1 if j else 0
+        raw.append(f_vals[k] * (u / f_knots[k]) ** (f_expo[k] if j else 0.0))
 
     # Clamp float noise so the table passes strict monotonicity validation.
     sign = 1.0 if f.direction == "nondecreasing" else -1.0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Any
 
 from .errors import BadParameter, NotRegular, OsinvError, ParseError
@@ -147,8 +147,10 @@ class SpaceDescriptor:
     label: str = ""
     p: float | None = None
     family: str | None = None
+    #: Private: the regularity report :func:`from_fundamental` gated on.
+    _report: InitVar[RegularityReport | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _report: RegularityReport | None) -> None:
         if self.kind not in KINDS:
             raise BadParameter(f"unknown descriptor kind {self.kind!r}")
         for name, f in (("phi_c", self.phi_c), ("phi_r", self.phi_r)):
@@ -166,7 +168,8 @@ class SpaceDescriptor:
                     "be nonincreasing"
                 )
         if self.kind == "weighted":
-            report = check_space_regularity(self, _SPACE_WINDOW)
+            report = (check_space_regularity(self, _SPACE_WINDOW)
+                      if _report is None else _report)
             if not report.passed:
                 raise NotRegular(
                     "weighted structures need both fundamental functions "
@@ -356,6 +359,7 @@ def from_fundamental(
         weights=_canonical_pair(pc, pr),
         label=label,
         family="fundamental",
+        _report=report,
     )
 
 
@@ -374,12 +378,13 @@ def canonical_weights(desc: SpaceDescriptor) -> WeightPair:
     """
     if desc.weights is not None:
         return desc.weights
-    report = check_space_regularity(desc, _SPACE_WINDOW)
-    if not report.passed:
-        raise NotRegular(
-            "only regular (weighted) structures have canonical weights; "
-            f"exponent range is [{report.alpha:.6g}, {report.beta:.6g}]"
-        )
+    if desc.kind != "weighted":  # a weighted one passed this gate when built
+        report = check_space_regularity(desc, _SPACE_WINDOW)
+        if not report.passed:
+            raise NotRegular(
+                "only regular (weighted) structures have canonical weights; "
+                f"exponent range is [{report.alpha:.6g}, {report.beta:.6g}]"
+            )
     return _canonical_pair(desc.phi_c, desc.phi_r)
 
 
@@ -494,8 +499,10 @@ def descriptor_to_json(desc: SpaceDescriptor) -> dict[str, Any]:
     elif desc.family in _PLAIN_FAMILIES:
         out = {"kind": desc.family}
     else:
-        report = check_space_regularity(desc, _SPACE_WINDOW)
-        if not report.passed:
+        # A weighted descriptor passed this gate when it was built.
+        if desc.kind != "weighted" and not check_space_regularity(
+            desc, _SPACE_WINDOW
+        ).passed:
             raise NotRegular(
                 "only catalog members and regular structures have a "
                 "JSON form"
@@ -549,7 +556,7 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     values_f = _floats(where, *values)
     (exponent_f,) = _floats(where, exponent)
     try:
-        return make_piecewise(
+        f = make_piecewise(
             knots_f,
             values_f,
             right_exponent=exponent_f,
@@ -557,6 +564,12 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
         )
     except OsinvError as exc:
         raise ParseError(f"bad {key!r} table: {exc}") from exc
+    for name, xs in (("knots", f.knots), ("values", f.values)):
+        for a, b in zip(xs, xs[1:]):
+            if b / a == math.inf:  # it would read as a chord exponent of 0
+                raise ParseError(f"bad {key!r} table: the ratio of {name} "
+                                 f"{a!r} and {b!r} overflows the float range")
+    return f
 
 
 def descriptor_from_json(obj: Mapping[str, Any]) -> SpaceDescriptor:

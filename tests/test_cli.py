@@ -440,6 +440,40 @@ class TestOversizedIntegersExitThree:
         assert f"2**60 = {2**60}" in err and len(err) < 200
 
 
+class TestOverflowingRatiosExitThree:
+    """A table whose consecutive knots or values lie so far apart that
+    their ratio overflows reads a chord exponent of 0, or an inverse of
+    inf; it is a parse error that names the table and that cause, not
+    the false "flat stretch" or "got inf" it ended in before."""
+
+    PLAIN = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
+
+    @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
+    @pytest.mark.parametrize(
+        "knots, values, field, pair",
+        [
+            ([1e-310, 1.0], [1e-3, 1.0], "knots", "1e-310 and 1.0"),
+            ([1e-320, 1.0], [1e-320, 1.0], "knots", "1e-320 and 1.0"),
+            ([1e-200, 1e200], [1e-3, 1.0], "knots", "1e-200 and 1e+200"),
+            ([1.0, 4.0], [1e-310, 1.0], "values", "1e-310 and 1.0"),
+        ],
+    )
+    def test_exits_three_naming_the_cause(
+        self, capsys, side, knots, values, field, pair
+    ) -> None:
+        table = {"knots": knots, "values": values, "right_exponent": 0.5}
+        space = {"kind": "fundamental", "phi_c": self.PLAIN,
+                 "phi_r": self.PLAIN, side: table}
+        code, out, err = run_cli(
+            capsys, "table", "--space", json.dumps(space), "--n", "16,64,256"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: bad {side!r} table: the ratio of {field} {pair} "
+            "overflows the float range\n"
+        )
+
+
 class TestParserCache:
     """One parser per process; each call parses as a fresh one would."""
 

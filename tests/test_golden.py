@@ -3,9 +3,10 @@
 Each case runs :func:`osinv.cli.main` in-process and compares the sha256
 digest of what it wrote to stdout against a committed digest.  The set
 covers ``table`` and ``pi1`` on the four catalog families and on seeded
-many-knot fundamental tables (m = 25 and m = 200), ``fit`` on OH and on
-an m = 25 table in both formats, and the full ``verify`` battery (the only path through the
-Orlicz and oracle code), so a change to the evaluation path that moves
+many-knot fundamental tables (m = 25 and m = 200, the m = 200 ``table``
+in both formats), ``fit`` on OH and on an m = 25 table in both formats,
+and the full ``verify`` battery (the only path through the Orlicz and
+oracle code), so a change to the evaluation path that moves
 any printed digit fails here.
 
 The many-knot tables are generated with :class:`random.Random` and plain
@@ -79,6 +80,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "pi1-cr-oh": _pi1(CR, OH),
     "table-m25": _table(K25_A),
     "table-m200": _table(K200_A),
+    "table-m200-json": _table(K200_A, "--out", "json"),
     "pi1-m25": _pi1(K25_A, K25_B),
     "pi1-m200": _pi1(K200_A, K200_B, "--out", "json"),
     "fit-m25": ("fit", "--space", _dump(K25_A), "--n", GRID, "--out", "json"),
@@ -92,6 +94,9 @@ CASES: dict[str, tuple[str, ...]] = {
 #: ``fit`` and ``verify`` digests were recorded before the piece lookups
 #: of the Orlicz and oracle paths were merged into one; the ``fit`` CSV
 #: digests were recorded before the three sweep commands shared a driver.
+#: ``table-m200-json``, whose JSON pins ``ex`` and ``proj`` at m = 200 to
+#: every digit, was recorded before composition walked its ascending
+#: points.
 DIGESTS = {
     "fit-m25": "6647537fdf3cb4acaa7ceaa4d9eccf419497a562d47f7e23a366c9c5bea0305f",
     "fit-m25-csv": "e5e90cbc0255bde4f9789621fb6f4f7ede4abf43d9fa8031d421b7fa79c52981",
@@ -105,6 +110,7 @@ DIGESTS = {
     "table-column": "a84226c518e5bfc80369144d4d5f611aa2c7a1ef7d5363be6131cce60f3d01fb",
     "table-cr": "224875c147d7083a1db6910ad81279ba4dfcf0711c338eca71eb3278bc763e0d",
     "table-m200": "979a14cd0d524d61e1c4d6830223b53102179a44d6b5cf654a63ceb05bfa8aec",
+    "table-m200-json": "cd4c1939af7cd4cad80c8f74494cec7d283dfe4f4092d1494d332bf1fe632099",
     "table-m25": "1c08b95e45fa90a5c7ab8067b42df81f5693bcd55ed88a8d99eecc6bfb07b213",
     "table-oh": "a74d1ff82565dc366ef3cbe762c7b3722d65dd7798a03a8bf8d73b8ec0ef8469",
     "table-row": "8f7f15af2e44877973bf4abe42f335fb7721b8fc08d38d7a131a43cb5a2b5e9c",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from osinv import (
     fundamental_from_weights,
     make_piecewise,
 )
+from osinv import cli, spaces
 from osinv.errors import (
     BadParameter,
     DirectionError,
@@ -500,6 +502,25 @@ class TestDescriptorJson:
         with pytest.raises(ParseError, match="'phi_r'.*float range"):
             descriptor_from_json(wire)
 
+    @pytest.mark.parametrize("field", ["knots", "values"])
+    def test_overflowing_ratio_of_neighbours(self, field):
+        table = {"knots": [1.0, 4.0], "values": [1.0, 2.0],
+                 "right_exponent": 0.5}
+        table[field] = [1e-310, 1.0]
+        wire = {"kind": "fundamental", "phi_c": {"knots": [1.0],
+                "values": [1.0], "right_exponent": 0.5}, "phi_r": table}
+        with pytest.raises(ParseError, match=(
+            f"'phi_r' table: the ratio of {field} 1e-310 and 1.0 overflows"
+        )):
+            descriptor_from_json(wire)
+
+    def test_widest_finite_ratio_still_parses(self):
+        table = {"knots": [1e-300, 1.0], "values": [1e-300, 1.0],
+                 "right_exponent": 0.5}
+        wire = {"kind": "fundamental", "phi_c": table, "phi_r": table}
+        desc = descriptor_from_json(wire)
+        assert desc.phi_c.segment_exponents == (1.0,)
+
     def test_p_beyond_the_float_range(self):
         with pytest.raises(ParseError, match="'p'.*float range"):
             descriptor_from_json({"kind": "cr_p", "p": 10**400})
@@ -524,3 +545,52 @@ class TestDescriptorJson:
     def test_degenerate_dual_has_no_json_form(self):
         with pytest.raises(NotRegular):
             descriptor_to_json(dual(catalog("c_cap_r")))
+
+
+class TestRegularityGateOncePerDescriptor:
+    """The regularity gate runs once per descriptor: a ``table`` or
+    ``fit`` request builds its space and the antidual (2 gates), a
+    ``pi1`` request both spaces and the domain's antidual (3).  A weighted
+    descriptor passed the gate when it was built, so ``canonical_weights``
+    and ``descriptor_to_json`` do not run it again."""
+
+    TABLE = {"knots": [1.0, 10.0, 100.0], "values": [1.0, 3.0, 8.0],
+             "right_exponent": 0.4}
+    SPACE = json.dumps({"kind": "fundamental", "phi_c": TABLE,
+                        "phi_r": TABLE})
+
+    @pytest.fixture
+    def gates(self, monkeypatch):
+        calls = []
+        real = spaces._aggregate_regularity
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spaces, "_aggregate_regularity", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("table", "--space", SPACE), 2),
+        (("table", "--space", SPACE, "--out", "json"), 2),
+        (("fit", "--space", SPACE), 2),
+        (("pi1", "--domain", SPACE, "--codomain", SPACE), 3),
+    ])
+    def test_cli_request(self, gates, capsys, argv, expected):
+        assert cli.main([*argv, "--n", "16,256,4096"]) == 0
+        capsys.readouterr()
+        assert len(gates) == expected
+
+    def test_checks_of_a_built_descriptor_gate_no_more(self, gates):
+        desc = dual(from_fundamental(power(0.3), power(0.6)))
+        assert desc.weights is None and len(gates) == 2
+        canonical_weights(desc)
+        descriptor_to_json(desc)
+        assert len(gates) == 2
+
+    def test_new_tables_are_gated_afresh(self, gates):
+        desc = from_fundamental(power(0.3), power(0.6))
+        with pytest.raises(NotRegular, match="strictly inside"):
+            dataclasses.replace(desc, phi_c=power(1.0))
+        assert len(gates) == 2
