@@ -48,7 +48,7 @@ from .monotone_fn import (
     inverse_fn,
     reciprocal,
 )
-from .util import log_grid
+from .util import _ROOT_BAND, _log_newton_root, log_grid
 
 __all__ = [
     "TailIntegral",
@@ -152,6 +152,12 @@ class TailIntegral:
     @cached_property
     def _near_log_right(self) -> dict[int, float]:
         return dict(self.near_log)
+
+    @cached_property
+    def _knot_levels(self) -> list[float]:
+        """The levels ``s`` whose roots of ``t = s H(t)`` are the knots."""
+        return [t / h if (h := self.eval(t)) else math.inf
+                for t in self.density.knots]
 
     @property
     def mass(self) -> float:
@@ -369,65 +375,100 @@ def tail_fn(w: MonotoneFn, extra_knots: Sequence[float] = ()) -> MonotoneFn:
     )
 
 
+def _growth_root(hh: TailIntegral, s: float) -> float | None:
+    """The root of ``t = s H(t)`` on the piece of ``H`` holding it (found
+    from the increasing levels ``t/H(t)`` at the knots): in closed form on
+    the linear head and the pure-power tail, by Newton on an interior
+    piece.  None on a near-log piece, for a root that is not a positive
+    float, and where the piece's terms cancel so far (``s |coef (t/a)^q|
+    > 10 t``) that rounding could blur the sign of ``t - s H(t)`` over a
+    hundredth of :data:`_ROOT_BAND`."""
+    knots = hh.density.knots
+    k = bisect_left(hh._knot_levels, s)
+    if k in hh._near_log_right:
+        return None
+    const, coef, q = hh.pieces[k]
+    anchor = knots[k - 1 if k else 0]
+    try:
+        if k == 0:
+            t = s * const / (1.0 - s * coef / anchor)
+        elif k == len(knots):
+            t = anchor * (s * coef / anchor) ** (1.0 / (1.0 - q))
+        else:  # Newton on ln t - ln(s H(t)), whose slope is 1 - q term/H
+
+            def step_at(t: float) -> float:
+                term = coef * (t / anchor) ** q
+                h = const + term
+                return math.log(t / (s * h)) / (q * term / h - 1.0)
+
+            t = _log_newton_root(step_at, anchor, knots[k])
+            if t is None:
+                return None
+        cancels = s * abs(coef * (t / anchor) ** q) > 10.0 * t
+    except (ArithmeticError, ValueError):  # overflow, or a log of <= 0
+        return None
+    return t if 0.0 < t < math.inf and not cancels else None
+
+
 def _solve_growth(hh: TailIntegral, s: float) -> float:
     """Unique root of ``t = s H(t)`` (the map ``t - s H(t)`` is increasing).
 
-    The bisection looks up the piece of ``H`` at each midpoint only until
-    both ends of the bracket lie in one piece: from then on a midpoint
-    inside the bracket lies in it too, and is evaluated with that piece's
-    expression, the arithmetic of :meth:`TailIntegral.eval`, so the root
-    is bit-identical to a full lookup at every step.  Near-log pieces,
-    and midpoints that round outside the bracket, take the full lookup.
+    A bracket search from 1 by doubling or halving, then a geometric
+    bisection, replayed from the root of :func:`_growth_root`: a point
+    farther than :data:`_ROOT_BAND` from it takes its side from it, and
+    a point inside the band is evaluated with the arithmetic of
+    :meth:`TailIntegral.eval` (the piece's own expression where the band
+    lies inside one piece).  So the root is bit-identical to a search
+    that evaluates every step, as it does when there is no root.
     """
+    knots = hh.density.knots
+    root = _growth_root(hh, s)
+    tail = hh.eval
+    # Without a root the band is the whole line: every point is evaluated.
+    band_lo, band_hi = -math.inf, math.inf
+    if root is not None:
+        band_lo, band_hi = root - _ROOT_BAND * root, root + _ROOT_BAND * root
+        k = bisect_right(knots, band_lo)
+        if k == bisect_right(knots, band_hi) and k not in hh._near_log_right:
+            const, coef, q = hh.pieces[k]
+            anchor = knots[k - 1 if k else 0]
+
+            def tail(t: float) -> float:
+                return const + coef * (t / anchor) ** q
 
     def f(t: float) -> float:
-        return t - s * hh.eval(t)
+        if band_lo <= t <= band_hi:
+            return t - s * tail(t)
+        return t - root  # the sign of t - s H(t) there
 
     lo = hi = 1.0
-    if f(1.0) < 0.0:
-        for _ in range(_MAX_DOUBLINGS):
+    grow = f(1.0) < 0.0
+    for _ in range(_MAX_DOUBLINGS):
+        if grow:
             hi *= 2.0
             if f(hi) >= 0.0:
                 break
         else:
-            raise BracketFailure(
-                f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} doublings"
-            )
-    else:
-        for _ in range(_MAX_DOUBLINGS):
             lo /= 2.0
             if f(lo) <= 0.0:
                 break
-        else:
-            raise BracketFailure(
-                f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} halvings"
-            )
-    knots, near_log = hh.density.knots, hh._near_log_right
-    k_lo = bisect_right(knots, lo)
-    k_hi = bisect_right(knots, hi)
-    frozen = False  # whether const, coef, q, anchor hold the shared piece
+    else:
+        raise BracketFailure(
+            f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} "
+            + ("doublings" if grow else "halvings")
+        )
+    # Each step takes one square root, of the midpoint that becomes an end,
+    # and tests f(mid) < 0 inline.
+    sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for _ in range(_MAX_DOUBLINGS):
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if frozen and lo <= mid <= hi:
-            below = mid - s * (const + coef * (mid / anchor) ** q) < 0.0
+        mid = sqrt_lo * sqrt_hi
+        if mid < band_lo or mid <= band_hi and mid - s * tail(mid) < 0.0:
+            lo, sqrt_lo = mid, math.sqrt(mid)
         else:
-            k = bisect_right(knots, mid)
-            below = f(mid) < 0.0
-            if below:
-                k_lo = k
-            else:
-                k_hi = k
-            frozen = k_lo == k_hi and k not in near_log
-            if frozen:
-                const, coef, q = hh.pieces[k]
-                anchor = knots[k - 1 if k else 0]
-        if below:
-            lo = mid
-        else:
-            hi = mid
+            hi, sqrt_hi = mid, math.sqrt(mid)
         if hi - lo <= _BISECT_REL_TOL * hi:
             break
-    return math.sqrt(lo) * math.sqrt(hi)
+    return sqrt_lo * sqrt_hi
 
 
 def growth_fn(w: MonotoneFn, s_grid: Sequence[float] | None = None) -> MonotoneFn:

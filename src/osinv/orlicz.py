@@ -42,7 +42,7 @@ from .monotone_fn import (
     integral,
     make_piecewise,
 )
-from .util import log_grid
+from .util import _ROOT_BAND, _log_newton_root, log_grid
 
 __all__ = [
     "OrliczFn",
@@ -66,25 +66,6 @@ _EXPONENT_TOL = 1e-9
 
 #: Relative half-width of the norm bisection bracket at termination.
 _BISECT_RTOL = 1e-12
-
-#: Relative distance from the Newton root beyond which a bisection step
-#: takes its side from the root instead of evaluating the modular ``M``.
-#: The computed modular is within about ``(4 + 20 + log2(n/128)) eps``
-#: relative of the true one: a few ulp for each power, plus numpy's
-#: pairwise sum of nonnegative terms, whose blocks of 128 go through 8
-#: running sums.  Every local exponent of an admissible phi is at least
-#: 1, so ``|d ln M| >= |d ln lam|``, and a computed side can differ from
-#: the true one only within about 3e-15 relative of the root.  The
-#: Newton root is as close (tests check it against 40-digit roots to
-#: ``_ROOT_BAND / 100``), which leaves a margin of about 300 at n = 128
-#: and still over 100 at n = 10**9.
-_ROOT_BAND = 1e-12
-
-#: Newton on the modular stops at this relative step ...
-_NEWTON_RTOL = 1e-15
-
-#: ... or gives up after this many steps.
-_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -312,9 +293,12 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
     then the bisection is replayed: a midpoint farther than
     :data:`_ROOT_BAND` from that root takes its side from it, and only
     the few midpoints inside the band evaluate the modular, with the
-    arithmetic of :meth:`OrliczFn.eval_many`.  Every side is the one the
-    evaluated modular gives, so the norm is bit-identical to a bisection
-    that evaluates every step.
+    arithmetic of :meth:`OrliczFn.eval_many`.  The computed modular is
+    within about ``(24 + log2(n/128)) eps`` relative of the true one (a
+    few ulp per power, and numpy's pairwise sum), and ``|d ln M| >= |d ln
+    lam|`` as every exponent is at least 1, so rounding moves a side only
+    within about 3e-15 of the root.  The norm is thus bit-identical to a
+    bisection that evaluates every step.
     """
     arr = np.abs(np.asarray(x if isinstance(x, np.ndarray) else list(x),
                             dtype=float))
@@ -337,8 +321,10 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
 
     root = _modular_root(phi, arr, lo, hi)
     edges = phi.body._table[0]
+    # Each step takes one square root, of the midpoint that becomes an end.
+    sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for _ in range(200):
-        mid = math.sqrt(lo) * math.sqrt(hi)
+        mid = sqrt_lo * sqrt_hi
         if root is not None and abs(mid - root) > _ROOT_BAND * root:
             over = mid < root
         else:
@@ -346,12 +332,12 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
             idx = np.searchsorted(edges, ts, side="right")
             over = np.add.reduce(phi._power_terms(ts, *phi._gather(idx))) > 1.0
         if over:
-            lo = mid
+            lo, sqrt_lo = mid, math.sqrt(mid)
         else:
-            hi = mid
+            hi, sqrt_hi = mid, math.sqrt(mid)
         if hi <= lo * (1.0 + _BISECT_RTOL):
             break
-    return math.sqrt(lo) * math.sqrt(hi)
+    return sqrt_lo * sqrt_hi
 
 
 def _modular_root(
@@ -364,15 +350,13 @@ def _modular_root(
     On fixed pieces ``M`` is a sum of terms ``t_k`` proportional to
     ``lam**-e_k``, so ``ln M`` is a log-sum-exp of affine functions of
     ``u``: convex, decreasing, and linear for a single exponent (one
-    step).  Its derivative is ``-sum e_k t_k / M``.  A step that leaves
-    the bracket ``[a, b]`` shrunk by every evaluation (``M(a) > 1 >=
-    M(b)``), as across a knot where the exponent drops, is replaced by
-    the bracket's geometric midpoint.
+    step).  Its derivative is ``-sum e_k t_k / M``.  Across a knot where
+    the exponent drops a step can leave the bracket ``M(a) > 1 >= M(b)``,
+    and is replaced (see :func:`_log_newton_root`).
     """
     edges = phi.body._table[0]
-    a, b = lo, hi
-    lam = lo
-    for _ in range(_NEWTON_STEPS):
+
+    def step_at(lam: float) -> float | None:
         ts = arr / lam
         pieces = phi._gather(np.searchsorted(edges, ts, side="right"))
         terms = phi._power_terms(ts, *pieces)
@@ -381,19 +365,11 @@ def _modular_root(
             expo[head] = phi.left_exponent
         m = float(np.add.reduce(terms))
         slope = float(np.dot(expo, terms))
-        if not (0.0 < m < math.inf and 0.0 < slope < math.inf):
-            return None
-        if m > 1.0:
-            a = lam
-        else:
-            b = lam
-        step = math.log(m) * m / slope
-        if abs(step) <= _NEWTON_RTOL:
-            return lam * math.exp(step)
-        lam *= math.exp(step)
-        if not a < lam < b:
-            lam = a * math.exp(0.5 * math.log(b / a))
-    return None
+        if 0.0 < m < math.inf and 0.0 < slope < math.inf:
+            return math.log(m) * m / slope
+        return None
+
+    return _log_newton_root(step_at, lo, hi)
 
 
 def quiet_sum(arr: np.ndarray) -> float:

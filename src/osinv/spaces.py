@@ -294,11 +294,12 @@ def check_space_regularity(
     )
 
 
-def _rescaled_to_one(f: MonotoneFn) -> MonotoneFn:
-    """Divide ``f`` through by ``f(1)`` so the result is 1 at 1."""
+def _rescaled_to_one(f: MonotoneFn, name: str) -> MonotoneFn:
+    """Divide ``f``, the table `name`, by ``f(1)`` to make it 1 at 1."""
     v1 = evaluate(f, 1.0)
-    if v1 <= 0.0 or v1 != v1:
-        raise BadParameter(f"cannot normalise: f(1) = {v1!r}")
+    if not 0.0 < v1 < math.inf:
+        why = "overflows the float range" if v1 == math.inf else f"is {v1!r}"
+        raise BadParameter(f"cannot normalise {name}: its value at 1 {why}")
     if v1 == 1.0:
         return f
     return MonotoneFn(
@@ -309,13 +310,17 @@ def _rescaled_to_one(f: MonotoneFn) -> MonotoneFn:
     )
 
 
-def _canonical_pair(phi_c: MonotoneFn, phi_r: MonotoneFn) -> WeightPair:
-    """Canonical densities ``min(1, 1/phi^{-1})`` per side."""
+def _canonical_pair(
+    phi_c: MonotoneFn, phi_r: MonotoneFn, label: str
+) -> WeightPair:
+    """Canonical densities ``min(1, 1/phi^{-1})`` per side of `label`."""
     for name, f in (("phi_c", phi_c), ("phi_r", phi_r)):
-        if min(f.exponents) <= 0.0:
+        flat = [i for i, e in enumerate(f.exponents) if e <= 0.0]
+        if flat:
+            a, b = (f.knots + (math.inf,))[flat[0]:flat[0] + 2]
             raise NotRegular(
-                f"{name} has a flat stretch; cannot invert it to recover "
-                "a weight"
+                f"{name} of {label} is flat on [{a!r}, {b!r}]; cannot "
+                "invert it to recover a weight"
             )
     return WeightPair(
         clamped_reciprocal_inverse(phi_c), clamped_reciprocal_inverse(phi_r)
@@ -344,8 +349,8 @@ def from_fundamental(
     DirectionError
         An input is nonincreasing.
     """
-    pc = _rescaled_to_one(phi_c)
-    pr = _rescaled_to_one(phi_r)
+    pc = _rescaled_to_one(phi_c, "phi_c")
+    pr = _rescaled_to_one(phi_r, "phi_r")
     report = _aggregate_regularity(pc, pr, _SPACE_WINDOW)
     if not report.passed:
         raise NotRegular(
@@ -356,7 +361,7 @@ def from_fundamental(
         kind="weighted",
         phi_c=pc,
         phi_r=pr,
-        weights=_canonical_pair(pc, pr),
+        weights=_canonical_pair(pc, pr, label),
         label=label,
         family="fundamental",
         _report=report,
@@ -385,7 +390,7 @@ def canonical_weights(desc: SpaceDescriptor) -> WeightPair:
                 "only regular (weighted) structures have canonical weights; "
                 f"exponent range is [{report.alpha:.6g}, {report.beta:.6g}]"
             )
-    return _canonical_pair(desc.phi_c, desc.phi_r)
+    return _canonical_pair(desc.phi_c, desc.phi_r, desc.label)
 
 
 def fundamental_from_weights(

@@ -474,6 +474,41 @@ class TestOverflowingRatiosExitThree:
         )
 
 
+class TestErrorsNameTheirTable:
+    """A table whose value at 1 overflows, and a table whose antidual
+    ``n/phi`` is flat somewhere, are reported against the function at
+    fault: the first exits 3, the second 2 (no weight represents it)."""
+
+    PLAIN = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
+
+    def _run(self, capsys, side: str, table: dict) -> tuple[int, str, str]:
+        space = {"kind": "fundamental", "phi_c": self.PLAIN,
+                 "phi_r": self.PLAIN, side: table}
+        return run_cli(capsys, "table", "--space", json.dumps(space),
+                       "--n", "16,256,4096")
+
+    @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
+    def test_value_at_one_overflows(self, capsys, side) -> None:
+        # 1e-320 * (1/1e-320)**0.5: the ratio overflows.
+        code, out, err = self._run(capsys, side, {
+            "knots": [1e-320], "values": [1e-320], "right_exponent": 0.5})
+        assert (code, out) == (3, "")
+        assert err == (f"error: cannot normalise {side}: its value at 1 "
+                       "overflows the float range\n")
+
+    @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
+    def test_flat_stretch_of_the_antidual(self, capsys, side) -> None:
+        # Chord exponent 1 on [1e-300, 1], below the window the
+        # regularity gate reads, so n/phi is flat there.
+        code, out, err = self._run(capsys, side, {
+            "knots": [1e-300, 1.0], "values": [1e-300, 1.0],
+            "right_exponent": 0.5})
+        assert (code, out) == (2, "")
+        assert err == (f"error: {side} of dual(fundamental) is flat on "
+                       "[1e-300, 1.0]; cannot invert it to recover a "
+                       "weight\n")
+
+
 class TestParserCache:
     """One parser per process; each call parses as a fresh one would."""
 

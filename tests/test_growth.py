@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from bisect import bisect_right
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from osinv.errors import (
 from osinv.growth import (
     _BISECT_REL_TOL,
     _MAX_DOUBLINGS,
+    _ROOT_BAND,
     TailIntegral,
     _solve_growth,
     clamped_reciprocal_inverse,
@@ -742,9 +745,10 @@ def _assert_solves_bitwise(hh: TailIntegral, levels) -> None:
 
 
 class TestSolveGrowthBitwise:
-    """Once both ends of the bracket share a piece of ``H`` the solver
-    evaluates that piece directly; its roots must equal, to the bit,
-    those of a full :meth:`TailIntegral.eval` at every step."""
+    """The solver replays its bracket search and bisection from the root
+    of ``_growth_root``, evaluating only the points near it; its roots
+    must equal, to the bit, those of a full :meth:`TailIntegral.eval` at
+    every step."""
 
     @pytest.mark.parametrize("m", [5, 12, 40, 200])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -786,9 +790,32 @@ class TestSolveGrowthBitwise:
         assert which in str(want.value)
         assert str(got.value) == str(want.value)
 
+    def test_band_straddling_a_knot(self, monkeypatch):
+        # Roots at a knot and one ulp to either side: the band holds
+        # points of two pieces, which take the full lookup.
+        hh = TailIntegral.from_density(two_piece_weight())
+        full_eval = TailIntegral.eval
+        calls = []
+
+        def recording_eval(self, t):
+            calls.append(t)
+            return full_eval(self, t)
+
+        monkeypatch.setattr(TailIntegral, "eval", recording_eval)
+        knot = 100.0
+        for t in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 1e3)):
+            s = t / full_eval(hh, t)
+            root = growth._growth_root(hh, s)
+            assert abs(root - knot) <= _ROOT_BAND * knot
+            calls.clear()
+            got = _solve_growth(hh, s)
+            assert any(abs(c - root) <= _ROOT_BAND * root for c in calls)
+            assert got == _full_lookup_solve_growth(hh, s)
+
     def test_midpoints_outside_the_bracket(self, monkeypatch):
         # A square root biased low puts late midpoints below the bracket;
-        # those take the full lookup, in the solver as in the reference.
+        # far from the root they take its side, near it they are
+        # evaluated, and either way the side is the evaluated one.
         cases = [(hh, _levels(hh)) for hh in map(TailIntegral.from_density, (
             *_knotted_densities(3, 12), two_piece_weight(),
             log_segment_weight(), _near_log_weight(1e-5)))]
@@ -816,8 +843,134 @@ class TestSolveGrowthBitwise:
         for s in (10.0, 1e4, 1e7):
             calls = 0
             _solve_growth(hh, s)
-            # The bracket's evaluations, then one step before freezing.
+            # At most the evaluations of a bracket search from 1 and of
+            # one bisection step; sides taken from the root need none.
             assert calls <= math.log2(s) + 3
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_battery_solves_evaluate_almost_nothing(self, monkeypatch, a):
+        # A search evaluating every step makes about 9 full evaluations
+        # per solve on these densities.
+        from osinv.verify import _power_weight
+
+        evals = solves = 0
+        full_eval, solve = TailIntegral.eval, growth._solve_growth
+
+        def counting_eval(self, t):
+            nonlocal evals
+            evals += 1
+            return full_eval(self, t)
+
+        def counting_solve(hh, s):
+            nonlocal solves
+            solves += 1
+            return solve(hh, s)
+
+        monkeypatch.setattr(TailIntegral, "eval", counting_eval)
+        monkeypatch.setattr(growth, "_solve_growth", counting_solve)
+        growth_fn(_power_weight(a))
+        assert solves == 514
+        assert evals / solves < 0.1
+
+
+def _mp_piece_root(hh: TailIntegral, s: float, k: int, t: float) -> float:
+    """40-digit root of ``t = s (const + coef (t/a)^q)`` on piece `k` of
+    `hh`, with the piece's float constants taken exactly: Newton's method
+    in ``ln t`` from `t`."""
+    knots = hh.density.knots
+    with mpmath.workdps(40):
+        const, coef, q = map(mpmath.mpf, hh.pieces[k])
+        s_mp, t = mpmath.mpf(s), mpmath.mpf(t)
+        anchor = mpmath.mpf(knots[k - 1 if k else 0])
+        for _ in range(50):
+            term = coef * (t / anchor) ** q
+            step = (mpmath.log(t / (s_mp * (const + term)))
+                    / (q * term / (const + term) - 1))
+            t *= mpmath.exp(step)
+            if abs(step) < mpmath.mpf(10) ** -36:
+                return float(t)
+    raise AssertionError("mpmath Newton did not settle")
+
+
+def _assert_roots_near_mpmath(hh: TailIntegral, levels) -> int:
+    """Check every root ``_growth_root`` gives at `levels` against the
+    40-digit root on the piece where a full-lookup bisection puts it;
+    returns how many there were."""
+    checked = 0
+    for s in levels:
+        root = growth._growth_root(hh, s)
+        if root is None:
+            continue
+        k = bisect_right(hh.density.knots, _full_lookup_solve_growth(hh, s))
+        want = _mp_piece_root(hh, s, k, root)
+        assert abs(root - want) <= _ROOT_BAND / 100 * want, s
+        checked += 1
+    return checked
+
+
+def _battery_solves(monkeypatch) -> list[tuple[TailIntegral, float]]:
+    """Every ``_solve_growth`` input of the ``osinv verify`` battery."""
+    from osinv import verify
+
+    seen = []
+    solve = growth._solve_growth
+
+    def recording(hh, s):
+        seen.append((hh, s))
+        return solve(hh, s)
+
+    monkeypatch.setattr(growth, "_solve_growth", recording)
+    verify._check_power_law_growth()
+    verify._check_tail_growth_identity()
+    verify._check_weight_recovery()
+    return seen
+
+
+class TestGrowthRoot:
+    """``_growth_root`` against 40-digit roots: the replay is bit-exact
+    only if the root lies well inside ``_ROOT_BAND``."""
+
+    def test_battery_roots(self, monkeypatch):
+        solves = _battery_solves(monkeypatch)
+        assert len(solves) == 2322
+        assert sum(_assert_roots_near_mpmath(hh, [s])
+                   for hh, s in solves) == 2322
+
+    @pytest.mark.parametrize("m", [5, 25, 200])
+    def test_canonical_densities_of_knotted_tables(self, m):
+        for w in _knotted_densities(0, m):
+            hh = TailIntegral.from_density(w)
+            levels = _levels(hh)
+            assert _assert_roots_near_mpmath(hh, levels) == len(levels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(many_knot_fns("nonincreasing"),
+           st.lists(st.floats(-4.0, 14.0), min_size=1, max_size=8))
+    def test_random_densities(self, w, log_s):
+        hh = TailIntegral.from_density(w)
+        _assert_roots_near_mpmath(hh, [10.0**v for v in log_s])
+
+    def test_newton_kept_inside_its_piece(self):
+        # For roots near the interior piece's right end, 100, the first
+        # Newton step from its left end, 1, lands beyond 100, where the
+        # piece's expression is negative.
+        hh = TailIntegral.from_density(two_piece_weight())
+        levels = [t / hh.eval(t) for t in (80.0, 95.0, 99.0)]
+        assert _assert_roots_near_mpmath(hh, levels) == 3
+
+    @pytest.mark.parametrize("w", [
+        log_segment_weight(), _near_log_weight(1e-5),
+        _near_log_weight(-3e-7), _near_log_weight(9.5e-4),
+    ], ids=["q=0", "q=1e-5", "q=-3e-7", "q=9.5e-4"])
+    def test_none_on_near_log_pieces(self, w):
+        hh = TailIntegral.from_density(w)
+        (k, _), = hh.near_log
+        t0, t1 = hh.density.knots[k - 1], hh.density.knots[k]
+        for t in np.geomspace(t0, t1, 7)[1:-1].tolist():
+            assert growth._growth_root(hh, t / hh.eval(t)) is None
+        # The pieces beside it have roots.
+        assert growth._growth_root(hh, t0 / 2.0 / hh.eval(t0 / 2.0))
+        assert growth._growth_root(hh, 2.0 * t1 / hh.eval(2.0 * t1))
 
 
 class TestGrowthProfile:
