@@ -17,8 +17,10 @@ The two search routines evaluate each candidate decomposition with
 exact tail masses and level crossings (those primitives are validated
 independently by :func:`riemann_integral`); every reported value is the
 exact objective of a concrete candidate, so refining a search grid with
-nested points can only lower the result.  Grid minima and argmins
-tie-break toward the smallest coordinates.
+nested points can only lower the result.  Neither search scores a
+candidate known to be infeasible or recomputes a tail mass or crossing
+it has, and both keep the bits of a full search (see each function).
+Grid minima and argmins tie-break toward the smallest coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from .errors import BadCutoff, BadParameter, DomainError
 from .growth import TailIntegral
-from .monotone_fn import MonotoneFn, crossing_below, evaluate_many
+from .monotone_fn import (MonotoneFn, _crossings_below, crossing_below,
+                          evaluate_many)
 from .orlicz import OrliczFn, quiet_sum, rescaled_norm
 from .spaces import WeightPair
 
@@ -85,12 +88,18 @@ def aux_diag_norm(
     over budgets is returned.  `tau_points` sets the per-run search-grid
     size; a nested refinement never increases the result.
 
+    Budgets under ``max|x_k| (1 - 1e-9)`` are dropped unscored: below
+    ``max|x_k|`` the largest entry's slack ``(budget/max|x_k|)**2 - 1``
+    is negative, so no grid ``tau >= 0`` fits.  The entries are first
+    scaled by a power of two, exactly, as the bound is homogeneous.
+
     Raises
     ------
     BadParameter
         `tau_points` < 1.
     DomainError
-        `x` has nonfinite entries.
+        `x` has nonfinite entries, or ``sum|x_k| / min|x_k|`` exceeds
+        about 1.34e154, so its square (the grid's end) overflows.
     """
     if tau_points < 1:
         raise BadParameter(f"need at least one grid point, got {tau_points}")
@@ -98,19 +107,27 @@ def aux_diag_norm(
     xs = _clean_abs(x)
     if xs.size == 0:
         return 0.0
-
-    tau_hi = max(1e4, float(xs.sum() / xs.min()) ** 2)
+    e = math.frexp(float(xs.max()))[1]  # the largest entry to [0.5, 1)
+    xs = np.ldexp(xs, -e)
+    try:  # an entry that scales to 0 lies over 2**1074 below the largest
+        tau_hi = max(1e4, (float(xs.sum()) / float(xs.min())) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("entries spread too widely: sum/min must stay "
+                          "below 1.34e+154 to square to a float") from None
     taus = np.concatenate(([0.0], np.geomspace(1e-4, tau_hi, tau_points)))
     h_vals = row_tail.eval_many(taus)
     budgets = np.unique(np.outer(xs, np.sqrt(1.0 + taus)).ravel())
+    budgets = budgets[np.searchsorted(budgets, xs.max() * (1.0 - 1e-9)):]
 
     # Largest grid tau each entry can afford within each budget.
-    slack = (budgets[:, None] / xs[None, :]) ** 2 - 1.0
+    with np.errstate(over="ignore"):  # an infinite slack affords them all
+        slack = (budgets[:, None] / xs[None, :]) ** 2 - 1.0
     idx = np.searchsorted(taus, slack * (1.0 + 1e-12), side="right") - 1
     feasible = np.all(idx >= 0, axis=1)
     sums = np.sum(xs[None, :] ** 2 * h_vals[np.maximum(idx, 0)], axis=1)
     values = budgets + np.sqrt(sums)
-    return float(np.min(values[feasible]))
+    with np.errstate(over="ignore"):  # a bound past the float range is inf
+        return float(np.ldexp(np.min(values[feasible]), e))
 
 
 def _lattice() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,6 +169,10 @@ def indicator_search(
     increase the minimum.  Returns the grid minimum and its corner,
     tie-breaking toward the smallest coordinates.
 
+    A strip's ``H(min(cross, t*))`` is ``H(cross)`` or ``H(t*)``, both
+    computed once (``eval_many`` is elementwise, so the bits hold), and
+    the crossings are :func:`crossing_below`'s, bit for bit.
+
     Raises
     ------
     BadParameter
@@ -170,9 +191,10 @@ def indicator_search(
     col_mid = evaluate_many(col, mids)
     # Where the row density drops below each column level (0 when the
     # level is above the row's maximum).
-    cross = np.array([crossing_below(row, float(y)) for y in col_mid])
+    cross = _crossings_below(row, col_mid)
+    h_cross = row_tail.eval_many(cross)
     # Full row integral of min(col(s), row(.)) at each s-midpoint.
-    full_min = col_mid * cross + row_tail.eval_many(cross)
+    full_min = col_mid * cross + h_cross
     below = np.concatenate(([0.0], np.cumsum(full_min * widths)))
     # Constant head below the lattice: the column density is flat there.
     y0 = float(evaluate_many(col, np.array([_LATTICE_LO]))[0])
@@ -187,13 +209,15 @@ def indicator_search(
     )
     s_corners = edges[corner_idx]
     t_corners = s_corners
+    h_corners = row_tail.eval_many(t_corners)
 
     values = np.empty((corner_idx.size, t_corners.size))
     for j, t_star in enumerate(t_corners):
         tj = float(t_star)
         row_tail_j = row_tail.eval(tj)
         clipped = np.minimum(cross, tj)
-        strip = col_mid * clipped + row_tail.eval_many(clipped) - row_tail_j
+        h_clipped = np.where(cross <= tj, h_cross, h_corners[j])
+        strip = col_mid * clipped + h_clipped - row_tail_j
         beyond = np.concatenate(
             (np.cumsum((strip * widths)[::-1])[::-1], [0.0])
         )

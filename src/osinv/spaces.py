@@ -302,9 +302,15 @@ def _rescaled_to_one(f: MonotoneFn, name: str) -> MonotoneFn:
         raise BadParameter(f"cannot normalise {name}: its value at 1 {why}")
     if v1 == 1.0:
         return f
+    values = tuple(v / v1 for v in f.values)
+    for v, r in zip(f.values, values):
+        if not 0.0 < r < math.inf:
+            raise BadParameter(
+                f"cannot normalise {name}: dividing by its value at 1 "
+                f"({v1!r}) {'overflows' if r else 'underflows'} {v!r}")
     return MonotoneFn(
         knots=f.knots,
-        values=tuple(v / v1 for v in f.values),
+        values=values,
         right_exponent=f.right_exponent,
         direction=f.direction,
     )

@@ -475,9 +475,10 @@ class TestOverflowingRatiosExitThree:
 
 
 class TestErrorsNameTheirTable:
-    """A table whose value at 1 overflows, and a table whose antidual
-    ``n/phi`` is flat somewhere, are reported against the function at
-    fault: the first exits 3, the second 2 (no weight represents it)."""
+    """A table whose value at 1 overflows, or whose values leave the
+    float range when divided by it, and a table whose antidual ``n/phi``
+    is flat somewhere, are reported against the function at fault: the
+    first two exit 3, the last 2 (no weight represents it)."""
 
     PLAIN = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
 
@@ -495,6 +496,23 @@ class TestErrorsNameTheirTable:
         assert (code, out) == (3, "")
         assert err == (f"error: cannot normalise {side}: its value at 1 "
                        "overflows the float range\n")
+
+    @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
+    @pytest.mark.parametrize("table, why", [
+        # 1e-300 / 1e150 underflows to 0.
+        ({"knots": [1e-4, 1e-2, 1.0], "values": [1e-300, 1e-20, 1e150],
+          "right_exponent": 0.5}, "(1e+150) underflows 1e-300"),
+        # 1e300 / 1e-100 overflows to inf.
+        ({"knots": [1.0, 1e10, 1e20], "values": [1e-100, 1e100, 1e300],
+          "right_exponent": 0.5}, "(1e-100) overflows 1e+300"),
+    ])
+    def test_values_leave_the_range_when_normalised(
+        self, capsys, side, table, why
+    ) -> None:
+        code, out, err = self._run(capsys, side, table)
+        assert (code, out) == (3, "")
+        assert err == (f"error: cannot normalise {side}: dividing by its "
+                       f"value at 1 {why}\n")
 
     @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
     def test_flat_stretch_of_the_antidual(self, capsys, side) -> None:

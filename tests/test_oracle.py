@@ -27,13 +27,19 @@ from osinv import (
     sequence_norm,
 )
 from osinv.errors import BadCutoff, BadParameter, DomainError
+from osinv.growth import TailIntegral
+from osinv.monotone_fn import crossing_below, evaluate_many
 from osinv.orlicz import OrliczFn
 from osinv.oracle import (
+    _LATTICE_LO,
+    _lattice,
     aux_diag_norm,
     indicator_search,
     orlicz_norm_scan,
     riemann_integral,
 )
+
+from test_schatten import _knotted_space
 
 OH = catalog("oh")
 C3 = catalog("column_p", 3)
@@ -106,6 +112,40 @@ class TestAuxDiagNorm:
         with pytest.raises(BadParameter):
             aux_diag_norm(WeightPair((1.0,), (1.0,)), [1.0])
 
+    @pytest.mark.parametrize(
+        "x", [[1e160, 1.0], [1e-300, 1.0], [1e200, 1e-200], [5e-324, 1.0]]
+    )
+    def test_rejects_a_spread_whose_square_overflows(self, x) -> None:
+        # The grid ends at (sum/min)**2, past the float range here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"below 1\.34e\+154"):
+                aux_diag_norm(OH_W, x)
+
+    @pytest.mark.parametrize("e", [1018, 700, -700, -1000])
+    def test_scaling_by_a_power_of_two_is_exact(self, e) -> None:
+        # At 2**1018 the 64 entries' sum and squares overflow; at
+        # 2**-700 and below their squares underflow.
+        x = np.random.default_rng(3).lognormal(0.0, 0.5, size=64)
+        x /= x.max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert aux_diag_norm(OH_W, np.ldexp(x, e)) == math.ldexp(
+                aux_diag_norm(OH_W, x), e)
+
+    def test_bound_past_the_float_range_is_inf(self) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert aux_diag_norm(OH_W, [1e308, 1e308]) == math.inf
+
+    def test_wide_spread_scores_without_warnings(self) -> None:
+        # Slacks overflow to inf, which affords every grid tau.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = aux_diag_norm(OH_W, [1e100, 1.0])
+        with np.errstate(over="ignore"):
+            assert value == _ref_aux_diag_norm(OH_W, [1e100, 1.0])
+
 
 class TestIndicatorSearch:
     @pytest.mark.parametrize("n", [16, 256, 4096])
@@ -168,6 +208,157 @@ class TestIndicatorSearch:
     def test_rejects_discrete_pair(self) -> None:
         with pytest.raises(BadParameter):
             indicator_search(WeightPair((1.0,), (1.0,)), OH_W, 4)
+
+
+def _ref_aux_diag_norm(p: WeightPair, x, tau_points: int = 96) -> float:
+    """:func:`aux_diag_norm` scoring every budget, on unscaled entries:
+    the reference for dropping the infeasible ones."""
+    row_tail = TailIntegral.from_density(p.ur_fn)
+    xs = np.abs(np.asarray(list(x), dtype=float))
+    xs = xs[xs > 0.0]
+    tau_hi = max(1e4, float(xs.sum() / xs.min()) ** 2)
+    taus = np.concatenate(([0.0], np.geomspace(1e-4, tau_hi, tau_points)))
+    h_vals = row_tail.eval_many(taus)
+    budgets = np.unique(np.outer(xs, np.sqrt(1.0 + taus)).ravel())
+    slack = (budgets[:, None] / xs[None, :]) ** 2 - 1.0
+    idx = np.searchsorted(taus, slack * (1.0 + 1e-12), side="right") - 1
+    feasible = np.all(idx >= 0, axis=1)
+    sums = np.sum(xs[None, :] ** 2 * h_vals[np.maximum(idx, 0)], axis=1)
+    values = budgets + np.sqrt(sums)
+    return float(np.min(values[feasible]))
+
+
+def _ref_indicator_search(uE: WeightPair, vF: WeightPair, n: int,
+                          grid: int = 64) -> tuple[float, tuple[float, float]]:
+    """:func:`indicator_search` with a scalar crossing per lattice point
+    and ``H`` evaluated afresh at the clipped points of every corner."""
+    col, row = uE.uc_fn, vF.ur_fn
+    col_tail = TailIntegral.from_density(col)
+    row_tail = TailIntegral.from_density(row)
+    edges, mids, widths = _lattice()
+    col_mid = evaluate_many(col, mids)
+    cross = np.array([crossing_below(row, float(y)) for y in col_mid])
+    full_min = col_mid * cross + row_tail.eval_many(cross)
+    below = np.concatenate(([0.0], np.cumsum(full_min * widths)))
+    y0 = float(evaluate_many(col, np.array([_LATTICE_LO]))[0])
+    t0 = crossing_below(row, y0)
+    head = (y0 * t0 + row_tail.eval(t0)) * _LATTICE_LO
+    col_tails = col_tail.eval_many(edges)
+    nf = float(n)
+    span = np.geomspace(0.25, max(16.0, 4.0 * nf), grid)
+    corner_idx = np.unique(
+        np.clip(np.searchsorted(edges, span), 0, edges.size - 1)
+    )
+    s_corners = edges[corner_idx]
+    t_corners = s_corners
+    values = np.empty((corner_idx.size, t_corners.size))
+    for j, t_star in enumerate(t_corners):
+        tj = float(t_star)
+        row_tail_j = row_tail.eval(tj)
+        clipped = np.minimum(cross, tj)
+        strip = col_mid * clipped + row_tail.eval_many(clipped) - row_tail_j
+        beyond = np.concatenate(
+            (np.cumsum((strip * widths)[::-1])[::-1], [0.0])
+        )
+        a_sq = head + below[corner_idx] + beyond[corner_idx]
+        a_sq += tj * col_tails[-1]
+        b_sq = col_tails[corner_idx] * row_tail_j
+        values[:, j] = np.sqrt(nf * a_sq + nf * nf * b_sq)
+    flat = int(np.argmin(values))
+    i, j = divmod(flat, t_corners.size)
+    return float(values[i, j]), (float(s_corners[i]), float(t_corners[j]))
+
+
+def _knotted_pairs(seed: int, m: int) -> list[WeightPair]:
+    """Canonical pairs of a seeded many-knot table and of its dual."""
+    space = _knotted_space(seed, m)
+    return [canonical_weights(space), canonical_weights(dual(space))]
+
+
+#: A row density with a flat run between 2 and 4, then a t**-2 tail.
+FLAT_RUN_W = WeightPair(
+    OH_W.uc_fn,
+    make_piecewise([1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 0.5, 0.1],
+                   right_exponent=-2.0, direction="nonincreasing"),
+)
+
+#: Catalog families at several p, seeded many-knot tables (m = 5 and 25)
+#: with their duals, and a row density with a flat run.
+PAIRS = {
+    "oh": OH_W,
+    **{f"{kind}-{p}": canonical_weights(catalog(kind, p))
+       for kind in ("column_p", "row_p", "cr_p") for p in (1.25, 2.0, 3.5)},
+    **{f"knotted-{m}-{side}": pair for m in (5, 25)
+       for side, pair in zip(("space", "dual"), _knotted_pairs(m, m))},
+    "flat-run": FLAT_RUN_W,
+}
+
+
+class TestAuxDiagNormMatchesReference:
+    """Dropping budgets below the cut, and scaling the entries, leave
+    every value's bits as they were."""
+
+    @staticmethod
+    def _check(pair: WeightPair, x, tau_points: int = 96) -> None:
+        assert aux_diag_norm(pair, x, tau_points) == _ref_aux_diag_norm(
+            pair, x, tau_points)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_random_sequences(self, name: str) -> None:
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            x = rng.lognormal(0.0, 1.5, size=int(rng.integers(1, 40)))
+            self._check(PAIRS[name], x)
+
+    @pytest.mark.parametrize("tau_points", [1, 2, 96, 191])
+    @pytest.mark.parametrize("name", ["oh", "cr_p-1.25", "knotted-25-dual",
+                                      "flat-run"])
+    def test_grid_sizes(self, name: str, tau_points: int) -> None:
+        rng = np.random.default_rng(tau_points)
+        for size in (1, 12, 33):
+            self._check(PAIRS[name], rng.lognormal(0.0, 1.0, size=size),
+                        tau_points)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("x", [
+        [1.0], [3.7], [0.02], [1.0] * 2, [2.5] * 7, [1.0] * 64,
+        # On so coarse a grid the optimum is the budget max|x_k| itself.
+        [1e100, 1.0], [1e6, 1.0, 1e-3],
+        # A budget exactly at the cut: x_2 * sqrt(1 + 0) == 1 - 1e-9.
+        [1.0, 1.0 - 1e-9], [1.0, 1.0 - 1e-9, 0.5],
+    ])
+    def test_edge_sequences(self, name: str, x: list[float]) -> None:
+        with np.errstate(over="ignore"):
+            self._check(PAIRS[name], x)
+
+
+class TestIndicatorSearchMatchesReference:
+    """The vectorised crossings, and ``H`` reused at each crossing and
+    corner, leave every value and corner's bits as they were."""
+
+    @staticmethod
+    def _check(uE: WeightPair, vF: WeightPair, n: int, grid: int = 64):
+        assert indicator_search(uE, vF, n, grid) == _ref_indicator_search(
+            uE, vF, n, grid)
+
+    @pytest.mark.parametrize("grid", [2, 3, 64, 127])
+    @pytest.mark.parametrize("n", [1, 16, 256, 4096, 2**40])
+    def test_dimensions_and_grids(self, n: int, grid: int) -> None:
+        self._check(OH_W, OH_W, n, grid)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_pairs(self, name: str) -> None:
+        pair = PAIRS[name]
+        for n, grid in ((16, 64), (4096, 3), (2**40, 127)):
+            self._check(pair, pair, n, grid)
+
+    @pytest.mark.parametrize("col, row", [
+        ("column_p-1.25", "row_p-3.5"), ("knotted-5-space", "oh"),
+        ("oh", "knotted-25-dual"), ("cr_p-2.0", "flat-run"),
+    ])
+    def test_mixed_pairs(self, col: str, row: str) -> None:
+        for n in (1, 256):
+            self._check(PAIRS[col], PAIRS[row], n)
 
 
 class TestRiemannIntegral:
