@@ -41,7 +41,7 @@ from typing import Any, Mapping, Sequence
 from . import __version__
 from .errors import NotRegular, OsinvError, ParseError
 from .invariants import SweepResult, sweep
-from .monotone_fn import evaluate, fit_loglog_slope
+from .monotone_fn import evaluate
 from .spaces import SpaceDescriptor, descriptor_from_json, descriptor_to_json
 from .verify import SUITE_NAMES, run_suite
 
@@ -231,13 +231,9 @@ def _table_view(result: SweepResult, space: SpaceDescriptor) -> _View:
         for rep in result.reports
     ]
     upper = rows[-result.window:]
-    slopes = {
-        "phi_c": fit_loglog_slope([(r[0], r[1]) for r in upper]),
-        "phi_r": fit_loglog_slope([(r[0], r[2]) for r in upper]),
-        "ex": result.slopes["ex"],
-        "proj": result.slopes["proj"],
-        "pi1": result.slopes["pi1"],
-    }
+    fits = result._design.fit([[r[i] for r in upper] for i in (1, 2)])
+    slopes = dict(zip(("phi_c", "phi_r"), fits))
+    slopes.update((k, result.slopes[k]) for k in ("ex", "proj", "pi1"))
     # One column, and one footer entry, per fitted quantity.
     footer = "slope," + ",".join(_fmt(s) for s, _ in slopes.values())
     return ("n", *slopes), rows, slopes, [footer]

@@ -19,18 +19,19 @@ evaluated in closed form per power piece:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import BadParameter, Inconsistent, TooFewPoints
 from .growth import TailIntegral
 from .monotone_fn import (
     MonotoneFn,
-    _fit_rank,
+    _LogLogDesign,
     compose,
     crossing_below,
     evaluate,
-    fit_loglog_slope,
     inverse_fn,
 )
 from .spaces import SpaceDescriptor, canonical_weights, dual
@@ -106,12 +107,14 @@ class SweepResult:
     ``slopes`` maps a quantity name (``"pi1"``, and for self-sweeps
     ``"ex"`` and ``"proj"``) to ``(slope, r_squared)`` fitted over the
     last ``window`` reports, the upper half of the grid (at least 3
-    points), where small-n transients have died off.
+    points), where small-n transients have died off; ``_design`` is the
+    fit over those ``n``, for further columns.
     """
 
     reports: tuple[InvariantReport, ...]
     slopes: Mapping[str, tuple[float, float]]
     window: int
+    _design: _LogLogDesign = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,8 @@ def sweep(
     if ns[0] < 1:
         raise BadParameter(f"grid points must be >= 1, got {ns[0]}")
     window = max(3, (len(ns) + 1) // 2)
-    if _fit_rank(ns[-window:]) < 2:
+    design = _LogLogDesign(np.log(np.asarray(ns[-window:], dtype=float)))
+    if design.rank < 2:
         raise TooFewPoints(
             f"grid points {ns[-window]}..{ns[-1]} are too close in log n "
             "to fit a slope over them; spread the upper grid points apart"
@@ -369,10 +373,7 @@ def sweep(
                         anti_c=quads[0].a, anti_r=quads[1].a)
     reports = [_report(quads, n, ex) for n in ns]
     upper = reports[-window:]
-    slopes: dict[str, tuple[float, float]] = {
-        "pi1": fit_loglog_slope([(r.n, r.pi1) for r in upper])
-    }
-    if self_sweep:
-        slopes["ex"] = fit_loglog_slope([(r.n, r.ex) for r in upper])
-        slopes["proj"] = fit_loglog_slope([(r.n, r.proj) for r in upper])
-    return SweepResult(reports=tuple(reports), slopes=slopes, window=window)
+    names = ("pi1", "ex", "proj") if self_sweep else ("pi1",)
+    fits = design.fit([[getattr(r, k) for r in upper] for k in names])
+    return SweepResult(reports=tuple(reports), slopes=dict(zip(names, fits)),
+                       window=window, _design=design)

@@ -211,11 +211,12 @@ def _solve_on_segment(t0: float, v0: float, e: float, y: float) -> float:
     ------
     Unbounded
         The solution exceeds the floating-point range (exponent so close
-        to zero that the crossing is astronomically far out).
+        to zero that the crossing is astronomically far out, or ``y/v0``
+        underflowing to 0 before a negative power).
     """
     try:
         return t0 * (y / v0) ** (1.0 / e)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise Unbounded(
             f"solution of v0 (s/t0)^{e} = {y} lies beyond float range"
         ) from None
@@ -290,7 +291,7 @@ def inverse_fn(f: MonotoneFn) -> MonotoneFn:
     The returned table swaps knots and values, so it agrees with
     :func:`generalized_inverse` on the range of `f` but extends by
     continuity (constant ``t_1``) below ``f(t_1)`` instead of dropping
-    to zero.
+    to zero.  It is kept on `f`, so every later call returns it.
 
     Raises
     ------
@@ -301,6 +302,9 @@ def inverse_fn(f: MonotoneFn) -> MonotoneFn:
     Unbounded
         `f` is bounded (``e_inf == 0``), so no total inverse exists.
     """
+    inv = f.__dict__.get("_inverse")
+    if inv is not None:
+        return inv
     if f.direction != "nondecreasing":
         raise DirectionError("inverse_fn needs a nondecreasing function")
     for lo, hi in zip(f.values, f.values[1:]):
@@ -308,12 +312,15 @@ def inverse_fn(f: MonotoneFn) -> MonotoneFn:
             raise NonMonotone("inverse_fn needs strictly increasing values")
     if f.right_exponent <= 0.0:
         raise Unbounded("inverse_fn needs an unbounded range (e_inf > 0)")
-    return MonotoneFn(
+    inv = MonotoneFn(
         knots=f.values,
         values=f.knots,
         right_exponent=1.0 / f.right_exponent,
         direction="nondecreasing",
     )
+    # Frozen dataclass: store beside the fields, as cached_property does.
+    f.__dict__["_inverse"] = inv
+    return inv
 
 
 def reciprocal(f: MonotoneFn) -> MonotoneFn:
@@ -567,21 +574,47 @@ def _local_power(
     return f.values[i], f.knots[i], f.exponents[i]
 
 
-def _unit_design(ln_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.polyfit``'s design matrix ``[ln_n, 1]`` scaled to unit
-    columns, and the column scales."""
-    lhs = np.ones((ln_n.size, 2))
-    lhs[:, 0] = ln_n
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    return lhs, scale
+class _LogLogDesign:
+    """``np.polyfit``'s degree-1 system over log abscissas ``ln_n``, not
+    all 0: the design matrix ``[ln n, 1]`` scaled to unit columns, and
+    the column scales, shared by every row of ordinates fitted on them."""
 
+    def __init__(self, ln_n: np.ndarray) -> None:
+        self.ln_n = ln_n
+        self.lhs = np.ones((ln_n.size, 2))
+        self.lhs[:, 0] = ln_n
+        self.scale = np.sqrt((self.lhs * self.lhs).sum(axis=0))
+        self.lhs /= self.scale
 
-def _fit_rank(ns: Sequence[float]) -> int:
-    """Rank of the log-log fit over abscissas `ns`: below 2 exactly when
-    :func:`fit_loglog_slope` on them warns (its solver and cutoff)."""
-    lhs, _ = _unit_design(np.log(np.asarray(ns, dtype=float)))
-    return int(np.linalg.lstsq(lhs, lhs[:, 1])[2])
+    @cached_property
+    def rank(self) -> int:
+        """Below 2 exactly when :meth:`fit` warns (its solver and cutoff)."""
+        return int(np.linalg.lstsq(self.lhs, self.lhs[:, 1])[2])
+
+    def fit(self, rows: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
+        """:func:`fit_loglog_slope` of each row of ordinates, bit for bit.
+
+        The solver's default cutoff eps * max(M, N) is polyfit's len * eps.
+        One solve per row, since a 2-D right-hand side moves bits; the sums
+        run along contiguous rows, in the pairwise order of a 1-D sum.
+        """
+        ys = np.asarray(rows, dtype=float)
+        if np.any(ys <= 0.0):
+            raise NonPositive("all coordinates must be positive for a log-log fit")
+        ln_y = np.log(ys)
+        flat = (np.ptp(ln_y, axis=-1) == 0.0).tolist()
+        coef = np.zeros((len(flat), 2))
+        for i in (i for i, f in enumerate(flat) if not f):
+            coef[i], _, rank, _ = np.linalg.lstsq(self.lhs, ln_y[i])
+            if rank != 2:
+                warnings.warn("Polyfit may be poorly conditioned",
+                              np.exceptions.RankWarning, stacklevel=3)
+        slope, intercept = (coef / self.scale).T[:, :, None]
+        ss_res = ((ln_y - (slope * self.ln_n + intercept)) ** 2).sum(axis=-1)
+        mean = ln_y.sum(axis=-1, keepdims=True) / self.ln_n.size
+        ss_tot = ((ln_y - mean) ** 2).sum(axis=-1)
+        return [(0.0, 1.0) if f else (s, 1.0 - r / t) for f, s, r, t in zip(
+            flat, slope.ravel().tolist(), ss_res.tolist(), ss_tot.tolist())]
 
 
 def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -619,25 +652,7 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> tuple[float, floa
     xy = np.array(pts, dtype=float)
     if np.any(xy <= 0.0):
         raise NonPositive("all coordinates must be positive for a log-log fit")
-    ln_n, ln_y = np.log(xy).T
+    ln_n = np.log(xy[:, 0])
     if np.ptp(ln_n) == 0.0:
         raise BadParameter("all abscissas identical; slope undefined")
-    if np.ptp(ln_y) == 0.0:
-        return 0.0, 1.0
-    # np.polyfit(ln_n, ln_y, 1) without its argument handling: the same
-    # design matrix [ln_n, 1] scaled to unit columns and the same solver,
-    # whose default cutoff eps * max(M, N) is polyfit's len * eps, so the
-    # same bits.  One solve per column: a 2-D right-hand side moves bits.
-    lhs, scale = _unit_design(ln_n)
-    coef, _, rank, _ = np.linalg.lstsq(lhs, ln_y)
-    if rank != 2:
-        warnings.warn(
-            "Polyfit may be poorly conditioned",
-            np.exceptions.RankWarning,
-            stacklevel=2,
-        )
-    slope, intercept = coef / scale
-    fitted = slope * ln_n + intercept
-    ss_res = float(np.sum((ln_y - fitted) ** 2))
-    ss_tot = float(np.sum((ln_y - ln_y.mean()) ** 2))
-    return float(slope), 1.0 - ss_res / ss_tot
+    return _LogLogDesign(ln_n).fit([xy[:, 1]])[0]

@@ -5,7 +5,8 @@ digest of what it wrote to stdout against a committed digest.  The set
 covers ``table`` and ``pi1`` on the four catalog families and on seeded
 many-knot fundamental tables (m = 25 and m = 200, the m = 200 ``table``
 in both formats), ``fit`` on OH and on an m = 25 table in both formats,
-and the full ``verify`` battery (the only path through the Orlicz and
+``fit`` and ``table`` on that m = 25 table over a 300-point grid, and the
+full ``verify`` battery (the only path through the Orlicz and
 oracle code), so a change to the evaluation path that moves
 any printed digit fails here.
 
@@ -26,6 +27,9 @@ import pytest
 from osinv.cli import main
 
 GRID = "geometric:16:1048576:9"
+#: 300 points, so the slope window holds 150: above 128, where numpy's
+#: pairwise summation splits a row into blocks.
+WIDE_GRID = "geometric:16:1099511627776:300"
 
 OH = {"kind": "oh"}
 COLUMN = {"kind": "column_p", "p": 3.0}
@@ -86,6 +90,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "fit-m25": ("fit", "--space", _dump(K25_A), "--n", GRID, "--out", "json"),
     "fit-m25-csv": ("fit", "--space", _dump(K25_A), "--n", GRID),
     "fit-oh": ("fit", "--space", _dump(OH), "--n", GRID),
+    "fit-m25-wide": ("fit", "--space", _dump(K25_A), "--n", WIDE_GRID,
+                     "--out", "json"),
+    "table-m25-wide": ("table", "--space", _dump(K25_A), "--n", WIDE_GRID,
+                       "--out", "json"),
     "verify": ("verify",),
 }
 
@@ -96,10 +104,12 @@ CASES: dict[str, tuple[str, ...]] = {
 #: digests were recorded before the three sweep commands shared a driver.
 #: ``table-m200-json``, whose JSON pins ``ex`` and ``proj`` at m = 200 to
 #: every digit, was recorded before composition walked its ascending
-#: points.
+#: points.  The two ``-wide`` digests, whose slopes are fitted over 150
+#: points, were recorded before the fits of a sweep shared one design.
 DIGESTS = {
     "fit-m25": "6647537fdf3cb4acaa7ceaa4d9eccf419497a562d47f7e23a366c9c5bea0305f",
     "fit-m25-csv": "e5e90cbc0255bde4f9789621fb6f4f7ede4abf43d9fa8031d421b7fa79c52981",
+    "fit-m25-wide": "3c1e0640bee4607afefca81ca1612b5d17364757c057d79471f2d5dd032d521b",
     "fit-oh": "59e137b4fc0171ad262f1ba07615f69a937a402af0275f06e4ae6947159d05d9",
     "pi1-column-row": "735e2885177ef46585e8f507e4d6a767773af41328dec66eb12219116b0a151a",
     "pi1-cr-oh": "1eb4ce6510ad7c3a3b88fdd706f2cd2d99a4f0629ab35f4fbe43f846630c722b",
@@ -111,6 +121,7 @@ DIGESTS = {
     "table-cr": "224875c147d7083a1db6910ad81279ba4dfcf0711c338eca71eb3278bc763e0d",
     "table-m200": "979a14cd0d524d61e1c4d6830223b53102179a44d6b5cf654a63ceb05bfa8aec",
     "table-m200-json": "cd4c1939af7cd4cad80c8f74494cec7d283dfe4f4092d1494d332bf1fe632099",
+    "table-m25-wide": "81d7593116e05e8ab303d233828987b01535593440f94e8fa5e5b4228a47582e",
     "table-m25": "1c08b95e45fa90a5c7ab8067b42df81f5693bcd55ed88a8d99eecc6bfb07b213",
     "table-oh": "a74d1ff82565dc366ef3cbe762c7b3722d65dd7798a03a8bf8d73b8ec0ef8469",
     "table-row": "8f7f15af2e44877973bf4abe42f335fb7721b8fc08d38d7a131a43cb5a2b5e9c",

@@ -25,10 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osinv.growth
 import osinv.invariants
-from osinv import catalog, dual, from_fundamental, make_piecewise
+from osinv import catalog, dual, evaluate, from_fundamental, make_piecewise
 from osinv.errors import BadParameter, Inconsistent, NotRegular, TooFewPoints
 from osinv.growth import TailIntegral
+from osinv.monotone_fn import inverse_fn
 from osinv.invariants import (
     InvariantReport,
     exactness,
@@ -52,6 +54,17 @@ DYADIC = [2**k for k in range(4, 21)]
 
 def conjugate(p: float) -> float:
     return p / (p - 1.0)
+
+
+def knotted_table(rng: random.Random, m: int):
+    """Fundamental table on ``m`` log-spaced knots over ``[1, 1e6]``
+    (the knot 1 alone for ``m = 1``), with chord exponents and right
+    exponent drawn from (0.3, 0.7)."""
+    knots = [10.0 ** (6.0 * i / (m - 1)) for i in range(m)] if m > 1 else [1.0]
+    values = [1.0]
+    for t0, t1 in zip(knots, knots[1:]):
+        values.append(values[-1] * (t1 / t0) ** rng.uniform(0.3, 0.7))
+    return make_piecewise(knots, values, right_exponent=rng.uniform(0.3, 0.7))
 
 
 class TestPi1Fundamental:
@@ -339,16 +352,8 @@ class TestSweep:
         # A sweep shares one quadrant pair and one exactness setup across
         # its grid; each value must be the pointwise one, to the bit.
         rng = random.Random(11)
-
-        def table(m: int):
-            knots = [10.0 ** (6.0 * i / (m - 1)) for i in range(m)]
-            values = [1.0]
-            for t0, t1 in zip(knots, knots[1:]):
-                values.append(values[-1] * (t1 / t0) ** rng.uniform(0.3, 0.7))
-            return make_piecewise(knots, values,
-                                  right_exponent=rng.uniform(0.3, 0.7))
-
-        knotted = from_fundamental(table(40), table(40))
+        knotted = from_fundamental(knotted_table(rng, 40),
+                                   knotted_table(rng, 40))
         grid = [1, 3, 16, 100, 4096, 2**20]
         for domain, codomain in [(knotted, None), (knotted, C3), (OH, knotted)]:
             res = sweep(domain, codomain, grid)
@@ -380,6 +385,26 @@ class TestSweep:
                             classmethod(counted_from_density))
         sweep(CR15, n_grid=DYADIC)
         assert calls == {"dual": 1, "tail": 4}
+
+    def test_inverts_each_fundamental_function_once(self, monkeypatch):
+        # The canonical weights and the quadrant build invert the same
+        # four functions: the antidual's and the space's own.
+        inverted = []
+
+        def counted(f):
+            if "_inverse" not in f.__dict__:
+                inverted.append(f)
+            return inverse_fn(f)
+
+        for module in (osinv.growth, osinv.invariants):
+            monkeypatch.setattr(module, "inverse_fn", counted)
+        rng = random.Random(5)
+        space = from_fundamental(knotted_table(rng, 5), knotted_table(rng, 5))
+        sweep(space, n_grid=DYADIC)
+        anti = dual(space)
+        assert len(inverted) == 4
+        assert set(inverted) == {space.phi_c, space.phi_r, anti.phi_c,
+                                 anti.phi_r}
 
     @pytest.mark.parametrize("pair", [False, True])
     def test_builds_each_report_once(self, monkeypatch, pair):
@@ -432,3 +457,52 @@ class TestSweep:
         res = sweep(desc, n_grid=[16, 256, 4096, 65536])
         assert res.slopes["ex"][0] > 0.0
         assert all(r.pi1 >= math.sqrt(r.n) for r in res.reports)
+
+
+class TestManyKnotDuality:
+    """Symmetries of the definitions on seeded many-knot tables, where
+    no closed form pins ``pi1``: the summing norm of ``F -> G`` is that
+    of ``G* -> F*`` with the axes exchanged (lambda1 and lambda2 swap,
+    and so do the two mixed quadrants), the projection constant is
+    self-dual, and ``phi(n) * phi*(n) = n`` on each side.  Exactness is
+    not self-dual, so it is not checked here."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def _pair(m: int):
+        rng = random.Random(m)
+        return tuple(
+            from_fundamental(knotted_table(rng, m), knotted_table(rng, m))
+            for _ in range(2)
+        )
+
+    @pytest.mark.parametrize("m", [1, 5, 25, 100])
+    def test_pi1_of_the_adjoint_pair(self, m):
+        f, g = self._pair(m)
+        for n in (16, 4096, 2**20):
+            rep = pi1_fundamental(f, g, n)
+            adj = pi1_fundamental(dual(g), dual(f), n)
+            assert adj.pi1 == pytest.approx(rep.pi1, rel=self.TOL)
+            for mine, theirs in ((rep.lambda1, adj.lambda2),
+                                 (rep.lambda2, adj.lambda1),
+                                 (rep.lambda3, adj.lambda3)):
+                assert theirs[::-1] == pytest.approx(mine, rel=self.TOL)
+
+    @pytest.mark.parametrize("m", [1, 5, 25, 100])
+    def test_projection_is_self_dual(self, m):
+        for space in self._pair(m):
+            anti = dual(space)
+            for n in (16, 4096, 2**20):
+                assert projection(anti, n) == pytest.approx(
+                    projection(space, n), rel=self.TOL)
+
+    @pytest.mark.parametrize("m", [1, 5, 25, 100])
+    def test_fundamental_functions_multiply_to_n(self, m):
+        for space in self._pair(m):
+            anti = dual(space)
+            for n in (16, 4096, 2**20):
+                for side in ("phi_c", "phi_r"):
+                    product = (evaluate(getattr(space, side), n)
+                               * evaluate(getattr(anti, side), n))
+                    assert product == pytest.approx(n, rel=self.TOL)

@@ -25,8 +25,8 @@ from osinv.errors import (
 )
 from osinv.monotone_fn import (
     MonotoneFn,
+    _LogLogDesign,
     _crossings_below,
-    _fit_rank,
     _local_power,
     _solve_on_segment,
     compose,
@@ -232,6 +232,19 @@ class TestInverseFn:
         with pytest.raises(DirectionError):
             inverse_fn(power_fn(-1.0))
 
+    def test_kept_on_the_function(self):
+        f = make_piecewise([1.0, 2.0, 8.0], [1.0, 4.0, 16.0], right_exponent=3.0)
+        inv = inverse_fn(f)
+        assert inverse_fn(f) is inv
+        fresh = inverse_fn(make_piecewise(f.knots, f.values, f.right_exponent))
+        assert fresh is not inv and fresh == inv
+
+    def test_error_is_not_kept(self):
+        f = make_piecewise([1.0, 2.0], [1.0, 2.0], right_exponent=0.0)
+        for _ in range(2):
+            with pytest.raises(Unbounded):
+                inverse_fn(f)
+
 
 class TestReciprocal:
     def test_values_and_direction(self):
@@ -424,6 +437,16 @@ class TestCrossingsBelow:
             crossing_below(w, 0.5)
         with pytest.raises(Unbounded) as vector:
             _crossings_below(w, np.array([2.0, 0.5]))
+        assert str(vector.value) == str(scalar.value)
+
+    def test_underflowing_level_ratio_is_unbounded(self):
+        # 1e-300 / 1e300 underflows to 0 before the power -1.
+        w = make_piecewise([1.0], [1e300], right_exponent=-1.0,
+                           direction="nonincreasing")
+        with pytest.raises(Unbounded, match="beyond float range") as scalar:
+            crossing_below(w, 1e-300)
+        with pytest.raises(Unbounded) as vector:
+            _crossings_below(w, np.array([0.5, 1e-300]))
         assert str(vector.value) == str(scalar.value)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -668,5 +691,71 @@ class TestFitRank:
         result, caught = _outcome(
             fit_loglog_slope, [(n, math.sqrt(n)) for n in ns]
         )
-        assert (_fit_rank(ns) < 2) == (bool(caught) or result == "BadParameter")
-        assert (_fit_rank(ns) < 2) == (step <= 2**16)
+        rank = _LogLogDesign(np.log(np.asarray(ns, dtype=float))).rank
+        assert (rank < 2) == (bool(caught) or result == "BadParameter")
+        assert (rank < 2) == (step <= 2**16)
+
+
+def _window(rng: np.random.Generator, size: int) -> list[float]:
+    """`size` distinct abscissas: integers up to 2**60, or a log-uniform
+    spread of reals."""
+    if rng.random() < 0.5:
+        ns = set()
+        while len(ns) < size:
+            ns.add(int(rng.integers(1, 2**60)))
+        return sorted(float(n) for n in ns)
+    return np.sort(np.exp(rng.uniform(-50.0, 50.0, size))).tolist()
+
+
+class TestBatchedFit:
+    """One design fits several rows of ordinates, each bit for bit as
+    :func:`fit_loglog_slope` fits it alone and as ``np.polyfit`` does,
+    also past the 8-element blocks and the 128-element halving of
+    numpy's pairwise sums."""
+
+    @pytest.mark.parametrize(
+        "size", [3, 5, 7, 8, 9, 16, 64, 127, 128, 129, 130, 257, 1100]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_single_fits(self, size, seed):
+        rng = np.random.default_rng([seed, size])
+        ns = _window(rng, size)
+        design = _LogLogDesign(np.log(np.asarray(ns)))
+        for count in range(1, 6):
+            rows = [np.exp(rng.uniform(-300.0, 300.0, size)).tolist(),
+                    [2.5 * n**0.3 * (60.0 + math.log(n)) for n in ns],
+                    [float(rng.uniform(0.1, 10.0))] * size,  # constant
+                    np.exp(rng.normal(0.0, 1.0, size)).tolist()]
+            rows = [rows[int(k)] for k in rng.integers(0, 4, size=count)]
+            got = design.fit(rows)
+            assert len(got) == count
+            for row, fit in zip(rows, got):
+                pts = list(zip(ns, row))
+                assert repr(fit) == repr(fit_loglog_slope(pts))
+                assert repr(fit) == repr(_polyfit_slope(pts))
+
+    def test_constant_rows(self):
+        design = _LogLogDesign(np.log([16.0, 64.0, 256.0]))
+        assert design.fit([[3.0] * 3, [1.0, 2.0, 4.0], [0.5] * 3]) == [
+            (0.0, 1.0), fit_loglog_slope([(16, 1), (64, 2), (256, 4)]),
+            (0.0, 1.0)]
+
+    def test_nan_row_leaves_the_others(self):
+        design = _LogLogDesign(np.log([1.0, 2.0, 4.0]))
+        nan_fit, fit = design.fit([[1.0, math.nan, 3.0], [1.0, 2.0, 3.0]])
+        assert math.isnan(nan_fit[0]) and math.isnan(nan_fit[1])
+        assert fit == fit_loglog_slope([(1, 1), (2, 2), (4, 3)])
+
+    def test_non_positive_ordinate(self):
+        design = _LogLogDesign(np.log([1.0, 2.0, 4.0]))
+        with pytest.raises(NonPositive):
+            design.fit([[1.0, 2.0, 3.0], [1.0, 0.0, 3.0]])
+
+    def test_deficient_design_warns_once_per_fitted_row(self):
+        ns = [2**60 - 8192, 2**60 - 4096, 2**60]
+        design = _LogLogDesign(np.log(np.asarray(ns, dtype=float)))
+        assert design.rank < 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            design.fit([[1.0, 2.0, 3.0], [5.0] * 3, [3.0, 2.0, 1.0]])
+        assert [w.category for w in caught] == [np.exceptions.RankWarning] * 2
