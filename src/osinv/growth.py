@@ -20,6 +20,7 @@ that need a :class:`MonotoneFn`.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -130,9 +131,7 @@ class TailIntegral:
         pieces.append((0.0, h_right, q_inf))
         h_next = h_right  # H at the left edge of the piece just added
         for i in range(m - 2, -1, -1):
-            t0, t1 = knots[i], knots[i + 1]
-            v0 = vals[i]
-            e = w.segment_exponents[i]
+            t0, t1, v0, e = knots[i], knots[i + 1], vals[i], w.segment_exponents[i]
             q = e + 1.0
             # Every chord exponent within 1e-9 of -1 lands here too, since
             # ln(t1/t0) < 1455 for floats.
@@ -141,9 +140,10 @@ class TailIntegral:
                 near_log.append((i + 1, h_next))
                 h_next = h_next + _segment_integral(v0, t0, e, t0, t1)
             else:
-                const = h_next + (v0 * t0 / q) * (t1 / t0) ** q
-                pieces.append((const, -v0 * t0 / q, q))
-                h_next = const - v0 * t0 / q
+                scale = v0 * t0 / q  # -scale is -v0 * t0 / q, bit for bit
+                const = h_next + scale * (t1 / t0) ** q
+                pieces.append((const, -scale, q))
+                h_next = const - scale
         # Constant head: H(t) = H(t_1) + v_1 (t_1 - t) on (0, t_1].
         pieces.append((h_next + vals[0] * knots[0], -vals[0] * knots[0], 1.0))
         pieces.reverse()
@@ -238,13 +238,17 @@ class TailIntegral:
         is one power piece and ``tau(s)`` stays in one piece of ``H``."""
         mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
         v0, t0, m_exp = _local_power(tau, mid)
-        tau_mid = v0 * (mid / t0) ** m_exp
-        knots = self.density.knots
-        k = bisect_right(knots, tau_mid)
+        k = bisect_right(self.density.knots, v0 * (mid / t0) ** m_exp)
+        return self._located_segment(k, v0, t0, m_exp, x, y)
+
+    def _located_segment(self, k: int, v0: float, t0: float, m_exp: float,
+                         x: float, y: float) -> float:
+        """_composed_segment given tau's piece ``v0 (s/t0)^m_exp``, H's piece `k`."""
         right = self._near_log_right.get(k)
         if right is not None:
             return self._near_log_segment(k, right, v0, t0, m_exp, x, y)
         const, coef, q = self.pieces[k]
+        knots = self.density.knots
         return const * (y - x) + _segment_integral(
             coef * (v0 / knots[k - 1 if k else 0]) ** q, t0, m_exp * q, x, y
         )
@@ -297,11 +301,11 @@ class _ComposedTable:
     cuts gives a prefix of ``merged``, so an integral from 0 is a prefix
     value plus at most one partial segment, with the same float
     operations in the same order as splitting ``[0, hi]`` afresh.
-    ``prefix`` grows only as far as queries reach, so no segment is
-    evaluated that the range asked for does not contain; a lock keeps
-    concurrent extensions from interleaving.  The table is kept on its
-    tail integral and so takes that as an argument rather than holding
-    it, which would make a reference cycle.
+    ``prefix`` grows only as far as queries reach, in a walk that resumes
+    where the last stopped, so no segment is evaluated that the range asked
+    for does not contain; a lock keeps extensions from interleaving.  The
+    table is kept on its tail integral and so takes that as an argument
+    rather than holding it, which would make a reference cycle.
     """
 
     def __init__(self, hh: TailIntegral, tau: MonotoneFn) -> None:
@@ -317,6 +321,7 @@ class _ComposedTable:
         self.raw = sorted(cuts)
         self.merged = _merge_close([0.0] + self.raw)
         self.prefix = [0.0]
+        self._walk = 0, 0, tau.values[0], tau.knots[0], 0.0  # see integral
         self._lock = threading.Lock()
 
     def integral(self, hh: TailIntegral, lo: float, hi: float) -> float:
@@ -333,10 +338,25 @@ class _ComposedTable:
         k = bisect_left(merged, hi) - 1
         if len(prefix) <= k:
             with self._lock:
-                while len(prefix) <= k:
-                    j = len(prefix)
-                    prefix.append(prefix[-1] + hh._composed_segment(
-                        self.tau, merged[j - 1], merged[j]))
+                # _composed_segment's pieces, stepped to from the last mid's: i tau
+                # knots and d H edges <= it and its image (tau ascends to rounding).
+                tk, tv, te = self.tau.knots, self.tau.values, self.tau.exponents
+                edges, segment = hh.density.knots, hh._located_segment
+                i, d, v0, t0, e, total = *self._walk, prefix[-1]
+                n_tau, n_edges = len(tk), len(edges)
+                for x, y in zip(merged[len(prefix) - 1:k], merged[len(prefix):k + 1]):
+                    mid = math.sqrt(x) * math.sqrt(y) if x > 0.0 else y / 2.0
+                    while i < n_tau and tk[i] <= mid:
+                        v0, t0, e = tv[i], tk[i], te[i]
+                        i += 1
+                    u = v0 * (mid / t0) ** e
+                    while d and edges[d - 1] > u:
+                        d -= 1
+                    while d < n_edges and edges[d] <= u:
+                        d += 1
+                    total += segment(d, v0, t0, e, x, y)
+                    prefix.append(total)
+                self._walk = i, d, v0, t0, e
         total = prefix[k]
         if hi > merged[k] * (1.0 + _KNOT_MERGE_RTOL):
             total += hh._composed_segment(self.tau, merged[k], hi)
@@ -572,9 +592,9 @@ def regularity_report(
     slopes: list[float] = []
     if f.knots[0] > _REG_LO:
         slopes.append(0.0)  # constant head intersects the window
-    for i, e in enumerate(f.segment_exponents):
-        if f.knots[i + 1] > _REG_LO and f.knots[i] < _REG_HI:
-            slopes.append(e)
+    # The segments [t_i, t_{i+1}] with t_{i+1} > LO and t_i < HI, in order.
+    lo = max(bisect_right(f.knots, _REG_LO) - 1, 0)
+    slopes += f.segment_exponents[lo:bisect_left(f.knots, _REG_HI)]
     if f.knots[-1] < _REG_HI:
         slopes.append(f.right_exponent)
     alpha = min(slopes)
@@ -596,15 +616,12 @@ def clamped_reciprocal_inverse(f: MonotoneFn) -> MonotoneFn:
     """
     t0 = evaluate(f, 1.0)
     w = reciprocal(inverse_fn(f))
-    knots = [t0]
-    values = [1.0]
-    for t, v in zip(w.knots, w.values):
-        if t > t0 * (1.0 + 1e-12) and v <= 1.0:
-            knots.append(t)
-            values.append(v)
+    # Knots past t0 (1 + 1e-12) with values <= 1 (falling): a suffix.
+    k = max(bisect_right(w.knots, t0 * (1.0 + 1e-12)),
+            bisect_left(w.values, -1.0, key=operator.neg))
     return MonotoneFn(
-        knots=tuple(knots),
-        values=tuple(values),
+        knots=(t0,) + w.knots[k:],
+        values=(1.0,) + w.values[k:],
         right_exponent=w.right_exponent,
         direction="nonincreasing",
     )

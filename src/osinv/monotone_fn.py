@@ -17,8 +17,9 @@ extend the function below ``t_1`` as a pure power (Orlicz functions) pass
 the first piece's exponent.
 Scalars bisect (:func:`_local_power`, :func:`generalized_inverse`);
 :func:`compose` walks its ascending abscissas, stepping from one point's
-piece to the next; the cached arrays ``MonotoneFn._table`` serve
-vectorized lookups.
+piece to the next, and so does the composed-integral table of
+``growth.TailIntegral`` over its ascending cuts; the cached arrays
+``MonotoneFn._table`` serve vectorized lookups.
 
 Every operation in this module — evaluation, generalized inversion,
 composition, reciprocal, and integration — is closed form per segment, so
@@ -34,6 +35,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -267,7 +269,7 @@ def generalized_inverse(f: MonotoneFn, y: float) -> float:
     if f.direction != "nondecreasing":
         raise DirectionError("generalized inverse needs a nondecreasing function")
     y = float(y)
-    if not (math.isfinite(y) and y > 0.0):
+    if not 0.0 < y < math.inf:
         raise DomainError(f"level must be a positive real, got {y}")
     vals = f.values
     j = bisect_right(vals, y) - 1
@@ -331,7 +333,7 @@ def reciprocal(f: MonotoneFn) -> MonotoneFn:
     """
     return MonotoneFn(
         knots=f.knots,
-        values=tuple(1.0 / v for v in f.values),
+        values=tuple(map(operator.truediv, repeat(1.0), f.values)),
         right_exponent=-f.right_exponent,
         direction="nonincreasing"
         if f.direction == "nondecreasing"
@@ -341,10 +343,12 @@ def reciprocal(f: MonotoneFn) -> MonotoneFn:
 
 def _merge_close(sorted_pts: list[float]) -> list[float]:
     """Drop near-duplicate abscissas (relative tolerance 1e-13)."""
-    out: list[float] = []
-    for t in sorted_pts:
-        if not out or t > out[-1] * (1.0 + _KNOT_MERGE_RTOL):
+    out, c = sorted_pts[:1], 1.0 + _KNOT_MERGE_RTOL
+    bound = out[0] * c if out else 0.0
+    for t in islice(sorted_pts, 1, None):
+        if t > bound:
             out.append(t)
+            bound = t * c
     return out
 
 
@@ -394,17 +398,14 @@ def compose(f: MonotoneFn, g: MonotoneFn) -> MonotoneFn:
         k = j - 1 if j else 0
         raw.append(f_vals[k] * (u / f_knots[k]) ** (f_expo[k] if j else 0.0))
 
-    # Clamp float noise so the table passes strict monotonicity validation.
-    sign = 1.0 if f.direction == "nondecreasing" else -1.0
-    vals = [raw[0]]
-    for v in raw[1:]:
-        if sign * (v - vals[-1]) < 0.0:
-            if abs(v - vals[-1]) > 1e-9 * max(abs(v), abs(vals[-1])):
-                raise NonMonotone(
-                    "composition produced a genuinely non-monotone table"
-                )
-            v = vals[-1]
-        vals.append(v)
+    # Clamp dips of float noise (<= 1e-9) so the table passes validation;
+    # values already in order (one sort of sorted data) need no clamp.
+    vals = raw
+    if raw != sorted(raw, reverse=f.direction != "nondecreasing"):
+        vals = list(accumulate(raw, max if f.direction == "nondecreasing" else min))
+        for v, clamped in zip(raw, vals):
+            if abs(v - clamped) > 1e-9 * max(abs(v), abs(clamped)):
+                raise NonMonotone("composition produced a genuinely non-monotone table")
 
     e_inner = g.right_exponent
     e_outer = f.right_exponent
@@ -507,15 +508,19 @@ def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> flo
         return -v0 * t0 * _ratio_pow(x, t0, p) / p
     if x == 0.0:
         return v0 * t0 * _ratio_pow(y, t0, p) / p
-    big = _log_ratio(y, t0)
-    small = _log_ratio(x, t0)
-    if abs(p) * max(abs(big), abs(small)) < 1e-3:
-        return v0 * t0 * (
-            (big - small)
-            + p * (big * big - small * small) / 2.0
-            + p * p * (big**3 - small**3) / 6.0
-            + p**3 * (big**4 - small**4) / 24.0
-        )
+    # The series needs |p| max(|ln(y/t0)|, |ln(x/t0)|) < 1e-3, and that max is
+    # >= ln(y/x)/2 >= (y-x)/(2y): past this gate (a factor 2 for rounding) no log
+    # is taken.  (y-x)/y keeps its digits for subnormal y; 4e-3*y would vanish.
+    if (y - x) / y * abs(p) < 4e-3:
+        big = _log_ratio(y, t0)
+        small = _log_ratio(x, t0)
+        if abs(p) * max(abs(big), abs(small)) < 1e-3:
+            return v0 * t0 * (
+                (big - small)
+                + p * (big * big - small * small) / 2.0
+                + p * p * (big**3 - small**3) / 6.0
+                + p**3 * (big**4 - small**4) / 24.0
+            )
     return v0 * t0 * (_ratio_pow(y, t0, p) - _ratio_pow(x, t0, p)) / p
 
 

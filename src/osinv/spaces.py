@@ -21,6 +21,7 @@ interchange format for the command-line tools.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, replace
 from typing import Any
@@ -328,6 +329,10 @@ def _canonical_pair(
                 f"{name} of {label} is flat on [{a!r}, {b!r}]; cannot "
                 "invert it to recover a weight"
             )
+        if 1.0 / f.knots[0] == math.inf:
+            raise BadParameter(f"{name} of {label} has a knot {f.knots[0]!r} whose "
+                               "reciprocal overflows the float range; cannot "
+                               "invert it to recover a weight")
     return WeightPair(
         clamped_reciprocal_inverse(phi_c), clamped_reciprocal_inverse(phi_r)
     )
@@ -419,17 +424,22 @@ def fundamental_from_weights(
     return growth_fn(pair.uc_fn), growth_fn(pair.ur_fn)
 
 
-def _dual_fn(f: MonotoneFn) -> MonotoneFn:
-    """Exact table for ``n -> n / f(n)`` on ``[1, inf)``."""
+def _dual_fn(f: MonotoneFn, name: str, label: str) -> MonotoneFn:
+    """Exact table for ``n -> n / f(n)`` on ``[1, inf)``: `name` of antidual `label`."""
     knots, values = f.knots, f.values
     if knots[0] > 1.0:
         # Make the constant head explicit so the dual's linear piece on
         # [1, knots[0]] is represented.
         knots = (1.0,) + knots
         values = (values[0],) + values
+    values = tuple(map(operator.truediv, knots, values))
+    if not all(map(operator.le, values, values[1:])):  # a chord of f about 1
+        i = next(i for i in range(len(values)) if values[i + 1] < values[i])
+        raise NotRegular(f"{name} of {label} falls on [{knots[i]!r}, {knots[i + 1]!r}]"
+                         "; cannot invert it to recover a weight")
     return MonotoneFn(
         knots=knots,
-        values=tuple(t / v for t, v in zip(knots, values)),
+        values=values,
         right_exponent=1.0 - f.right_exponent,
         direction="nondecreasing",
     )
@@ -473,11 +483,12 @@ def dual(desc: SpaceDescriptor) -> SpaceDescriptor:
         if family == "cr_p":
             p = p / (p - 1.0)
         return catalog(family, p)
+    label = _dual_label(desc.label)
     return SpaceDescriptor(
         kind=_DUAL_KIND.get(desc.kind, desc.kind),
-        phi_c=_dual_fn(desc.phi_c),
-        phi_r=_dual_fn(desc.phi_r),
-        label=_dual_label(desc.label),
+        phi_c=_dual_fn(desc.phi_c, "phi_c", label),
+        phi_r=_dual_fn(desc.phi_r, "phi_r", label),
+        label=label,
         family=family,
     )
 
@@ -530,7 +541,7 @@ def descriptor_to_json(desc: SpaceDescriptor) -> dict[str, Any]:
 def _reject_booleans(where: str, *items: Any) -> None:
     """JSON ``true``/``false`` load as ``bool``, a subclass of ``int``;
     they are not numbers here."""
-    if any(isinstance(x, bool) for x in items):
+    if bool in map(type, items):
         raise ParseError(f"{where} must be numbers, not booleans")
 
 
@@ -538,7 +549,7 @@ def _floats(where: str, *items: Any) -> list[float]:
     """`items` as floats; a JSON integer beyond the float range is a
     parse error, not an ``OverflowError``."""
     try:
-        return [float(x) for x in items]
+        return list(map(float, items))
     except OverflowError as exc:
         raise ParseError(f"{where} must lie within the float range") from exc
 
@@ -576,10 +587,10 @@ def _fn_from_json(obj: Mapping[str, Any], key: str) -> MonotoneFn:
     except OsinvError as exc:
         raise ParseError(f"bad {key!r} table: {exc}") from exc
     for name, xs in (("knots", f.knots), ("values", f.values)):
-        for a, b in zip(xs, xs[1:]):
-            if b / a == math.inf:  # it would read as a chord exponent of 0
-                raise ParseError(f"bad {key!r} table: the ratio of {name} "
-                                 f"{a!r} and {b!r} overflows the float range")
+        if math.inf in map(operator.truediv, xs[1:], xs):  # a chord exponent of 0
+            a, b = next((a, b) for a, b in zip(xs, xs[1:]) if b / a == math.inf)
+            raise ParseError(f"bad {key!r} table: the ratio of {name} "
+                             f"{a!r} and {b!r} overflows the float range")
     return f
 
 

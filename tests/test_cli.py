@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import json
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -525,6 +527,105 @@ class TestErrorsNameTheirTable:
         assert err == (f"error: {side} of dual(fundamental) is flat on "
                        "[1e-300, 1.0]; cannot invert it to recover a "
                        "weight\n")
+
+
+    @pytest.mark.parametrize("side, other", [("phi_c", "phi_r"),
+                                             ("phi_r", "phi_c")])
+    def test_knot_whose_reciprocal_overflows(self, capsys, side, other) -> None:
+        # The weight min(1, 1/phi^{-1}) takes 1/1.873e-320, which overflows.
+        space = {"kind": "fundamental", side: {
+            "knots": [1.873e-320, 5.7874189711757315e-276,
+                      8.55413767385286e-260],
+            "values": [3.278456479281221e-29, 3.278456479617072e-29,
+                       4.845746994308608e-13],
+            "right_exponent": 0.5,
+        }, other: {"knots": [1.8755904280642766e-88],
+                   "values": [1.281262575465051e-81], "right_exponent": 0.5}}
+        code, out, err = run_cli(capsys, "table", "--space",
+                                 json.dumps(space), "--n", "16,256,4096")
+        assert (code, out) == (3, "")
+        assert err == (f"error: {side} of fundamental has a knot 1.873e-320 "
+                       "whose reciprocal overflows the float range; cannot "
+                       "invert it to recover a weight\n")
+
+    def test_antidual_falling_by_rounding(self, capsys) -> None:
+        # phi_r's chords are 1 to rounding, below the window the gate
+        # reads, so n/phi_r drops by an ulp on its last segment.
+        space = {"kind": "fundamental", "phi_c": {
+            "knots": [1.0678946574942475e-279],
+            "values": [5.2703810800524574e-278],
+            "right_exponent": 0.08544141537749098,
+        }, "phi_r": {
+            "knots": [3.896701928419833e-256, 8.093240652000042e-245,
+                      9.331159854565421e-218, 1.3850550692849637e-201,
+                      2.837297764437351e-178],
+            "values": [1.0272407328365024e-62, 2.1335238391039512e-51,
+                       2.4598616118062373e-24, 2.9560675179815286e-18,
+                       605553.0892807595],
+            "right_exponent": 0.1533231880779799,
+        }}
+        code, out, err = run_cli(capsys, "table", "--space",
+                                 json.dumps(space), "--n", "16,256,4096")
+        assert (code, out) == (2, "")
+        assert err == ("error: phi_r of dual(fundamental) falls on "
+                       "[1.3850550692849637e-201, 2.837297764437351e-178]; "
+                       "cannot invert it to recover a weight\n")
+
+
+class TestHostileTables:
+    """Seeded tables at the edges of the float range, through ``table``,
+    ``fit`` and ``pi1`` in process with warnings as errors: every run
+    exits 0, 2 or 3; a failure prints one ``error:`` line that names a
+    table, the descriptor or the grid, and a success no nan or inf."""
+
+    #: Chord and right exponents; None draws one uniformly from [0, 1).
+    CHORDS = (0.0, 1e-12, 1.0 - 1e-12, 1.0, None)
+    #: A table, both (the regularity gate's "fundamental functions"), the
+    #: descriptor JSON or the grid.
+    NAMED = re.compile(r"phi_[cr]|fundamental functions|descriptor|grid")
+
+    def _table(self, rng: random.Random) -> dict:
+        logs = sorted({rng.uniform(-323.0, 300.0)
+                       for _ in range(rng.randint(1, 12))})
+        level = rng.uniform(-323.0, 300.0)
+        values = [10.0**level]
+        for a, b in zip(logs, logs[1:]):
+            e = rng.choice(self.CHORDS)
+            e = rng.random() if e is None else e
+            level = min(max(level + e * (b - a), -323.0), 300.0)
+            values.append(10.0**level)
+        e = rng.choice(self.CHORDS)
+        return {"knots": [10.0**x for x in logs], "values": values,
+                "right_exponent": rng.random() if e is None else e}
+
+    def _space(self, rng: random.Random) -> str:
+        return json.dumps({"kind": "fundamental", "phi_c": self._table(rng),
+                           "phi_r": self._table(rng)})
+
+    def test_every_exit_is_clean(self, capsys) -> None:
+        rng = random.Random(3)
+        bad = []
+        for _ in range(3000):
+            op = rng.choice(["table", "fit", "pi1"])
+            argv = [op, "--n", "16,256,4096"]
+            if op == "pi1":
+                argv += ["--domain", self._space(rng),
+                         "--codomain", self._space(rng)]
+            else:
+                argv += ["--space", self._space(rng)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *argv)
+            if code == 0:
+                clean = err == "" and not re.search("nan|inf", out, re.I)
+            else:
+                clean = (code in (2, 3) and out == ""
+                         and err.startswith("error: ")
+                         and err.count("\n") == 1
+                         and self.NAMED.search(err) is not None)
+            if not clean:
+                bad.append((code, err, argv))
+        assert bad == []
 
 
 class TestParserCache:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 from bisect import bisect_right
@@ -45,7 +46,9 @@ from osinv.monotone_fn import (
     integral,
     make_piecewise,
 )
+from osinv.invariants import _pair_quadrants, sweep
 from osinv.spaces import canonical_weights, from_fundamental
+from test_schatten import _knotted_space
 
 
 def power_weight(a: float) -> "make_piecewise":
@@ -520,6 +523,79 @@ class TestComposedTableMatchesLoop:
                 continue
             assert _outcome(hh.integral_of_composed, tau, lo, hi) == (
                 _outcome(_loop_integral_of_composed, hh, tau, lo, hi))
+
+    @staticmethod
+    def _each_order(hh: TailIntegral, tau, his: list[float], rng) -> None:
+        """`his` queried ascending, descending and shuffled, each on a
+        fresh table, give the reference's bits."""
+        want = {hi: _outcome(_loop_integral_of_composed, hh, tau, 0.0, hi)
+                for hi in his}
+        for order in (sorted(his), sorted(his, reverse=True),
+                      rng.sample(his, len(his))):
+            fresh = TailIntegral.from_density(hh.density)
+            assert [_outcome(fresh.integral_of_composed, tau, 0.0, hi)
+                     for hi in order] == [want[hi] for hi in order]
+
+    @pytest.mark.parametrize("m", [25, 200])
+    def test_knotted_tables_in_any_query_order(self, m):
+        # Both composed tables of both quadrants of a seeded self-pair.
+        desc = _knotted_space(18 + m, m)
+        rng = random.Random(m)
+        for quad in _pair_quadrants(desc, desc):
+            for hh, tau in ((quad.tail_b, quad.tau_ab),
+                            (quad.tail_a, quad.tau_ba)):
+                cuts = _cuts(hh, tau)
+                his = [c * r for c in rng.sample(cuts, 3)
+                       for r in (1.0, 1.0 + 5e-14, 1.0 - 2e-13)]
+                his += [rng.uniform(cuts[0], cuts[-1]) for _ in range(3)]
+                his += [cuts[0] * 0.5, cuts[-1] * 10.0]
+                self._each_order(hh, tau, his, rng)
+
+    def test_near_log_density_in_any_query_order(self):
+        # Chord -1 + 1e-4 on knots a factor 2 apart: |q| L = 6.9e-5, so
+        # every segment piece of H is near-log.
+        knots = [2.0**i for i in range(12)]
+        w = make_piecewise(knots, [1.0 / t ** (1.0 - 1e-4) for t in knots],
+                           right_exponent=-2.0, direction="nonincreasing")
+        hh = TailIntegral.from_density(w)
+        assert len(hh.near_log) == len(knots) - 1
+        tau = make_piecewise([0.7 * 1.5**i for i in range(14)],
+                             [0.7 * 1.5 ** (1.1 * i) for i in range(14)],
+                             right_exponent=1.1)
+        rng = random.Random(4)
+        his = [c * r for c in _cuts(hh, tau)[::3] for r in (1.0, 1.0 + 3e-13)]
+        his += [rng.uniform(0.1, 300.0) for _ in range(6)]
+        self._each_order(hh, tau, his, rng)
+
+    def test_piece_of_h_steps_back(self):
+        # Computed values of tau ascend only up to rounding; exaggerated
+        # here, tau falls from 6 to 4 on [6, 9], back across H's edge at
+        # 5, so the walk steps H's piece back as a bisection would find it.
+        tau = make_piecewise([1.0, 6.0, 9.0, 12.0], [1.0, 6.0, 9.0, 12.0],
+                             right_exponent=1.0)
+        tau.__dict__["segment_exponents"] = (1.0, -1.0, 1.0)  # as cached
+        w = make_piecewise([2.0, 5.0, 8.0], [1.0, 0.5, 0.2],
+                           right_exponent=-2.0, direction="nonincreasing")
+        hh = TailIntegral.from_density(w)
+        self._each_order(hh, tau, [3.0, 6.5, 7.0, 8.5, 10.0, 20.0],
+                         random.Random(5))
+
+    def test_one_bisecting_lookup_per_integral(self, monkeypatch):
+        # A 9-point self-sweep takes two integrals per quadrant per n.
+        # Their prefixes walk the cuts, so only a partial last segment
+        # finds its pieces by bisection: at most 36 lookups (one per
+        # segment of each prefix, 836, before the walk).
+        lookups = []
+        segment = TailIntegral._composed_segment
+
+        def counted(self, tau, x, y):
+            lookups.append((x, y))
+            return segment(self, tau, x, y)
+
+        monkeypatch.setattr(TailIntegral, "_composed_segment", counted)
+        sweep(_knotted_space(200, 200),
+              n_grid=[16 * 4**k for k in range(9)])
+        assert 0 < len(lookups) <= 36
 
     def test_hi_merged_into_the_last_cut(self):
         # hi within 1e-13 of a cut is dropped, so the range ends at the cut.
