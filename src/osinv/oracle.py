@@ -10,8 +10,9 @@ quantities the slow, obvious way so the two can be compared:
   for the mixed quadrant over rectangle corners on a log grid;
 * :func:`riemann_integral` — plain log-grid trapezoid integration, the
   oracle for the closed-form integrals;
-* :func:`orlicz_norm_scan` — a scan for the Luxemburg norm's modular
-  crossing, the oracle for the bisection solver.
+* :func:`orlicz_norm_scan` — a search of a fixed grid for the Luxemburg
+  norm's modular crossing, whose output equals a full scan's, the oracle
+  for the bisection solver.
 
 The two search routines evaluate each candidate decomposition with
 exact tail masses and level crossings (those primitives are validated
@@ -51,16 +52,8 @@ _LATTICE_LO = 1e-6
 _LATTICE_HI = 1e8
 _LATTICE_PER_DECADE = 96
 
-# Scan resolution of orlicz_norm_scan; the candidates per block of its
-# largest-term bound row; and the (entry, lam) pairs it evaluates in its
-# first chunk of ascending lam, doubling per chunk up to the cap.  The
-# crossing lies a few hundred candidates past the first unskipped one on
-# the verify battery's sequences, so small first chunks waste little;
-# chunks of 8k-16k pairs ran fastest there, 32k and up slower.
+# Scan resolution of orlicz_norm_scan.
 _SCAN_POINTS = 10_000
-_SCAN_BLOCK = 1_024
-_SCAN_FIRST_CHUNK = 1_024
-_SCAN_CHUNK = 16_384
 
 
 def _clean_abs(x: Iterable[float]) -> np.ndarray:
@@ -303,29 +296,28 @@ def riemann_integral(
 
 
 def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
-    """Luxemburg norm by scanning for the modular crossing of 1.
+    """Luxemburg norm by searching a fixed grid for the modular crossing
+    of 1.
 
-    Scans log-spaced candidates ``lam`` between ``max|x_k| / 1e3`` and
-    ``1e3 * sum|x_k|`` for the first one whose modular
-    ``sum_k phi(|x_k|/lam)`` is at most 1, and returns the crossing
-    abscissa log-interpolated within the cell it closes (the modular is
-    nonincreasing in ``lam``).  The zero or empty sequence has norm 0,
-    and a norm beyond the float range is ``inf``.
+    The candidates are 10,000 log-spaced ``lam`` between ``max|x_k| /
+    1e3`` and ``1e3 * sum|x_k|``.  The result is that of a full scan:
+    the first candidate whose modular ``sum_k phi(|x_k|/lam)`` is at most
+    1, with the crossing abscissa log-interpolated within the cell it
+    closes.  The zero or empty sequence has norm 0, and a norm beyond the
+    float range is ``inf``.
 
-    Candidates whose largest term ``phi(max|x_k|/lam)`` alone exceeds 1
-    are skipped: every term is >= 0, and a float sum of nonnegative
-    terms, in any order, is at least its largest term (``fl(a + b) >=
-    a``), so such a candidate's modular exceeds 1 and it cannot be the
-    first crossing.  The bound needs no monotonicity of ``phi``.  It is
-    taken with a 1e-9 margin, which covers last-bit differences between
-    the bound's row of terms and the same terms evaluated in a chunk.
-    The bound row is taken in blocks of 1,024 candidates up to the first
-    block holding an unskipped candidate.  The rest are evaluated in
-    ascending chunks, from the last skipped candidate (the left end of a
-    crossing cell), starting at about 1,024 (entry, lam) pairs and
-    doubling per chunk up to 16,384, and the scan stops at the first
-    chunk holding a crossing; later candidates cannot change the first
-    crossing, so the result is that of a full scan.
+    The first crossing is found by bisecting the candidate index, which
+    evaluates the modular at no more than 15 candidates.  That finds the scan's
+    candidate because the candidates whose computed modular is at most 1
+    form a suffix of the grid.  ``OrliczFn`` guarantees a nondecreasing
+    body with every exponent at least ``1 - 1e-9``, so ``M(r lam) <=
+    M(lam) / r**(1 - 1e-9)`` for ``r >= 1``.  Consecutive candidates
+    differ by a ratio of at least ``(1e6)**(1/9999)``, about ``1 +
+    1.38e-3``.  The computed terms and their pairwise sum are within
+    about 1e-14 relative of the exact ones, far inside that ratio, so a
+    candidate whose computed modular is at most 1 is followed by one
+    whose computed modular is below 1.  Each candidate's terms are
+    summed as one row, in the same order as a full-grid sum.
 
     Raises
     ------
@@ -337,42 +329,29 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
         return 0.0
     largest = float(xs.max())
     top = 1e3 * quiet_sum(xs)
-    if not math.isfinite(top):
+    if largest / 1e3 == 0.0 or not math.isfinite(top):
+        # The grid's lower end underflows or its upper end overflows.
         e = math.frexp(largest)[1]  # the largest entry to [0.5, 1)
         return rescaled_norm(orlicz_norm_scan, phi, xs, e)
     lams = np.geomspace(largest / 1e3, top, _SCAN_POINTS)
-    for block in range(0, lams.size, _SCAN_BLOCK):
-        bound = phi.eval_many(largest / lams[block:block + _SCAN_BLOCK])
-        over = bound > 1.0 + 1e-9
-        if not over.all():
-            break
-    else:
+
+    def modular(k: int) -> float:
+        return float(np.add.reduce(phi.eval_many(xs / lams[k])))
+
+    m_lo = modular(0)
+    if m_lo <= 1.0:
+        return float(lams[0])
+    lo, hi = 0, lams.size  # modular over 1 at lo; at most 1 at hi, or past
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        m = modular(mid)
+        if m <= 1.0:
+            hi, m_hi = mid, m
+        else:
+            lo, m_lo = mid, m
+    if hi == lams.size:
         return float(lams[-1])
-    start = max(block + int(np.argmin(over)) - 1, 0)
-    cap = max(1, _SCAN_CHUNK // xs.size)
-    step = min(max(1, _SCAN_FIRST_CHUNK // xs.size), cap)
-    m_prev = math.nan  # modular at the candidate before the chunk
-    while start < lams.size:
-        chunk = lams[start:start + step]
-        # Entry-major ratios keep each row sorted for the piece lookup;
-        # each lam's terms are then summed as one contiguous row, in the
-        # same pairwise order as a full-grid sum.
-        terms = phi.eval_many(xs[:, None] / chunk[None, :])
-        modular = np.ascontiguousarray(terms.T).sum(axis=1)
-        under = modular <= 1.0
-        if not under.any():
-            m_prev = float(modular[-1])
-            start += step
-            step = min(2 * step, cap)
-            continue
-        j = int(np.argmax(under))
-        k = start + j
-        if k == 0:
-            return float(lams[0])
-        m_lo = float(modular[j - 1]) if j else m_prev
-        m_hi = float(modular[j])
-        if m_hi <= 0.0 or m_lo <= m_hi:
-            return float(lams[k])
-        frac = math.log(m_lo) / (math.log(m_lo) - math.log(m_hi))
-        return float(lams[k - 1] * (lams[k] / lams[k - 1]) ** frac)
-    return float(lams[-1])
+    if m_hi <= 0.0 or m_lo <= m_hi:
+        return float(lams[hi])
+    frac = math.log(m_lo) / (math.log(m_lo) - math.log(m_hi))
+    return float(lams[lo] * (lams[hi] / lams[lo]) ** frac)

@@ -172,11 +172,10 @@ class SpaceDescriptor:
             report = (check_space_regularity(self, _SPACE_WINDOW)
                       if _report is None else _report)
             if not report.passed:
-                raise NotRegular(
+                raise _not_regular(
                     "weighted structures need both fundamental functions "
-                    f"to have exponents strictly inside (0, 1); got "
-                    f"[{report.alpha:.6g}, {report.beta:.6g}]"
-                )
+                    "to have exponents strictly inside (0, 1)",
+                    self.phi_c, self.phi_r)
 
 
 def _power_fn(exponent: float) -> MonotoneFn:
@@ -280,6 +279,19 @@ def _aggregate_regularity(
     )
 
 
+def _not_regular(
+    lead: str, phi_c: MonotoneFn, phi_r: MonotoneFn
+) -> NotRegular:
+    """`lead`, then each table that fails the gate with its exponents."""
+    failed = []
+    for name, f in (("phi_c", phi_c), ("phi_r", phi_r)):
+        r = regularity_report(f, alpha_beta_window=_SPACE_WINDOW)
+        if not r.passed:
+            failed.append(
+                f"{name} has exponents in [{r.alpha:.6g}, {r.beta:.6g}]")
+    return NotRegular(f"{lead}; {' and '.join(failed)}")
+
+
 def check_space_regularity(
     desc: SpaceDescriptor,
     alpha_beta_window: tuple[float, float] = DEFAULT_REG_WINDOW,
@@ -364,10 +376,9 @@ def from_fundamental(
     pr = _rescaled_to_one(phi_r, "phi_r")
     report = _aggregate_regularity(pc, pr, _SPACE_WINDOW)
     if not report.passed:
-        raise NotRegular(
+        raise _not_regular(
             "fundamental functions must have exponents strictly inside "
-            f"(0, 1); got [{report.alpha:.6g}, {report.beta:.6g}]"
-        )
+            "(0, 1)", pc, pr)
     return SpaceDescriptor(
         kind="weighted",
         phi_c=pc,

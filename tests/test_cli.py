@@ -478,9 +478,10 @@ class TestOverflowingRatiosExitThree:
 
 class TestErrorsNameTheirTable:
     """A table whose value at 1 overflows, or whose values leave the
-    float range when divided by it, and a table whose antidual ``n/phi``
-    is flat somewhere, are reported against the function at fault: the
-    first two exit 3, the last 2 (no weight represents it)."""
+    float range when divided by it, a table whose antidual ``n/phi`` is
+    flat somewhere, and a table that fails the regularity gate are
+    reported against the function at fault: the first two exit 3, the
+    last two 2 (no weight represents them)."""
 
     PLAIN = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
 
@@ -515,6 +516,25 @@ class TestErrorsNameTheirTable:
         assert (code, out) == (3, "")
         assert err == (f"error: cannot normalise {side}: dividing by its "
                        f"value at 1 {why}\n")
+
+    @pytest.mark.parametrize("sides", [("phi_c",), ("phi_r",),
+                                       ("phi_c", "phi_r")],
+                             ids=["phi_c", "phi_r", "both"])
+    def test_regularity_gate(self, capsys, sides) -> None:
+        # A chord exponent of 1 from 1 to 10, then 0.5.
+        linear = {"knots": [1.0, 10.0], "values": [1.0, 10.0],
+                  "right_exponent": 0.5}
+        space = {"kind": "fundamental", "phi_c": self.PLAIN,
+                 "phi_r": self.PLAIN, **{side: linear for side in sides}}
+        code, out, err = run_cli(capsys, "table", "--space",
+                                 json.dumps(space), "--n", "16,256,4096")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: fundamental functions must have exponents strictly "
+            "inside (0, 1); "
+            + " and ".join(f"{side} has exponents in [0.5, 1]"
+                           for side in sides) + "\n"
+        )
 
     @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
     def test_flat_stretch_of_the_antidual(self, capsys, side) -> None:

@@ -422,16 +422,22 @@ class TestRiemannIntegral:
             riemann_integral(lambda u: u, a, b, **kwargs)
 
 
+def _full_grid_modular(phi, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 10,000 candidates for the nonzero entries `xs`, and the
+    modular on all of them at once, summed lam-major."""
+    lams = np.geomspace(float(xs.max()) / 1e3, 1e3 * float(xs.sum()), 10_000)
+    ratios = (xs[None, :] / lams[:, None]).ravel()
+    return lams, phi.eval_many(ratios).reshape(lams.size, xs.size).sum(axis=1)
+
+
 def _full_grid_scan(phi, x) -> tuple[float, int]:
-    """Reference: the modular on all 10,000 candidates at once, summed
-    lam-major; returns the value and the index of the first crossing."""
+    """Reference: a scan of the full grid; returns the value and the
+    index of the first crossing."""
     xs = np.abs(np.asarray(list(x), dtype=float))
     xs = xs[xs > 0.0]
     if xs.size == 0:
         return 0.0, -1
-    lams = np.geomspace(float(xs.max()) / 1e3, 1e3 * float(xs.sum()), 10_000)
-    ratios = (xs[None, :] / lams[:, None]).ravel()
-    modular = phi.eval_many(ratios).reshape(lams.size, xs.size).sum(axis=1)
+    lams, modular = _full_grid_modular(phi, xs)
     under = modular <= 1.0
     if not under.any():
         return float(lams[-1]), lams.size
@@ -446,24 +452,14 @@ def _full_grid_scan(phi, x) -> tuple[float, int]:
 
 
 def _first_not_over(phi, x) -> int:
-    """Index of the first candidate whose largest term is at most
-    1 + 1e-9 (the scan skips those before it), or 10,000 if none is."""
+    """Index of the first candidate whose largest term alone is at most
+    1 + 1e-9, or 10,000 if none is; the modular crosses 1 no earlier
+    than the largest term does."""
     xs = np.abs(np.asarray(x, dtype=float))
     xs = xs[xs > 0.0]
     lams = np.geomspace(float(xs.max()) / 1e3, 1e3 * float(xs.sum()), 10_000)
     over = phi.eval_many(xs.max() / lams) > 1.0 + 1e-9
     return lams.size if over.all() else int(np.argmin(over))
-
-
-def _chunk_starts(start: int, step: int, cap: int) -> list[int]:
-    """First candidates of the scan's chunks: `step` candidates from
-    `start`, doubling per chunk up to `cap`."""
-    starts = []
-    while start < 10_000:
-        starts.append(start)
-        start += step
-        step = min(2 * step, cap)
-    return starts
 
 
 @st.composite
@@ -489,9 +485,29 @@ def _scaled_power(value_at_one: float):
                                       right_exponent=1.0))
 
 
+def _crossing_at(k: int, x: list[float], exact: bool):
+    """A `_scaled_power` whose full-grid modular on `x` first reaches 1
+    at candidate `k`: exactly 1 there if `exact`, else crossing at the
+    cell's geometric midpoint.  k = 10,000 leaves every candidate over."""
+    xs = np.asarray(x, dtype=float)
+    lams = np.geomspace(xs.max() / 1e3, 1e3 * xs.sum(), 10_000)
+    if k == lams.size:
+        return _scaled_power(2.0 * float(lams[-1] / xs.sum()))
+    if not exact:
+        return _scaled_power(float(np.sqrt(lams[k - 1] * lams[k]) / xs.sum()))
+    c = float(lams[k] / xs.sum())
+    for _ in range(64):  # step c an ulp at a time toward a modular of 1
+        phi = _scaled_power(c)
+        m = phi.eval_many(xs / lams[k]).sum()
+        if m == 1.0:
+            return phi
+        c = math.nextafter(c, 0.0 if m > 1.0 else math.inf)
+    raise AssertionError(f"no scale puts candidate {k}'s modular at 1")
+
+
 class TestScanMatchesFullGrid:
-    """The chunked scan stops at the first chunk holding a crossing; its
-    result must be, to the bit, the full-grid scan's."""
+    """The scan bisects the grid for the first crossing; its result must
+    be, to the bit, the full-grid scan's."""
 
     PHIS = (power_orlicz(1.5), power_orlicz(2.0), psi(), PHI_R_OH,
             power_orlicz(1.0))
@@ -512,46 +528,38 @@ class TestScanMatchesFullGrid:
         ids=["first-1", "first-2", "none-1", "none-3"],
     )
     def test_crossing_at_the_ends(self, scale, x, k) -> None:
-        # With none crossing, every candidate is over the bound.
         phi = _scaled_power(scale)
         want, k_ref = _full_grid_scan(phi, x)
         assert k_ref == k
-        if k == 10_000:
-            assert _first_not_over(phi, x) == 10_000
+        assert orlicz_norm_scan(phi, x) == want
+
+    @pytest.mark.parametrize("k, exact", [
+        *((k, exact) for k in (1, 2, 4999, 5000, 5001, 9998, 9999)
+          for exact in (False, True)),
+        (10_000, False),
+    ])
+    @pytest.mark.parametrize(
+        "x", [[1.0], [2.0, 1.0, 0.5, 0.25]], ids=["one", "four"]
+    )
+    def test_crafted_crossings(self, x, k, exact) -> None:
+        # The bisection's first probes (5000, 2500 or 7500, ...), its
+        # ends next to the grid's ends, and a modular of exactly 1 at the
+        # crossing, which counts as crossed.
+        phi = _crossing_at(k, x, exact)
+        want, k_ref = _full_grid_scan(phi, x)
+        assert k_ref == k
         assert orlicz_norm_scan(phi, x) == want
 
     @pytest.mark.parametrize("i", range(5))
-    def test_crossing_at_a_chunk_start(self, monkeypatch, i) -> None:
-        # Chunks start at the last skipped candidate with `step` candidates
-        # and double up to `cap`.  A first chunk of k - start candidates
-        # puts the crossing first in the doubled second chunk, so the
-        # cell's left modular comes from the first; one of (k - start)/3
-        # puts it first in the third (twice doubled), when that divides;
-        # and one of a = lowbit(k - start) candidates capped at 2a puts it
-        # first in a later doubled chunk.  With one candidate per chunk the
-        # first unskipped candidate starts a chunk too.
+    def test_crossing_at_a_chunk_start(self, i) -> None:
+        # Seeded sequences with the crossing inside the grid, once chosen
+        # to start a chunk of an earlier, chunked scan.
         rng = np.random.default_rng(i)
         phi = self.PHIS[i]
         x = rng.lognormal(0.0, 1.5, size=int(rng.integers(2, 30)))
         want, k = _full_grid_scan(phi, x)
         assert 0 < k < 10_000
-        start = max(_first_not_over(phi, x) - 1, 0)
-        gap = k - start
-        lowbit = gap & -gap
-        big = 10**9
-        for step, cap, crossing_starts_a_chunk in (
-            (gap, big, True), (max(gap // 3, 1), big, gap % 3 == 0),
-            (lowbit, 2 * lowbit, True), (1, 1, True),
-            (1, big, False), (7, big, False), (max(gap - 1, 1), big, False),
-            (gap + 1, big, False), (gap, gap, True),
-        ):
-            starts = _chunk_starts(start, step, cap)
-            if crossing_starts_a_chunk:
-                assert k in starts[1:]
-            monkeypatch.setattr("osinv.oracle._SCAN_FIRST_CHUNK",
-                                step * len(x))
-            monkeypatch.setattr("osinv.oracle._SCAN_CHUNK", cap * len(x))
-            assert orlicz_norm_scan(phi, x) == want
+        assert orlicz_norm_scan(phi, x) == want
 
     @pytest.mark.parametrize("first", [1, 1023, 1024, 1025, 2048, 9216, 9999])
     @pytest.mark.parametrize(
@@ -560,9 +568,9 @@ class TestScanMatchesFullGrid:
     )
     def test_first_unskipped_at_a_bound_block_edge(self, first, x) -> None:
         # phi(t) = c t with c putting the largest term at candidate
-        # `first` near 1: it is the first not skipped.  The bound row is
-        # taken in blocks of 1,024 candidates; 9,216 starts the last,
-        # partial block.
+        # `first` at 1 to rounding: the crossing is there or just after,
+        # at candidates spread over the grid (once the edges of blocks of
+        # an earlier scan's largest-term bound).
         lams = np.geomspace(max(x) / 1e3, 1e3 * sum(x), 10_000)
         phi = _scaled_power(float(lams[first]) / max(x))
         assert _first_not_over(phi, x) == first
@@ -573,7 +581,7 @@ class TestScanMatchesFullGrid:
         ids=["one-0.3", "one-1", "one-42", "one-1e9", "dominated"],
     )
     def test_crossing_at_the_first_unskipped_candidate(self, x) -> None:
-        # The crossing cell's left modular is the last skipped candidate.
+        # The crossing is where the largest term alone reaches 1.
         for phi in self.PHIS:
             want, k = _full_grid_scan(phi, x)
             assert 0 < k == _first_not_over(phi, x)
@@ -583,14 +591,14 @@ class TestScanMatchesFullGrid:
     @pytest.mark.parametrize("x", [[1.0], [1.0, 1e-4]], ids=["one", "two"])
     def test_largest_term_near_one(self, x, offset) -> None:
         # phi(t) = c t with c putting candidate 5000's largest term at
-        # 1 + offset, inside and just beyond the skip bound's margin.
+        # 1 + offset, the bisection's first probe.
         lams = np.geomspace(max(x) / 1e3, 1e3 * sum(x), 10_000)
         phi = _scaled_power((1.0 + offset) * float(lams[5000]) / max(x))
         term = float(phi.eval_many(max(x) / lams[5000:5001])[0])
         assert term == pytest.approx(1.0 + offset, abs=1e-15)
         want, k = _full_grid_scan(phi, x)
         if offset == 5e-10:
-            # Not skipped, yet its modular is above 1.
+            # The largest term within 1e-9 of 1, its modular above 1.
             assert (_first_not_over(phi, x), k) == (5000, 5001)
         assert orlicz_norm_scan(phi, x) == want
 
@@ -614,32 +622,49 @@ class TestScanMatchesFullGrid:
              for i, v in enumerate(log_x)]
         assert orlicz_norm_scan(phi, x) == _full_grid_scan(phi, x)[0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _orlicz_tables(),
+        st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=30),
+    )
+    def test_crossed_candidates_form_a_suffix(self, phi, log_x) -> None:
+        # What the bisection rests on: past the first candidate whose
+        # computed modular is at most 1, every one's is.
+        _, modular = _full_grid_modular(phi, 10.0 ** np.array(log_x))
+        under = modular <= 1.0
+        k = int(np.argmax(under)) if under.any() else under.size
+        assert under[k:].all()
+
 
 class TestScanWork:
     def test_battery_scans_skip_most_evaluations(self, monkeypatch) -> None:
         # phi evaluations in the 100 scans of the verify battery's
-        # bisection-vs-scan check; scanning in the same chunks from the
-        # first candidate, with no skip, takes 10,197,956, and a bound
-        # row over all candidates with fixed 16,384-pair chunks from the
-        # last skipped one takes 2,703,281.
-        count = 0
+        # bisection-vs-scan check.  Scanning in ascending chunks from the
+        # first candidate takes 10,197,956; skipping the candidates whose
+        # largest term exceeds 1, then doubling chunks, took 1,264,491;
+        # bisecting the grid takes 28,222 in 1,435 calls.
+        count = calls = 0
+        per_scan = []
         inside = False
         eval_many = OrliczFn.eval_many
         scan = osinv.verify.orlicz_norm_scan
 
         def counting_eval_many(self, ts):
-            nonlocal count
+            nonlocal count, calls
             if inside:
                 count += np.asarray(ts).size
+                calls += 1
             return eval_many(self, ts)
 
         def counted_scan(phi, x):
             nonlocal inside
             inside = True
+            before = calls
             try:
                 return scan(phi, x)
             finally:
                 inside = False
+                per_scan.append(calls - before)
 
         monkeypatch.setattr(OrliczFn, "eval_many", counting_eval_many)
         monkeypatch.setattr(osinv.verify, "orlicz_norm_scan", counted_scan)
@@ -647,6 +672,8 @@ class TestScanWork:
         assert passed
         assert 0 < count <= 10_197_956 // 3
         assert count <= 1_300_000
+        assert len(per_scan) == 100
+        assert count <= 30_000 and max(per_scan) <= 15
 
 
 class TestOrliczNormScan:
@@ -688,6 +715,21 @@ class TestOrliczNormScan:
             warnings.simplefilter("error")
             value = orlicz_norm_scan(power_orlicz(2.0), x)
         assert value == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("phi", [power_orlicz(2.0), psi()],
+                             ids=["p2", "psi"])
+    @pytest.mark.parametrize(
+        "x", [[5e-324], [5e-324, 1e-323], [-1e-321, 0.0]],
+        ids=["least", "two", "with-zero"],
+    )
+    def test_subnormal_entries(self, phi, x) -> None:
+        # The candidate range's lower end, max|x_k| / 1e3, underflows to
+        # 0; subnormals are 5e-324 apart.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = orlicz_norm_scan(phi, x)
+        assert value == pytest.approx(sequence_norm(phi, x), rel=1e-3,
+                                      abs=1e-323)
 
     def test_norm_beyond_the_float_range_is_inf(self) -> None:
         with warnings.catch_warnings():

@@ -146,6 +146,22 @@ class TestSpaceDescriptor:
         with pytest.raises(NotRegular):
             SpaceDescriptor(kind="weighted", phi_c=power(1.0), phi_r=SQRT)
 
+    @pytest.mark.parametrize("sides", [("phi_c",), ("phi_r",),
+                                       ("phi_c", "phi_r")],
+                             ids=["phi_c", "phi_r", "both"])
+    def test_regularity_gate_names_the_failing_tables(self, sides):
+        tables = {"phi_c": SQRT, "phi_r": SQRT}
+        tables.update((side, power(1.0)) for side in sides)
+        want = (
+            "weighted structures need both fundamental functions to have "
+            "exponents strictly inside (0, 1); "
+            + " and ".join(f"{side} has exponents in [1, 1]"
+                           for side in sides)
+        )
+        with pytest.raises(NotRegular) as info:
+            SpaceDescriptor(kind="weighted", **tables)
+        assert str(info.value) == want
+
     def test_rejects_unnormalised_weights(self):
         # Reflected-form densities are at most 1; this one starts at 2.
         w = make_piecewise(
