@@ -295,6 +295,23 @@ def riemann_integral(
     return total
 
 
+def _scan_grid(start: float, stop: float) -> Callable[[int], float]:
+    """Candidate ``k`` of ``np.geomspace(start, stop, _SCAN_POINTS)``
+    for float64 ends, computed on its own with ``geomspace``'s
+    arithmetic: 10 to the power of a ``linspace`` of the ends' base-10
+    logarithms, with the ends pinned.  numpy's elementwise loops give an
+    element the same bits whatever its neighbours, so it is the grid's."""
+    log_start = np.log10(start)
+    step = (np.log10(stop) - log_start) / (_SCAN_POINTS - 1)
+
+    def candidate(k: int) -> np.float64:
+        if 0 < k < _SCAN_POINTS - 1:
+            return np.power(10.0, np.float64(k) * step + log_start)
+        return start if k == 0 else stop
+
+    return candidate
+
+
 def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
     """Luxemburg norm by searching a fixed grid for the modular crossing
     of 1.
@@ -307,17 +324,20 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
     float range is ``inf``.
 
     The first crossing is found by bisecting the candidate index, which
-    evaluates the modular at no more than 15 candidates.  That finds the scan's
-    candidate because the candidates whose computed modular is at most 1
-    form a suffix of the grid.  ``OrliczFn`` guarantees a nondecreasing
-    body with every exponent at least ``1 - 1e-9``, so ``M(r lam) <=
-    M(lam) / r**(1 - 1e-9)`` for ``r >= 1``.  Consecutive candidates
-    differ by a ratio of at least ``(1e6)**(1/9999)``, about ``1 +
-    1.38e-3``.  The computed terms and their pairwise sum are within
-    about 1e-14 relative of the exact ones, far inside that ratio, so a
-    candidate whose computed modular is at most 1 is followed by one
-    whose computed modular is below 1.  Each candidate's terms are
-    summed as one row, in the same order as a full-grid sum.
+    evaluates the modular at no more than 14 candidates, candidate 0
+    only when the search reaches it.  A candidate is computed only where
+    probed, with ``np.geomspace``'s arithmetic (:func:`_scan_grid`).
+    The search finds the scan's candidate because the candidates whose
+    computed modular is at most 1 form a suffix of the grid.
+    ``OrliczFn`` guarantees a nondecreasing body with every exponent at
+    least ``1 - 1e-9``, so ``M(r lam) <= M(lam) / r**(1 - 1e-9)`` for
+    ``r >= 1``.  Consecutive candidates differ by a ratio of at least
+    ``(1e6)**(1/9999)``, about ``1 + 1.38e-3``.  The computed terms and
+    their pairwise sum are within about 1e-14 relative of the exact
+    ones, far inside that ratio, so a candidate whose computed modular
+    is at most 1 is followed by one whose computed modular is below 1.
+    Each candidate's terms are summed as one row, in the same order as
+    a full-grid sum.
 
     Raises
     ------
@@ -333,25 +353,19 @@ def orlicz_norm_scan(phi: OrliczFn, x: Iterable[float]) -> float:
         # The grid's lower end underflows or its upper end overflows.
         e = math.frexp(largest)[1]  # the largest entry to [0.5, 1)
         return rescaled_norm(orlicz_norm_scan, phi, xs, e)
-    lams = np.geomspace(largest / 1e3, top, _SCAN_POINTS)
-
-    def modular(k: int) -> float:
-        return float(np.add.reduce(phi.eval_many(xs / lams[k])))
-
-    m_lo = modular(0)
-    if m_lo <= 1.0:
-        return float(lams[0])
-    lo, hi = 0, lams.size  # modular over 1 at lo; at most 1 at hi, or past
+    candidate = _scan_grid(np.float64(largest / 1e3), np.float64(top))
+    lo, hi = -1, _SCAN_POINTS  # M > 1 at lo, M <= 1 at hi, where in the grid
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        m = modular(mid)
+        mid = (max(lo, 0) + hi) // 2
+        lam = candidate(mid)
+        m = float(np.add.reduce(phi.eval_many(xs / lam)))
         if m <= 1.0:
-            hi, m_hi = mid, m
+            hi, lam_hi, m_hi = mid, lam, m
         else:
-            lo, m_lo = mid, m
-    if hi == lams.size:
-        return float(lams[-1])
-    if m_hi <= 0.0 or m_lo <= m_hi:
-        return float(lams[hi])
+            lo, lam_lo, m_lo = mid, lam, m
+    if hi == _SCAN_POINTS:
+        return float(lam_lo)
+    if lo < 0 or m_hi <= 0.0 or m_lo <= m_hi:
+        return float(lam_hi)
     frac = math.log(m_lo) / (math.log(m_lo) - math.log(m_hi))
-    return float(lams[lo] * (lams[hi] / lams[lo]) ** frac)
+    return float(lam_lo * (lam_hi / lam_lo) ** frac)

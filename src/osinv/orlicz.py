@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -310,10 +311,11 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
     n = arr.size
     lo = float(arr.max()) / phi.inverse(1.0)
     hi = quiet_sum(arr) / phi.inverse(1.0 / n)
-    if lo == 0.0 or not math.isfinite(hi):
-        # The bracket underflows or overflows.  Scale the lower end near
-        # 1; for an admissible phi the upper end is at most n**2 times
-        # the lower.
+    if lo < sys.float_info.min or not math.isfinite(hi):
+        # The bracket's lower end is subnormal, where a bisection rounds
+        # its midpoints to a few bits, or its upper end overflows.  Scale
+        # the lower end near 1; for an admissible phi the upper end is at
+        # most n**2 times the lower.
         e = math.frexp(float(arr.max()))[1] - math.frexp(phi.inverse(1.0))[1]
         return rescaled_norm(sequence_norm, phi, arr, e)
     if hi <= lo * (1.0 + _BISECT_RTOL):

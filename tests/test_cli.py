@@ -859,6 +859,27 @@ class TestRunSuite:
         with pytest.raises(BadParameter):
             run_suite("bogus")
 
+    def test_one_oh_row_function_per_run(self, monkeypatch) -> None:
+        # bisection-vs-scan and diag-decomposition share the OH row
+        # Orlicz function within a run; every run builds its own.
+        built = []
+        from_weight = osinv.verify.from_weight
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return from_weight(*args, **kwargs)
+
+        monkeypatch.setattr(osinv.verify, "from_weight", counting)
+        full = run_suite()
+        assert len(built) == 1
+        for suite in ("orlicz", "oracle"):
+            built.clear()
+            assert run_suite(suite) == [r for r in full if r.suite == suite]
+            assert len(built) == 1
+        built.clear()
+        assert run_suite() == run_suite() == full
+        assert len(built) == 2
+
 
 class TestConsoleScript:
     def test_module_entry_reports_version(self) -> None:

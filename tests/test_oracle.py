@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from osinv.orlicz import OrliczFn
 from osinv.oracle import (
     _LATTICE_LO,
     _lattice,
+    _scan_grid,
     aux_diag_norm,
     indicator_search,
     orlicz_norm_scan,
@@ -636,13 +638,64 @@ class TestScanMatchesFullGrid:
         assert under[k:].all()
 
 
+def _grid_ends() -> list[tuple[float, float]]:
+    """Seeded ``(start, stop)`` pairs: the scan's own ends for random
+    sequences, spans barely over the least ``1e6``, a start just above
+    the subnormal range and a stop near the float maximum."""
+    rng = np.random.default_rng(4242)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    pairs = [(tiny, 1e-300), (float(np.nextafter(tiny, 1.0)), 1e6 * 3 * tiny),
+             (1e-3, huge), (1e302, huge), (tiny, 1e308), (2.5e300, 1e308)]
+    for _ in range(120):
+        x = 10.0 ** rng.uniform(-300.0, 300.0) * rng.lognormal(
+            0.0, float(rng.uniform(0.1, 5.0)), size=int(rng.integers(1, 48)))
+        pairs.append((float(x.max()) / 1e3, 1e3 * float(x.sum())))
+    for _ in range(80):
+        start = 10.0 ** rng.uniform(-307.0, 301.0)
+        stop = start * 1e6 * (1.0 + float(rng.choice([0.0, 1e-15, 1e-9])))
+        pairs.append((start, float(np.nextafter(stop, math.inf))))
+    return pairs
+
+
+class TestScanGrid:
+    """The scan computes only the candidates it probes; each must be,
+    to the bit, the one ``np.geomspace`` puts in the full grid."""
+
+    def test_candidates_are_geomspaces(self) -> None:
+        pairs = _grid_ends()
+        assert len(pairs) >= 200
+        for start, stop in pairs:
+            assert stop / start > 1e6
+            candidate = _scan_grid(np.float64(start), np.float64(stop))
+            got = np.fromiter(map(candidate, range(10_000)), float, 10_000)
+            with np.errstate(over="ignore"):  # 10**log10(stop), then pinned
+                want = np.geomspace(start, stop, 10_000)
+            assert got.tobytes() == want.tobytes()
+
+    def test_scan_never_builds_the_grid(self, monkeypatch) -> None:
+        rng = np.random.default_rng(31)
+        cases = [(phi, rng.lognormal(0.0, 2.0, size=int(rng.integers(1, 40))))
+                 for phi in TestScanMatchesFullGrid.PHIS for _ in range(6)]
+        cases += [(power_orlicz(2.0), [1e308, 1e308]),
+                  (psi(), [5e-324, 1e-323])]
+        want = [orlicz_norm_scan(phi, x) for phi, x in cases]
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.geomspace called")
+
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        assert [orlicz_norm_scan(phi, x) for phi, x in cases] == want
+
+
 class TestScanWork:
     def test_battery_scans_skip_most_evaluations(self, monkeypatch) -> None:
         # phi evaluations in the 100 scans of the verify battery's
         # bisection-vs-scan check.  Scanning in ascending chunks from the
         # first candidate takes 10,197,956; skipping the candidates whose
         # largest term exceeds 1, then doubling chunks, took 1,264,491;
-        # bisecting the grid takes 28,222 in 1,435 calls.
+        # bisecting the grid took 28,222 in 1,435 calls, and takes
+        # 26,253 in 1,335 once candidate 0 waits for the search to reach
+        # it.
         count = calls = 0
         per_scan = []
         inside = False
@@ -674,6 +727,7 @@ class TestScanWork:
         assert count <= 1_300_000
         assert len(per_scan) == 100
         assert count <= 30_000 and max(per_scan) <= 15
+        assert count <= 26_300 and calls <= 1_340 and max(per_scan) <= 14
 
 
 class TestOrliczNormScan:
@@ -705,11 +759,14 @@ class TestOrliczNormScan:
             orlicz_norm_scan(psi(), [1.0, math.inf])
 
     @pytest.mark.parametrize(
-        "x", [[1e308, 1e308], [1e306, -1e306], [1e306, 0.0, 1e306]],
-        ids=["sum-overflows", "grid-end-overflows", "with-zero"],
+        "x", [[1e308, 1e308], [1e306, -1e306], [1e306, 0.0, 1e306],
+              [sys.float_info.max / 2e3] * 2],
+        ids=["sum-overflows", "grid-end-overflows", "with-zero",
+             "grid-end-at-the-maximum"],
     )
     def test_entries_near_the_float_maximum(self, x) -> None:
-        # The candidate range's upper end overflows, the norm does not.
+        # The candidate range's upper end overflows, the norm does not;
+        # or it rounds to the largest float, where 10**log10(end) would.
         want = math.sqrt(2.0) * abs(x[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 
 import mpmath
@@ -396,6 +397,24 @@ class TestSequenceNorm:
             warnings.simplefilter("error")
             assert sequence_norm(power_orlicz(1.0), [1e308, 1e308]) == math.inf
 
+    @pytest.mark.parametrize(
+        "x", [[5e-324, 1e-323], [2e-320, 1e-320], [-1e-310, 3e-311, 0.0]],
+        ids=["least", "two", "signed-with-zero"],
+    )
+    def test_subnormal_entries(self, x):
+        # The bracket's lower end is subnormal but not 0: a bisection
+        # among subnormals would round its midpoints to a few bits.  The
+        # l1 norm of subnormals is their exact sum, to the solver's 1e-12.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sequence_norm(power_orlicz(1.0), x)
+            want = sum(map(abs, x))
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+            value = sequence_norm(power_orlicz(2.0), x)
+        want = math.ldexp(sequence_norm(power_orlicz(2.0),
+                                        np.ldexp(x, 1000)), -1000)
+        assert value == pytest.approx(want, rel=0.0, abs=5e-324)
+
 
 def _per_step_sequence_norm(phi: OrliczFn, x) -> float:
     """Reference Luxemburg norm: the bisection with a full piece lookup
@@ -410,7 +429,7 @@ def _per_step_sequence_norm(phi: OrliczFn, x) -> float:
     n = arr.size
     lo = float(arr.max()) / phi.inverse(1.0)
     hi = quiet_sum(arr) / phi.inverse(1.0 / n)
-    if not math.isfinite(hi):
+    if lo < sys.float_info.min or not math.isfinite(hi):
         e = math.frexp(float(arr.max()))[1] - math.frexp(phi.inverse(1.0))[1]
         return rescaled_norm(_per_step_sequence_norm, phi, arr, e)
     if hi <= lo * (1.0 + 1e-12):
@@ -514,8 +533,9 @@ class TestSequenceNormBitwise:
         [1e-300, 2.5e-310, 5e-324, 1.0, 0.0],  # underflow beside the max
         [1.0] + [1e-7] * 50,  # most entries in the head piece
         [1e308, 1e308, -3e307],  # the rescaled path
+        [2e-310, -1e-311, 3e-309],  # rescaled from a subnormal bracket
         np.linspace(0.5, 2.0, 128),
-    ], ids=["one", "underflow", "head", "rescaled", "spread"])
+    ], ids=["one", "underflow", "head", "rescaled", "subnormal", "spread"])
     def test_named_cases(self, phi, x):
         assert sequence_norm(phi, x) == _per_step_sequence_norm(phi, x)
 
