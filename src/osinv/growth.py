@@ -562,16 +562,14 @@ def growth_profile(
 class RegularityReport:
     """Sharp power envelope of an increasing table over ``[1, 1e6]``.
 
-    ``c (t/s)^alpha <= f(t)/f(s) <= d (t/s)^beta`` for all ``1 <= s <= t <=
-    1e6``; for piecewise-power tables the extreme segment slopes give the
-    sharp exponents with ``c = d = 1``.  `passed` states whether
+    ``(t/s)^alpha <= f(t)/f(s) <= (t/s)^beta`` for all ``1 <= s <= t <=
+    1e6``: for piecewise-power tables the extreme segment slopes give the
+    sharp exponents, with no constant in front.  `passed` states whether
     ``0 < alpha <= beta < 1`` holds within the requested window.
     """
 
     alpha: float
     beta: float
-    c: float
-    d: float
     passed: bool
     window: tuple[float, float]
 
@@ -602,8 +600,7 @@ def regularity_report(
     lo, hi = alpha_beta_window
     passed = lo <= alpha <= beta <= hi
     return RegularityReport(
-        alpha=alpha, beta=beta, c=1.0, d=1.0, passed=passed,
-        window=(lo, hi),
+        alpha=alpha, beta=beta, passed=passed, window=(lo, hi)
     )
 
 

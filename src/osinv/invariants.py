@@ -35,6 +35,7 @@ from .monotone_fn import (
     inverse_fn,
 )
 from .spaces import SpaceDescriptor, canonical_weights, dual
+from .util import _check_dimension
 
 __all__ = [
     "InvariantReport",
@@ -183,12 +184,10 @@ def _pair_quadrants(
 
 
 def _report(
-    quads: tuple[_Quadrant, _Quadrant],
-    n: int,
-    ex: _Exactness | None = None,
+    quads: tuple[_Quadrant, _Quadrant], n: int, self_pair: bool = False
 ) -> InvariantReport:
-    """The report at `n`.  A self-sweep passes its exactness setup `ex`,
-    and the report then also carries ``ex`` and ``proj = n/pi1``."""
+    """The report at `n`.  A self-sweep's report (`self_pair`) also
+    carries ``ex`` and ``proj = n/pi1``."""
     l1m, l2m, l3m, s_n, t_n = quads[0].contributions(n)
     l1p, l2p, l3p, _, _ = quads[1].contributions(n)
     total = 2.0 * n + l1m + l2m + l3m + l1p + l2p + l3p
@@ -201,15 +200,9 @@ def _report(
         lambda3=(l3m, l3p),
         s_break=s_n,
         t_break=t_n,
-        ex=None if ex is None else ex.at(n),
-        proj=None if ex is None else n / pi1,
+        ex=_exactness(quads, n) if self_pair else None,
+        proj=n / pi1 if self_pair else None,
     )
-
-
-def _check_dimension(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadParameter(f"dimension must be a positive integer, got {n!r}")
-    return n
 
 
 def pi1_fundamental(
@@ -256,34 +249,15 @@ def _clipped_mass(flat: float, scale: float, tail: TailIntegral) -> float:
     return flat * s_star + scale * tail.eval(s_star)
 
 
-@dataclass(frozen=True)
-class _Exactness:
-    """What the exactness constant of one structure needs at every `n`:
-    the tail integrals of its canonical densities, and the antidual's
-    fundamental functions."""
-
-    tail_c: TailIntegral
-    tail_r: TailIntegral
-    anti_c: MonotoneFn
-    anti_r: MonotoneFn
-
-    @classmethod
-    def build(cls, desc: SpaceDescriptor) -> "_Exactness":
-        w = canonical_weights(desc)
-        anti = dual(desc)
-        return cls(
-            tail_r=TailIntegral.from_density(w.ur_fn),
-            tail_c=TailIntegral.from_density(w.uc_fn),
-            anti_c=anti.phi_c,
-            anti_r=anti.phi_r,
-        )
-
-    def at(self, n: int) -> float:
-        col_level = evaluate(self.anti_c, float(n))
-        row_level = evaluate(self.anti_r, float(n))
-        i_plus = _clipped_mass(col_level, row_level, self.tail_r)
-        i_minus = _clipped_mass(row_level, col_level, self.tail_c)
-        return math.sqrt(i_plus + i_minus)
+def _exactness(quads: tuple[_Quadrant, _Quadrant], n: int) -> float:
+    """The exactness constant at `n` from a space's self-pair quadrants:
+    each quadrant's `a` is a fundamental function of the antidual, and
+    its `tail_b` a tail integral of the space's own densities."""
+    col_level = evaluate(quads[0].a, float(n))
+    row_level = evaluate(quads[1].a, float(n))
+    i_plus = _clipped_mass(col_level, row_level, quads[0].tail_b)
+    i_minus = _clipped_mass(row_level, col_level, quads[1].tail_b)
+    return math.sqrt(i_plus + i_minus)
 
 
 def exactness(desc: SpaceDescriptor, n: int) -> float:
@@ -306,7 +280,7 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
         ``n`` is not a positive integer.
     """
     n = _check_dimension(n)
-    return _Exactness.build(desc).at(n)
+    return _exactness(_pair_quadrants(desc, desc), n)
 
 
 def projection(desc: SpaceDescriptor, n: int) -> float:
@@ -365,13 +339,7 @@ def sweep(
         )
     self_sweep = codomain is None
     quads = _pair_quadrants(domain, domain if self_sweep else codomain)
-    ex = None
-    if self_sweep:
-        # Each quadrant's `a` is an antidual fundamental function and its
-        # `tail_b` a tail integral of the domain's own densities.
-        ex = _Exactness(tail_c=quads[1].tail_b, tail_r=quads[0].tail_b,
-                        anti_c=quads[0].a, anti_r=quads[1].a)
-    reports = [_report(quads, n, ex) for n in ns]
+    reports = [_report(quads, n, self_sweep) for n in ns]
     upper = reports[-window:]
     names = ("pi1", "ex", "proj") if self_sweep else ("pi1",)
     fits = design.fit([[getattr(r, k) for r in upper] for k in names])

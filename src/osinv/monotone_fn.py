@@ -168,9 +168,6 @@ class MonotoneFn:
         """Constant value taken on ``(0, t_1]``."""
         return self.values[0]
 
-    def __call__(self, t: float) -> float:
-        return evaluate(self, t)
-
 
 def make_piecewise(
     knots: Sequence[float],

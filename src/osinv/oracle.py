@@ -37,6 +37,7 @@ from .monotone_fn import (MonotoneFn, _crossings_below, crossing_below,
                           evaluate_many)
 from .orlicz import OrliczFn, quiet_sum, rescaled_norm
 from .spaces import WeightPair
+from .util import _check_dimension
 
 __all__ = [
     "aux_diag_norm",
@@ -171,8 +172,7 @@ def indicator_search(
     BadParameter
         ``n < 1`` or ``grid < 2``.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise BadParameter(f"dimension must be a positive integer, got {n}")
+    n = _check_dimension(n)
     if grid < 2:
         raise BadParameter(f"need at least a 2x2 corner grid, got {grid}")
     col = uE.uc_fn

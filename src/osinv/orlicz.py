@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
@@ -68,6 +68,10 @@ _EXPONENT_TOL = 1e-9
 #: Relative half-width of the norm bisection bracket at termination.
 _BISECT_RTOL = 1e-12
 
+#: Largest relative violation of the monotone band that
+#: :func:`from_fundamental_sequence` repairs rather than rejects.
+_REPAIR_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class OrliczFn:
@@ -82,14 +86,13 @@ class OrliczFn:
         extension is constant; above the last knot `body`'s own right
         exponent rules.
     delta2_constant:
-        Least ``lam`` with ``phi(2t) <= lam * phi(t)`` for all ``t``
-        (finite for every piecewise-power table).
+        Least ``lam`` with ``phi(2t) <= lam * phi(t)`` for all ``t``,
+        computed exactly from `body`; it must be a finite float.
 
     Every local exponent — segments, right tail, and hence the left
     extension — must be at least 1, which makes ``phi`` strictly
     increasing with ``phi(t)/t`` nondecreasing.  Build instances with
-    :func:`make_orlicz` (or the dedicated constructors), which computes
-    the doubling constant.
+    :func:`make_orlicz` (or the dedicated constructors).
 
     Evaluation reads `body`'s piece layout (see :mod:`osinv.monotone_fn`)
     with :attr:`left_exponent` as the head exponent: :meth:`eval` through
@@ -97,7 +100,7 @@ class OrliczFn:
     """
 
     body: MonotoneFn
-    delta2_constant: float
+    delta2_constant: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.body.direction != "nondecreasing":
@@ -107,11 +110,12 @@ class OrliczFn:
             raise NotAdmissible(
                 f"local exponent {worst} < 1: phi(t)/t would decrease"
             )
-        if not (math.isfinite(self.delta2_constant) and self.delta2_constant >= 1.0):
+        delta2 = _sup_doubling_ratio(self)
+        if not (math.isfinite(delta2) and delta2 >= 1.0):
             raise NotAdmissible(
-                f"doubling constant must be finite and >= 1, got "
-                f"{self.delta2_constant}"
+                f"doubling constant must be finite and >= 1, got {delta2}"
             )
+        object.__setattr__(self, "delta2_constant", delta2)
 
     @property
     def left_exponent(self) -> float:
@@ -196,21 +200,45 @@ class OrliczFn:
             body.knots[0], body.values[0], self.left_exponent, y
         )
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
-
 
 def _sup_doubling_ratio(phi: OrliczFn) -> float:
-    """Exact ``sup_t phi(2t)/phi(t)`` for a piecewise-power ``phi``.
+    """Exact ``sup_t phi(2t)/phi(t)`` for a piecewise-power ``phi``
+    (``inf`` where it overflows).
 
-    The ratio is itself piecewise power with breakpoints at the knots and
-    half-knots, monotone between them and constant outside, so the sup is
-    attained on the breakpoint set (padded by one point on each flank).
+    Up to half the first knot the ratio is ``2**left_exponent``, and from
+    the last knot on ``2**right_exponent``.  Between, it is piecewise
+    power with breakpoints at the knots and half-knots, monotone between
+    them, so the sup is attained on the breakpoints.  The ratio does not
+    change when ``phi`` is scaled, so where ``phi`` leaves the normal
+    float range at a breakpoint it is taken from the logarithms of the
+    two pieces instead.
     """
+    try:
+        sup = 2.0 ** max(phi.left_exponent, phi.body.right_exponent)
+    except OverflowError:
+        return math.inf
     knots = np.asarray(phi.body.knots)
-    pts = np.union1d(knots, knots / 2.0)
-    pts = np.concatenate(([pts[0] / 4.0], pts, [pts[-1] * 4.0]))
-    return float(np.max(phi.eval_many(2.0 * pts) / phi.eval_many(pts)))
+    pts = np.union1d(knots, knots / 2.0)[1:-1]
+    if not pts.size:
+        return sup
+    with np.errstate(over="ignore", under="ignore"):
+        below, above = phi.eval_many(pts), phi.eval_many(2.0 * pts)
+        ok = (below >= sys.float_info.min) & (above < math.inf)
+        ratio = above[ok] / below[ok]
+        if not ok.all():
+            logs = _log_phi(phi, 2.0 * pts[~ok]) - _log_phi(phi, pts[~ok])
+            ratio = np.concatenate((ratio, np.exp(logs)))
+    return max(sup, float(np.max(ratio)))
+
+
+def _log_phi(phi: OrliczFn, ts: np.ndarray) -> np.ndarray:
+    """``ln phi`` at the positive entries of `ts`, from their pieces."""
+    edges = phi.body._table[0]
+    anchor_v, anchor_t, expo, head = phi._gather(
+        np.searchsorted(edges, ts, side="right"))
+    if head is not None:
+        expo[head] = phi.left_exponent
+    return np.log(anchor_v) + expo * np.log(ts / anchor_t)
 
 
 def make_orlicz(body: MonotoneFn) -> OrliczFn:
@@ -222,12 +250,10 @@ def make_orlicz(body: MonotoneFn) -> OrliczFn:
     ------
     NotAdmissible
         `body` is nonincreasing, or some local exponent is below 1 (so
-        ``phi(t)/t`` would decrease somewhere).
+        ``phi(t)/t`` would decrease somewhere), or its doubling constant
+        overflows.
     """
-    # Admissibility is checked before phi is evaluated; 1 is a valid
-    # placeholder for the doubling constant.
-    phi = OrliczFn(body=body, delta2_constant=1.0)
-    return replace(phi, delta2_constant=_sup_doubling_ratio(phi))
+    return OrliczFn(body)
 
 
 def power_orlicz(p: float) -> OrliczFn:
@@ -417,7 +443,6 @@ def fundamental_sequence(phi: OrliczFn, n: float) -> float:
 
 def from_fundamental_sequence(
     phis: Mapping[float, float] | Iterable[tuple[float, float]],
-    repair_tol: float = 1e-3,
 ) -> OrliczFn:
     """Reconstruct ``phi`` from values of its fundamental sequence.
 
@@ -425,8 +450,8 @@ def from_fundamental_sequence(
     the inverse geometrically, which pins ``phi`` itself as a piecewise
     power through ``(1/phi_n, 1/n)``.  The data must have ``phi_n``
     nondecreasing and ``phi_n/n`` nonincreasing; violations up to
-    `repair_tol` (relative) are projected back onto the admissible band
-    and logged, larger ones are rejected.
+    :data:`_REPAIR_TOL` (relative) are projected back onto the admissible
+    band and logged, larger ones are rejected.
 
     Raises
     ------
@@ -435,10 +460,10 @@ def from_fundamental_sequence(
     NonPositive
         Some ``phi_n <= 0``.
     BadParameter
-        Some grid ``n < 1``.
+        Some grid ``n < 1``, or some ``1/phi_n`` overflows.
     Inconsistent
         Monotonicity of ``phi_n`` or ``phi_n/n`` fails beyond
-        `repair_tol`, or the data collapse to a constant.
+        :data:`_REPAIR_TOL`, or the data collapse to a constant.
     """
     data = dict(phis)
     if len(data) < 2:
@@ -459,7 +484,7 @@ def from_fundamental_sequence(
         cap = h[-1] + (ln_n[j] - ln_n[j - 1])
         h.append(min(max(g[j], h[-1]), cap))
     worst = max(abs(a - b) for a, b in zip(h, g))
-    if worst > math.log1p(repair_tol):
+    if worst > math.log1p(_REPAIR_TOL):
         raise Inconsistent(
             "fundamental sequence is not monotone within tolerance "
             f"(relative deviation {math.expm1(worst):.3e})"
@@ -473,8 +498,13 @@ def from_fundamental_sequence(
 
     # phi passes through (1/phi_n, 1/n); ascending knots mean descending n.
     pts: list[tuple[float, float]] = []
-    for (n, _), lv in zip(reversed(items), reversed(h)):
-        s = math.exp(-lv)
+    for (n, v), lv in zip(reversed(items), reversed(h)):
+        try:
+            s = math.exp(-lv)
+        except OverflowError:
+            raise BadParameter(
+                f"1/phi_n overflows the float range at n={n}: phi_n = {v!r}"
+            ) from None
         if pts and s <= pts[-1][0] * (1.0 + 1e-13):
             # Equal phi_n: keep the smaller n (larger 1/n) so the sup
             # inverse reproduces the repaired value there exactly.

@@ -272,8 +272,6 @@ def _aggregate_regularity(
     return RegularityReport(
         alpha=min(rc.alpha, rr.alpha),
         beta=max(rc.beta, rr.beta),
-        c=min(rc.c, rr.c),
-        d=max(rc.d, rr.d),
         passed=rc.passed and rr.passed,
         window=alpha_beta_window,
     )

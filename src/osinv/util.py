@@ -1,5 +1,6 @@
-"""Small shared helpers: logarithmic grids, and the safeguarded Newton
-root and replay band of the growth and Luxemburg solvers.
+"""Small shared helpers: the dimension check, logarithmic grids, and the
+safeguarded Newton root and replay band of the growth and Luxemburg
+solvers.
 
 The growth and Orlicz tabulations sample on geometric grids of a fixed
 density, :data:`POINTS_PER_DECADE` points per decade.
@@ -8,6 +9,7 @@ density, :data:`POINTS_PER_DECADE` points per decade.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -28,6 +30,18 @@ _ROOT_BAND = 1e-12
 #: Newton's method in :func:`_log_newton_root` stops at this relative
 #: step, or gives up after this many steps.
 _NEWTON_RTOL, _NEWTON_STEPS = 1e-15, 60
+
+
+def _check_dimension(n: object) -> int:
+    """`n` as an ``int``: any positive integer that is not a ``bool``,
+    numpy's integer types included."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = 0
+    if isinstance(n, bool) or k < 1:
+        raise BadParameter(f"dimension must be a positive integer, got {n!r}")
+    return k
 
 
 def log_grid(lo: float, hi: float) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from osinv.invariants import _check_dimension
 from osinv.monotone_fn import (
     MonotoneFn,
     _local_power,
@@ -22,6 +21,7 @@ from osinv.monotone_fn import (
     inverse_fn,
 )
 from osinv.spaces import SpaceDescriptor, dual
+from osinv.util import _check_dimension
 
 
 def exactness_display(desc: SpaceDescriptor, n: int) -> float:

@@ -18,32 +18,27 @@ import time
 import numpy as np
 
 from osinv import (
-    aux_diag_norm,
-    canonical_weights,
     catalog,
-    check_space_regularity,
-    dual,
     evaluate,
     from_fundamental,
-    from_weight,
-    fundamental_sequence,
-    growth_fn,
-    growth_profile,
-    indicator_search,
-    make_orlicz,
-    make_piecewise,
-    orlicz_norm_scan,
     pi1_fundamental,
-    power_orlicz,
     projection,
-    psi,
-    recover_weight,
-    schatten_orlicz_norm,
-    schatten_p_norm,
-    sequence_norm,
-    smooth_from_raw,
     sweep,
 )
+from osinv.growth import growth_fn, growth_profile, recover_weight
+from osinv.monotone_fn import make_piecewise
+from osinv.oracle import aux_diag_norm, indicator_search, orlicz_norm_scan
+from osinv.orlicz import (
+    from_weight,
+    fundamental_sequence,
+    make_orlicz,
+    power_orlicz,
+    psi,
+    sequence_norm,
+    smooth_from_raw,
+)
+from osinv.schatten import schatten_orlicz_norm, schatten_p_norm
+from osinv.spaces import canonical_weights, check_space_regularity, dual
 
 DYADIC = [2**k for k in range(4, 21)]
 LOG_WINDOW = [2**k for k in range(6, 21)]

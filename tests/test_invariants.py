@@ -21,16 +21,17 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osinv.growth
 import osinv.invariants
-from osinv import catalog, dual, evaluate, from_fundamental, make_piecewise
+from osinv import catalog, evaluate, from_fundamental
 from osinv.errors import BadParameter, Inconsistent, NotRegular, TooFewPoints
 from osinv.growth import TailIntegral
-from osinv.monotone_fn import inverse_fn
+from osinv.monotone_fn import inverse_fn, make_piecewise
 from osinv.invariants import (
     InvariantReport,
     exactness,
@@ -38,6 +39,7 @@ from osinv.invariants import (
     projection,
     sweep,
 )
+from osinv.spaces import dual
 
 from displays import exactness_display, projection_display
 
@@ -139,10 +141,17 @@ class TestPi1Fundamental:
         with pytest.raises(NotRegular):
             pi1_fundamental(OH, catalog("c_cap_r"), 4)
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    @pytest.mark.parametrize(
+        "bad", [0, -3, 2.5, True, np.int64(0), np.float64(16.0), np.True_])
     def test_rejects_bad_dimension(self, bad):
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="positive integer"):
             pi1_fundamental(OH, OH, bad)
+
+    @pytest.mark.parametrize("invariant", [
+        exactness, projection, lambda d, n: pi1_fundamental(d, d, n),
+    ])
+    def test_numpy_integer_dimension(self, invariant):
+        assert invariant(C3, np.int64(16)) == invariant(C3, 16)
 
     @given(p=st.floats(min_value=1.1, max_value=8.0))
     @settings(max_examples=25, deadline=None)

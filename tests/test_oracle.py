@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import warnings
 
@@ -12,25 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osinv.verify
-from osinv import (
-    WeightPair,
-    canonical_weights,
-    catalog,
-    dual,
+from osinv import catalog, pi1_fundamental
+from osinv.errors import BadCutoff, BadParameter, DomainError
+from osinv.growth import TailIntegral
+from osinv.monotone_fn import (
+    crossing_below,
+    evaluate_many,
     fit_loglog_slope,
-    from_weight,
     integral,
-    make_orlicz,
     make_piecewise,
-    pi1_fundamental,
+)
+from osinv.orlicz import (
+    OrliczFn,
+    from_weight,
+    make_orlicz,
     power_orlicz,
     psi,
     sequence_norm,
 )
-from osinv.errors import BadCutoff, BadParameter, DomainError
-from osinv.growth import TailIntegral
-from osinv.monotone_fn import crossing_below, evaluate_many
-from osinv.orlicz import OrliczFn
 from osinv.oracle import (
     _LATTICE_LO,
     _lattice,
@@ -40,6 +40,7 @@ from osinv.oracle import (
     orlicz_norm_scan,
     riemann_integral,
 )
+from osinv.spaces import WeightPair, canonical_weights, dual
 
 from test_schatten import _knotted_space
 
@@ -198,10 +199,14 @@ class TestIndicatorSearch:
         assert corner_cells(s, report.s_break, 256) <= 1.0
         assert corner_cells(t, report.t_break, 256) <= 1.0
 
-    @pytest.mark.parametrize("bad", [0, -2, 2.5, True])
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, True, np.int64(-1)])
     def test_rejects_bad_dimensions(self, bad: object) -> None:
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match=re.escape(f"got {bad!r}")):
             indicator_search(OH_W, OH_W, bad)
+
+    def test_numpy_integer_dimension(self) -> None:
+        assert (indicator_search(OH_W, OH_W, np.int64(16))
+                == indicator_search(OH_W, OH_W, 16))
 
     def test_rejects_degenerate_corner_grid(self) -> None:
         with pytest.raises(BadParameter):

@@ -78,6 +78,28 @@ class TestOrliczFn:
         with pytest.raises(NotAdmissible):
             power_orlicz(0.8)
 
+    @pytest.mark.parametrize("body, want", [
+        (make_piecewise([1.0], [1e308], right_exponent=2.0), 4.0),
+        (make_piecewise([1.0, 2.0], [1.0, 1e300], right_exponent=3.0), 1e300),
+        (make_piecewise([1.0, 1.5], [1e307, 1e308], right_exponent=3.0),
+         2.0 ** (math.log(10.0) / math.log(1.5))),
+        (make_piecewise([1e-3, 1.0], [1e-300, 1e-180], right_exponent=1.0),
+         2.0**40),
+    ])
+    def test_doubling_constant_near_the_float_limits(self, body, want):
+        # On the flanks the ratio is 2**exponent; only the knots and
+        # half-knots between them are evaluated, and not past the range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = make_orlicz(body).delta2_constant
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_infinite_doubling_constant_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAdmissible, match="doubling constant"):
+                power_orlicz(2000.0)
+
     def test_rejects_sublinear_segment(self):
         body = make_piecewise(
             [1.0, 2.0], [1.0, 1.1], right_exponent=2.0,
@@ -816,6 +838,10 @@ class TestFromFundamentalSequence:
     def test_constant_data_rejected(self):
         with pytest.raises(Inconsistent):
             from_fundamental_sequence({1.0: 1.0, 10.0: 1.0, 100.0: 1.0})
+
+    def test_reciprocal_beyond_the_float_range_is_named(self):
+        with pytest.raises(BadParameter, match=r"n=2\.0: phi_n = 1e-323"):
+            from_fundamental_sequence({1: 5e-324, 2: 1e-323})
 
     def test_validation_errors(self):
         with pytest.raises(TooFewPoints):

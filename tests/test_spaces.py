@@ -11,19 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from osinv import (
-    DEFAULT_REG_WINDOW,
-    SpaceDescriptor,
-    WeightPair,
-    canonical_weights,
     catalog,
-    check_space_regularity,
-    descriptor_from_json,
-    descriptor_to_json,
-    dual,
     evaluate,
     from_fundamental,
     fundamental_from_weights,
-    make_piecewise,
 )
 from osinv import cli, spaces
 from osinv.errors import (
@@ -32,6 +23,17 @@ from osinv.errors import (
     DivergentTail,
     NotRegular,
     ParseError,
+)
+from osinv.growth import DEFAULT_REG_WINDOW
+from osinv.monotone_fn import make_piecewise
+from osinv.spaces import (
+    SpaceDescriptor,
+    WeightPair,
+    canonical_weights,
+    check_space_regularity,
+    descriptor_from_json,
+    descriptor_to_json,
+    dual,
 )
 
 

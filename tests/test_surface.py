@@ -1,0 +1,57 @@
+"""The public surface: the README's examples run as doctests, the top
+level holds exactly the names the README lists, and every name a module
+exports resolves."""
+
+from __future__ import annotations
+
+import doctest
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import osinv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_as_doctests():
+    text = README.read_text(encoding="utf-8")
+    parser = doctest.DocTestParser()
+    runner = doctest.DocTestRunner()
+    report: list[str] = []
+    globs: dict[str, object] = {}
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert len(blocks) >= 2
+    for block in blocks:
+        # Each block runs in the namespace the previous one left, as in
+        # one interpreter session.
+        test = parser.get_doctest(
+            block.group(1), globs, "README.md", str(README),
+            text.count("\n", 0, block.start(1)),
+        )
+        assert test.examples
+        runner.run(test, out=report.append, clear_globs=False)
+        globs = test.globs
+    assert runner.failures == 0, "".join(report)
+
+
+def test_top_level_holds_exactly_the_readme_names():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"^The top level `osinv` holds exactly (.*?)\.\s",
+                       text, re.M | re.S)
+    assert listed is not None
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(names) == len(osinv.__all__) == 10
+    assert set(names) == set(osinv.__all__)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["osinv", *(f"osinv.{m.name}" for m in pkgutil.iter_modules(osinv.__path__))],
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

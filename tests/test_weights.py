@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from osinv import WeightPair, make_piecewise
 from osinv.errors import BadParameter, NonMonotone
+from osinv.monotone_fn import make_piecewise
+from osinv.spaces import WeightPair
 
 
 def falling(exponent: float, knot: float = 1.0, value: float = 1.0):
