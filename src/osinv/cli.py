@@ -267,13 +267,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
     """``table``, ``pi1`` or ``fit``: parse the descriptors and grid,
     sweep once, and write the command's view as CSV or JSON.
 
-    Only the chosen format's header is built, so each descriptor is
-    serialised once.
+    ``fit`` prints no rows, so its sweep builds only the reports its
+    slopes are fitted over.  Only the chosen format's header is built,
+    so each descriptor is serialised once.
     """
     keys = ("domain", "codomain") if args.command == "pi1" else ("space",)
     descs = {key: parse_space_descriptor(getattr(args, key)) for key in keys}
     ns = parse_n_grid(args.n_grid)
-    result = sweep(*descs.values(), n_grid=ns)
+    result = sweep(*descs.values(), n_grid=ns,
+                   _slopes_only=args.command == "fit")
     columns, rows, slopes, footer = args.view(result, *descs.values())
     if args.out_format == "json":
         doc: dict[str, Any] = {

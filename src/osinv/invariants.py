@@ -105,10 +105,12 @@ class InvariantReport:
 class SweepResult:
     """Reports over an n-grid plus fitted log-log slopes.
 
-    ``slopes`` maps a quantity name (``"pi1"``, and for self-sweeps
-    ``"ex"`` and ``"proj"``) to ``(slope, r_squared)`` fitted over the
-    last ``window`` reports, the upper half of the grid (at least 3
-    points), where small-n transients have died off; ``_design`` is the
+    ``reports`` holds one report per grid point, or only the last
+    ``window`` when the sweep was asked for its slopes alone.  ``slopes``
+    maps a quantity name (``"pi1"``, and for self-sweeps ``"ex"`` and
+    ``"proj"``) to ``(slope, r_squared)`` fitted over the last
+    ``window`` reports, the upper half of the grid (at least 3 points),
+    where small-n transients have died off; ``_design`` is the
     fit over those ``n``, for further columns.
     """
 
@@ -122,7 +124,12 @@ class SweepResult:
 class _Quadrant:
     """One mixed quadrant: fundamental function `a` on the first axis
     and `b` on the second, with the tail integrals of their canonical
-    densities and the exact cross-composition tables."""
+    densities and the exact cross-composition tables.
+
+    When the two axes carry equal tables (``a == b`` and ``w_a == w_b``)
+    the second axis is the first: one tail integral, one composition and
+    one cut table serve both, so ``lambda1 = lambda2`` and ``t_n = s_n``.
+    """
 
     a: MonotoneFn
     b: MonotoneFn
@@ -139,14 +146,13 @@ class _Quadrant:
         w_a: MonotoneFn,
         w_b: MonotoneFn,
     ) -> "_Quadrant":
-        quad = cls(
-            a=a,
-            b=b,
-            tail_a=TailIntegral.from_density(w_a),
-            tail_b=TailIntegral.from_density(w_b),
-            tau_ab=compose(b, inverse_fn(a)),
-            tau_ba=compose(a, inverse_fn(b)),
-        )
+        tail_a = TailIntegral.from_density(w_a)
+        tau_ab = compose(b, inverse_fn(a))
+        if a == b and w_a == w_b:
+            quad = cls(a, a, tail_a, tail_a, tau_ab, tau_ab)
+        else:
+            quad = cls(a, b, tail_a, TailIntegral.from_density(w_b), tau_ab,
+                       compose(a, inverse_fn(b)))
         # The cuts of both composed integrals do not depend on n.
         quad.tail_b.composed_table(quad.tau_ab)
         quad.tail_a.composed_table(quad.tau_ba)
@@ -158,9 +164,12 @@ class _Quadrant:
         """``(lambda1, lambda2, lambda3, s_n, t_n)`` at dimension `n`."""
         nf = float(n)
         s_n = evaluate(self.a, nf)
-        t_n = evaluate(self.b, nf)
-        lam3 = nf * nf * self.tail_a.eval(s_n) * self.tail_b.eval(t_n)
+        h_a = self.tail_a.eval(s_n)
         lam2 = nf * self.tail_b.integral_of_composed(self.tau_ab, 0.0, s_n)
+        if self.tail_b is self.tail_a:  # equal axes
+            return lam2, lam2, nf * nf * h_a * h_a, s_n, s_n
+        t_n = evaluate(self.b, nf)
+        lam3 = nf * nf * h_a * self.tail_b.eval(t_n)
         lam1 = nf * self.tail_a.integral_of_composed(self.tau_ba, 0.0, t_n)
         return lam1, lam2, lam3, s_n, t_n
 
@@ -169,18 +178,15 @@ def _pair_quadrants(
     domain: SpaceDescriptor, codomain: SpaceDescriptor
 ) -> tuple[_Quadrant, _Quadrant]:
     """The two mixed quadrants of the summing-norm formula for maps
-    from `domain` to `codomain` (built on the antidual of `domain`)."""
+    from `domain` to `codomain` (built on the antidual of `domain`); one
+    quadrant serves as both when their four tables are equal."""
     e_star = dual(domain)
     w_e = canonical_weights(e_star)
     w_f = canonical_weights(codomain)
-    return (
-        _Quadrant.build(
-            e_star.phi_c, codomain.phi_r, w_e.uc_fn, w_f.ur_fn
-        ),
-        _Quadrant.build(
-            e_star.phi_r, codomain.phi_c, w_e.ur_fn, w_f.uc_fn
-        ),
-    )
+    tables = (e_star.phi_c, codomain.phi_r, w_e.uc_fn, w_f.ur_fn)
+    other = (e_star.phi_r, codomain.phi_c, w_e.ur_fn, w_f.uc_fn)
+    first = _Quadrant.build(*tables)
+    return first, first if other == tables else _Quadrant.build(*other)
 
 
 def _report(
@@ -189,7 +195,10 @@ def _report(
     """The report at `n`.  A self-sweep's report (`self_pair`) also
     carries ``ex`` and ``proj = n/pi1``."""
     l1m, l2m, l3m, s_n, t_n = quads[0].contributions(n)
-    l1p, l2p, l3p, _, _ = quads[1].contributions(n)
+    if quads[1] is quads[0]:
+        l1p, l2p, l3p, s_p = l1m, l2m, l3m, s_n
+    else:
+        l1p, l2p, l3p, s_p, _ = quads[1].contributions(n)
     total = 2.0 * n + l1m + l2m + l3m + l1p + l2p + l3p
     pi1 = math.sqrt(total)
     return InvariantReport(
@@ -200,7 +209,8 @@ def _report(
         lambda3=(l3m, l3p),
         s_break=s_n,
         t_break=t_n,
-        ex=_exactness(quads, n) if self_pair else None,
+        ex=(_exactness(s_n, s_p, quads[0].tail_b, quads[1].tail_b)
+            if self_pair else None),
         proj=n / pi1 if self_pair else None,
     )
 
@@ -249,14 +259,15 @@ def _clipped_mass(flat: float, scale: float, tail: TailIntegral) -> float:
     return flat * s_star + scale * tail.eval(s_star)
 
 
-def _exactness(quads: tuple[_Quadrant, _Quadrant], n: int) -> float:
-    """The exactness constant at `n` from a space's self-pair quadrants:
-    each quadrant's `a` is a fundamental function of the antidual, and
-    its `tail_b` a tail integral of the space's own densities."""
-    col_level = evaluate(quads[0].a, float(n))
-    row_level = evaluate(quads[1].a, float(n))
-    i_plus = _clipped_mass(col_level, row_level, quads[0].tail_b)
-    i_minus = _clipped_mass(row_level, col_level, quads[1].tail_b)
+def _exactness(
+    col_level: float, row_level: float, tail_r: TailIntegral,
+    tail_c: TailIntegral,
+) -> float:
+    """The exactness constant from the antidual's fundamental functions
+    at `n` (the breaking levels ``a(n)`` of a self-sweep's quadrants) and
+    the tail integrals of the space's row and column densities."""
+    i_plus = _clipped_mass(col_level, row_level, tail_r)
+    i_minus = _clipped_mass(row_level, col_level, tail_c)
     return math.sqrt(i_plus + i_minus)
 
 
@@ -280,7 +291,14 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
         ``n`` is not a positive integer.
     """
     n = _check_dimension(n)
-    return _exactness(_pair_quadrants(desc, desc), n)
+    anti = dual(desc)
+    w = canonical_weights(desc)
+    tail_r = TailIntegral.from_density(w.ur_fn)
+    tail_c = (tail_r if w.uc_fn == w.ur_fn
+              else TailIntegral.from_density(w.uc_fn))
+    nf = float(n)
+    return _exactness(evaluate(anti.phi_c, nf), evaluate(anti.phi_r, nf),
+                      tail_r, tail_c)
 
 
 def projection(desc: SpaceDescriptor, n: int) -> float:
@@ -303,6 +321,8 @@ def sweep(
     domain: SpaceDescriptor,
     codomain: SpaceDescriptor | None = None,
     n_grid: Iterable[int] = (),
+    *,
+    _slopes_only: bool = False,
 ) -> SweepResult:
     """Invariant reports over an n-grid, with fitted exponents.
 
@@ -311,7 +331,17 @@ def sweep(
     slopes are fitted for all three quantities.  With a `codomain` the
     reports carry the summing-norm breakdown only and just the ``pi1``
     slope is fitted.  Slopes are fitted over the upper half of the grid
-    (at least 3 points) to suppress small-n transients.
+    (at least 3 points) to suppress small-n transients; `_slopes_only`
+    (for ``osinv fit``) builds only the reports of that window.
+
+    Each distinct piece of the formula is built and evaluated once per
+    sweep: when the two mixed quadrants carry equal tables (for example
+    a space with ``phi_c == phi_r``, against itself) one quadrant serves
+    both, and when a quadrant's two axes carry equal tables (for example
+    a column space against itself) one tail integral and one composed
+    table serve both axes.  Equality is that of the tables' values, so
+    every shared number is the one the unshared formula computes; nothing
+    is kept from one sweep to the next.
 
     Raises
     ------
@@ -339,7 +369,8 @@ def sweep(
         )
     self_sweep = codomain is None
     quads = _pair_quadrants(domain, domain if self_sweep else codomain)
-    reports = [_report(quads, n, self_sweep) for n in ns]
+    reports = [_report(quads, n, self_sweep)
+               for n in (ns[-window:] if _slopes_only else ns)]
     upper = reports[-window:]
     names = ("pi1", "ex", "proj") if self_sweep else ("pi1",)
     fits = design.fit([[getattr(r, k) for r in upper] for k in names])

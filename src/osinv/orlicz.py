@@ -525,6 +525,31 @@ def from_fundamental_sequence(
     return make_orlicz(body)
 
 
+def _left_flank(t1: float, v1: float, e_left: float) -> float:
+    """The knot below `t1` that pins the smoothed function's left exponent.
+
+    It is ``t1/100`` unless the smoothed value there,
+    ``v1 (t/t1)^e_left / e_left``, falls below the normal float range;
+    then it is the point where that value is 4 times the smallest
+    normal float.
+
+    Raises
+    ------
+    NotAdmissible
+        The smoothed value at `t1` itself is that small.
+    """
+    flank = t1 / 100.0
+    tiny = 4.0 * sys.float_info.min
+    if v1 * (flank / t1) ** e_left / e_left >= tiny:
+        return flank
+    ratio = math.exp((math.log(tiny) - math.log(v1 / e_left)) / e_left)
+    if not ratio < 1.0 - 1e-9:
+        raise NotAdmissible(
+            f"the smoothed value {v1 / e_left!r} at the first knot {t1!r} "
+            "is below the normal float range")
+    return t1 * ratio
+
+
 def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
     """Convexify a raw quasi-convex function by ``phi(t) = int_0^t raw(s)/s ds``.
 
@@ -575,7 +600,7 @@ def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
     t_hi = max(body.knots[-1], GRID_SPAN[1], t1 * 10.0)
     grid = {float(t) for t in log_grid(t1, t_hi)}
     grid.update(body.knots)
-    grid.add(t1 / 100.0)  # flanking knot pins the exact left exponent
+    grid.add(_left_flank(t1, v1, e_left))
     pts = _merge_close(sorted(grid))
 
     values: list[float] = []
@@ -602,8 +627,10 @@ def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
     bound = max(4.0, e_max)
     raw_vals = raw.eval_many(pts)
     smooth_vals = out.eval_many(pts)
+    with np.errstate(over="ignore"):  # an infinite upper bound holds
+        upper = bound * smooth_vals * (1.0 + 1e-9)
     if np.any(smooth_vals > raw_vals * (1.0 + 1e-9)) or np.any(
-        raw_vals > bound * smooth_vals * (1.0 + 1e-9)
+        raw_vals > upper
     ):
         raise Inconsistent(
             "smoothing sandwich failed; raw function was not admissible"

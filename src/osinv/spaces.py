@@ -330,7 +330,8 @@ def _rescaled_to_one(f: MonotoneFn, name: str) -> MonotoneFn:
 def _canonical_pair(
     phi_c: MonotoneFn, phi_r: MonotoneFn, label: str
 ) -> WeightPair:
-    """Canonical densities ``min(1, 1/phi^{-1})`` per side of `label`."""
+    """Canonical densities ``min(1, 1/phi^{-1})`` per side of `label`;
+    equal sides share one density."""
     for name, f in (("phi_c", phi_c), ("phi_r", phi_r)):
         flat = [i for i, e in enumerate(f.exponents) if e <= 0.0]
         if flat:
@@ -343,8 +344,9 @@ def _canonical_pair(
             raise BadParameter(f"{name} of {label} has a knot {f.knots[0]!r} whose "
                                "reciprocal overflows the float range; cannot "
                                "invert it to recover a weight")
+    uc = clamped_reciprocal_inverse(phi_c)
     return WeightPair(
-        clamped_reciprocal_inverse(phi_c), clamped_reciprocal_inverse(phi_r)
+        uc, uc if phi_r == phi_c else clamped_reciprocal_inverse(phi_r)
     )
 
 

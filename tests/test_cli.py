@@ -23,6 +23,7 @@ from osinv.cli import (
     parse_space_descriptor,
 )
 from osinv.errors import BadParameter, NotRegular, ParseError
+from osinv.invariants import InvariantReport
 from osinv.monotone_fn import evaluate
 from osinv.verify import run_suite
 
@@ -755,6 +756,26 @@ class TestFitCommand:
         assert set(rows) == {"ex", "proj", "pi1"}
         assert float(rows["ex"][0]) == pytest.approx(0.25, abs=0.01)
         assert all(float(v[1]) >= 0.99 for v in rows.values())
+
+    @pytest.mark.parametrize("command", ["fit", "table"])
+    def test_builds_only_the_reports_it_prints(
+        self, capsys, monkeypatch, command
+    ) -> None:
+        # fit prints the slopes of the upper window alone (5 of the 9
+        # points), so it builds only those reports; table builds all 9.
+        calls = []
+        post_init = InvariantReport.__post_init__
+
+        def counted(rep):
+            calls.append(rep.n)
+            post_init(rep)
+
+        monkeypatch.setattr(InvariantReport, "__post_init__", counted)
+        code, _, _ = run_cli(capsys, command, "--space", OH_JSON,
+                             "--n", NINE_POINT_GRID)
+        assert code == 0
+        grid = list(parse_n_grid(NINE_POINT_GRID))
+        assert calls == (grid[-5:] if command == "fit" else grid)
 
 
 class TestOneHeaderPerFormat:

@@ -5,8 +5,10 @@ digest of what it wrote to stdout against a committed digest.  The set
 covers ``table`` and ``pi1`` on the four catalog families and on seeded
 many-knot fundamental tables (m = 25 and m = 200, the m = 200 ``table``
 in both formats), ``fit`` on OH and on an m = 25 table in both formats,
-``fit`` and ``table`` on that m = 25 table over a 300-point grid, and the
-full ``verify`` battery (the only path through the Orlicz and
+``fit`` and ``table`` on that m = 25 table over a 300-point grid,
+``table``, ``fit`` and ``pi1`` on m = 25 spaces whose sweeps share equal
+tables (one table on both sides, and a table beside its antidual), and
+the full ``verify`` battery (the only path through the Orlicz and
 oracle code), so a change to the evaluation path that moves
 any printed digit fails here.
 
@@ -57,6 +59,26 @@ def _knotted_space(seed: int, m: int) -> dict:
     }
 
 
+def _symmetric_space(seed: int, m: int) -> dict:
+    """One seeded table on both sides: the two mixed quadrants of a
+    sweep carry equal tables."""
+    table = _knotted_table(random.Random(seed), m)
+    return {"kind": "fundamental", "phi_c": table, "phi_r": table}
+
+
+def _antidual_space(seed: int, m: int) -> dict:
+    """A seeded ``phi_c`` with ``phi_r`` its antidual table (values
+    ``t/v``, right exponent ``1 - e``): the two axes of a self-sweep's
+    first quadrant carry equal tables."""
+    phi_c = _knotted_table(random.Random(seed), m)
+    phi_r = {
+        "knots": phi_c["knots"],
+        "values": [t / v for t, v in zip(phi_c["knots"], phi_c["values"])],
+        "right_exponent": 1.0 - phi_c["right_exponent"],
+    }
+    return {"kind": "fundamental", "phi_c": phi_c, "phi_r": phi_r}
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -72,6 +94,8 @@ def _pi1(domain: dict, codomain: dict, *extra: str) -> tuple[str, ...]:
 
 K25_A, K25_B = _knotted_space(25, 25), _knotted_space(2025, 25)
 K200_A, K200_B = _knotted_space(200, 200), _knotted_space(2200, 200)
+SYM_A, SYM_B = _symmetric_space(125, 25), _symmetric_space(2125, 25)
+ANTI = _antidual_space(325, 25)
 
 CASES: dict[str, tuple[str, ...]] = {
     "table-oh": _table(OH),
@@ -94,6 +118,11 @@ CASES: dict[str, tuple[str, ...]] = {
                      "--out", "json"),
     "table-m25-wide": ("table", "--space", _dump(K25_A), "--n", WIDE_GRID,
                        "--out", "json"),
+    "table-m25-sym": _table(SYM_A),
+    "fit-m25-sym": ("fit", "--space", _dump(SYM_A), "--n", GRID,
+                    "--out", "json"),
+    "table-m25-antidual": _table(ANTI),
+    "pi1-m25-sym": _pi1(SYM_A, SYM_B),
     "verify": ("verify",),
 }
 
@@ -106,6 +135,8 @@ CASES: dict[str, tuple[str, ...]] = {
 #: every digit, was recorded before composition walked its ascending
 #: points.  The two ``-wide`` digests, whose slopes are fitted over 150
 #: points, were recorded before the fits of a sweep shared one design.
+#: The ``-sym`` and ``-antidual`` digests were recorded before a sweep
+#: built equal quadrants and equal axes once.
 DIGESTS = {
     "fit-m25": "6647537fdf3cb4acaa7ceaa4d9eccf419497a562d47f7e23a366c9c5bea0305f",
     "fit-m25-csv": "e5e90cbc0255bde4f9789621fb6f4f7ede4abf43d9fa8031d421b7fa79c52981",
@@ -125,6 +156,10 @@ DIGESTS = {
     "table-m25": "1c08b95e45fa90a5c7ab8067b42df81f5693bcd55ed88a8d99eecc6bfb07b213",
     "table-oh": "a74d1ff82565dc366ef3cbe762c7b3722d65dd7798a03a8bf8d73b8ec0ef8469",
     "table-row": "8f7f15af2e44877973bf4abe42f335fb7721b8fc08d38d7a131a43cb5a2b5e9c",
+    "table-m25-sym": "3a22978dfbc2aea54d0f567d86e87f74a2dc953b01f8178dce919a845bcd8128",
+    "fit-m25-sym": "b00a20ebf71fe01d3e981ff196e19b4486550ff9aa51d1282b0029260cf0e557",
+    "table-m25-antidual": "6c52c1ee4b13c8b03ae25fdb3fe9c23d79b5022675b06a6beb22f4b07c2322d0",
+    "pi1-m25-sym": "b6aa95203da0f2dbdbd64e122c98bb8c89b9ccf440d848ced92b647bd87e9b0d",
     "verify": "0470543512c26ee813f05020e492bd5b6d894a47b28f7317c81be717f9110759",
 }
 

@@ -31,7 +31,7 @@ import osinv.invariants
 from osinv import catalog, evaluate, from_fundamental
 from osinv.errors import BadParameter, Inconsistent, NotRegular, TooFewPoints
 from osinv.growth import TailIntegral
-from osinv.monotone_fn import inverse_fn, make_piecewise
+from osinv.monotone_fn import compose, inverse_fn, make_piecewise
 from osinv.invariants import (
     InvariantReport,
     exactness,
@@ -39,7 +39,7 @@ from osinv.invariants import (
     projection,
     sweep,
 )
-from osinv.spaces import dual
+from osinv.spaces import SpaceDescriptor, WeightPair, canonical_weights, dual
 
 from displays import exactness_display, projection_display
 
@@ -67,6 +67,22 @@ def knotted_table(rng: random.Random, m: int):
     for t0, t1 in zip(knots, knots[1:]):
         values.append(values[-1] * (t1 / t0) ** rng.uniform(0.3, 0.7))
     return make_piecewise(knots, values, right_exponent=rng.uniform(0.3, 0.7))
+
+
+_RNG = random.Random(3)
+#: Knotted spaces: one sharing nothing, one with a single table on both
+#: sides (two more of those), and one with its antidual table as phi_r.
+ASYMMETRIC = from_fundamental(knotted_table(_RNG, 10), knotted_table(_RNG, 10))
+_SYM_A, _SYM_B = knotted_table(_RNG, 10), knotted_table(_RNG, 10)
+SYMMETRIC = from_fundamental(_SYM_A, _SYM_A)
+SYMMETRIC_B = from_fundamental(_SYM_B, _SYM_B)
+ANTIDUAL = from_fundamental(_SYM_A, dual(SYMMETRIC).phi_c)
+#: OH's fundamental functions with a row density of another space
+#: attached: equal tables on both sides, unequal densities.
+OH_APART = SpaceDescriptor(
+    kind="weighted", phi_c=OH.phi_c, phi_r=OH.phi_r, label="OH_apart",
+    weights=WeightPair(canonical_weights(OH).uc_fn,
+                       canonical_weights(C3).ur_fn))
 
 
 class TestPi1Fundamental:
@@ -374,26 +390,114 @@ class TestSweep:
                 if codomain is None:
                     assert rep.ex == exactness(domain, rep.n)
 
-    def test_self_sweep_builds_each_table_once(self, monkeypatch):
-        # The exactness setup reads the antidual's fundamental functions
-        # and the tail integrals off the two quadrants.
-        calls = {"dual": 0, "tail": 0}
+    @staticmethod
+    def _builds(monkeypatch, space) -> dict[str, int]:
+        """Antiduals, tail integrals and compositions a self-sweep of
+        `space` builds."""
+        calls = {"dual": 0, "tail": 0, "compose": 0}
         counted_dual = osinv.invariants.dual
+        counted_compose = osinv.invariants.compose
         from_density = TailIntegral.from_density.__func__
 
         def dual(desc):
             calls["dual"] += 1
             return counted_dual(desc)
 
+        def compose(f, g):
+            calls["compose"] += 1
+            return counted_compose(f, g)
+
         def counted_from_density(cls, w):
             calls["tail"] += 1
             return from_density(cls, w)
 
         monkeypatch.setattr(osinv.invariants, "dual", dual)
+        monkeypatch.setattr(osinv.invariants, "compose", compose)
         monkeypatch.setattr(TailIntegral, "from_density",
                             classmethod(counted_from_density))
-        sweep(CR15, n_grid=DYADIC)
-        assert calls == {"dual": 1, "tail": 4}
+        sweep(space, n_grid=DYADIC)
+        return calls
+
+    def test_self_sweep_builds_each_table_once(self, monkeypatch):
+        # CR15's two quadrants carry equal tables, so one quadrant serves
+        # both: two tail integrals and two compositions.  The exactness
+        # setup reads the antidual's fundamental functions and the tail
+        # integrals off the quadrants.
+        assert self._builds(monkeypatch, CR15) == {
+            "dual": 1, "tail": 2, "compose": 2}
+
+    @pytest.mark.parametrize("space, built", [
+        (OH, 1), (C3, 2), (ASYMMETRIC, 4),
+    ], ids=["oh", "column_p", "asymmetric"])
+    def test_self_sweep_builds_each_distinct_axis_once(self, monkeypatch,
+                                                       space, built):
+        # One tail integral and one composition per distinct axis: C3's
+        # quadrants each have equal axes, OH's quadrants are equal and so
+        # are their axes, and the knotted space shares nothing.
+        assert self._builds(monkeypatch, space) == {
+            "dual": 1, "tail": built, "compose": built}
+
+    @pytest.mark.parametrize("domain, codomain", [
+        (CR15, None), (OH, None), (C3, None), (CR3, CR15),
+        (C3, catalog("row_p", 3)), (SYMMETRIC, None),
+        (SYMMETRIC, SYMMETRIC_B), (ANTIDUAL, None), (ASYMMETRIC, None),
+        (OH, SYMMETRIC), (OH_APART, None), (OH, OH_APART),
+    ])
+    def test_shared_pieces_equal_the_unshared_formula(self, domain,
+                                                      codomain):
+        # Each quadrant and axis built and integrated on its own, as
+        # the formula reads: a shared piece must give the same bits.
+        grid = [1, 3, 16, 100, 4096, 2**20]
+        res = sweep(domain, codomain, grid)
+        codomain = codomain or domain
+        anti = dual(domain)
+        w_e, w_f = canonical_weights(anti), canonical_weights(codomain)
+        quads = ((anti.phi_c, codomain.phi_r, w_e.uc_fn, w_f.ur_fn),
+                 (anti.phi_r, codomain.phi_c, w_e.ur_fn, w_f.uc_fn))
+        for rep in res.reports:
+            n = float(rep.n)
+            lams = []
+            for a, b, w_a, w_b in quads:
+                tail_a = TailIntegral.from_density(w_a)
+                tail_b = TailIntegral.from_density(w_b)
+                s_n, t_n = evaluate(a, n), evaluate(b, n)
+                lams.append((
+                    n * tail_a.integral_of_composed(
+                        compose(a, inverse_fn(b)), 0.0, t_n),
+                    n * tail_b.integral_of_composed(
+                        compose(b, inverse_fn(a)), 0.0, s_n),
+                    n * n * tail_a.eval(s_n) * tail_b.eval(t_n),
+                    s_n, t_n))
+            (l1m, l2m, l3m, s_n, t_n), (l1p, l2p, l3p, _, _) = lams
+            assert (rep.lambda1, rep.lambda2, rep.lambda3) == (
+                (l1m, l1p), (l2m, l2p), (l3m, l3p))
+            assert (rep.s_break, rep.t_break) == (s_n, t_n)
+            total = 2.0 * n + l1m + l2m + l3m + l1p + l2p + l3p
+            assert rep.pi1 == math.sqrt(total)
+
+    def test_exactness_builds_only_what_it_reads(self, monkeypatch):
+        # exactness() reads the antidual's fundamental functions and the
+        # space's own tail integrals: no composition, no cut table.
+        built = {"compose": 0, "tail": 0}
+        counted_compose = osinv.invariants.compose
+        from_density = TailIntegral.from_density.__func__
+
+        def compose(f, g):
+            built["compose"] += 1
+            return counted_compose(f, g)
+
+        def counted_from_density(cls, w):
+            built["tail"] += 1
+            return from_density(cls, w)
+
+        monkeypatch.setattr(osinv.invariants, "compose", compose)
+        monkeypatch.setattr(TailIntegral, "from_density",
+                            classmethod(counted_from_density))
+        for space, tails in ((CR15, 1), (ASYMMETRIC, 2)):
+            want = sweep(space, n_grid=[16, 4096, 2**20]).reports[1].ex
+            built.update(compose=0, tail=0)
+            assert exactness(space, 4096) == want
+            assert built == {"compose": 0, "tail": tails}
 
     def test_inverts_each_fundamental_function_once(self, monkeypatch):
         # The canonical weights and the quadrant build invert the same

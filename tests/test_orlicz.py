@@ -904,6 +904,32 @@ class TestSmoothFromRaw:
         exps = phi.body.segment_exponents
         assert min(exps) >= 1.0 - 1e-9
 
+    def test_steep_left_piece_keeps_its_flank_in_range(self):
+        # Left exponent log2(1e300) = 996.6: the smoothed value at t1/100
+        # underflows, so the flank that pins the exponent must sit closer.
+        raw = make_piecewise([1.0, 2.0], [1.0, 1e300], right_exponent=3.0)
+        e = math.log2(1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = smooth_from_raw(raw)
+        assert phi.left_exponent == pytest.approx(e, rel=1e-9)
+        assert min(phi.body.values) >= sys.float_info.min
+        # int_0^t s^(e-1) ds = t^e / e below 2, where raw(s) = s^e.
+        assert phi.eval(1.0) == pytest.approx(1.0 / e, rel=1e-12)
+        assert phi.eval(2.0) == pytest.approx(1e300 / e, rel=1e-9)
+        assert phi.eval(0.5) == pytest.approx(0.5**e / e, rel=1e-9)
+
+    def test_unchanged_flank_when_nothing_underflows(self):
+        raw = make_piecewise([1.0, 10.0], [1.0, 100.0], right_exponent=3.0)
+        assert smooth_from_raw(raw).body.knots[0] == 1.0 / 100.0
+
+    def test_first_value_below_the_normal_range_is_named(self):
+        raw = make_piecewise([1.0, 2.0], [1e-306, 1e-6], right_exponent=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAdmissible, match="first knot"):
+                smooth_from_raw(raw)
+
     def test_rejects_sublinear_raw(self):
         body = make_piecewise(
             [1.0, 4.0], [1.0, 1.2], right_exponent=1.0,

@@ -252,6 +252,21 @@ class TestCanonicalWeights:
         w3 = canonical_weights(catalog("column_p", 3))
         assert evaluate(w3.uc_fn, 4.0) == pytest.approx(0.125, rel=1e-12)
 
+    @pytest.mark.parametrize("family, p, shared", [
+        ("oh", None, True), ("cr_p", 3.0, True), ("column_p", 3.0, False),
+    ])
+    def test_equal_sides_share_one_density(self, monkeypatch, family, p,
+                                           shared):
+        # phi_c == phi_r: the density is derived once, for both sides.
+        calls = []
+        derive = spaces.clamped_reciprocal_inverse
+        monkeypatch.setattr(spaces, "clamped_reciprocal_inverse",
+                            lambda f: calls.append(f) or derive(f))
+        w = canonical_weights(catalog(family, p))
+        assert (w.uc_fn is w.ur_fn) == shared
+        assert len(calls) == (1 if shared else 2)
+        assert w.ur_fn == derive(catalog(family, p).phi_r)
+
     @pytest.mark.parametrize("family", ["c", "r", "c_cap_r"])
     def test_endpoints_have_no_weights(self, family):
         with pytest.raises(NotRegular):
