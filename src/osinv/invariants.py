@@ -293,12 +293,10 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
     n = _check_dimension(n)
     anti = dual(desc)
     w = canonical_weights(desc)
-    tail_r = TailIntegral.from_density(w.ur_fn)
-    tail_c = (tail_r if w.uc_fn == w.ur_fn
-              else TailIntegral.from_density(w.uc_fn))
     nf = float(n)
     return _exactness(evaluate(anti.phi_c, nf), evaluate(anti.phi_r, nf),
-                      tail_r, tail_c)
+                      TailIntegral.from_density(w.ur_fn),
+                      TailIntegral.from_density(w.uc_fn))
 
 
 def projection(desc: SpaceDescriptor, n: int) -> float:
@@ -332,7 +330,9 @@ def sweep(
     reports carry the summing-norm breakdown only and just the ``pi1``
     slope is fitted.  Slopes are fitted over the upper half of the grid
     (at least 3 points) to suppress small-n transients; `_slopes_only`
-    (for ``osinv fit``) builds only the reports of that window.
+    (for ``osinv fit``) builds only the reports of that window, so the
+    grid points below it are neither evaluated nor checked: an error
+    there, which a full sweep raises, does not stop a slopes-only one.
 
     Each distinct piece of the formula is built and evaluated once per
     sweep: when the two mixed quadrants carry equal tables (for example

@@ -22,7 +22,7 @@ from osinv.cli import (
     parse_n_grid,
     parse_space_descriptor,
 )
-from osinv.errors import BadParameter, NotRegular, ParseError
+from osinv.errors import BadParameter, Inconsistent, NotRegular, ParseError
 from osinv.invariants import InvariantReport
 from osinv.monotone_fn import evaluate
 from osinv.verify import run_suite
@@ -776,6 +776,27 @@ class TestFitCommand:
         assert code == 0
         grid = list(parse_n_grid(NINE_POINT_GRID))
         assert calls == (grid[-5:] if command == "fit" else grid)
+
+    @pytest.mark.parametrize("command, want_code", [("fit", 0), ("table", 3)])
+    def test_a_failure_below_the_window_stops_only_table(
+        self, capsys, monkeypatch, command, want_code
+    ) -> None:
+        # By design fit never evaluates the grid points below its window,
+        # so a report that would fail its checks there stops table alone.
+        grid = list(parse_n_grid(NINE_POINT_GRID))
+        post_init = InvariantReport.__post_init__
+
+        def failing_below_window(rep):
+            if rep.n < grid[-5]:
+                raise Inconsistent(f"planted failure at n = {rep.n}")
+            post_init(rep)
+
+        monkeypatch.setattr(InvariantReport, "__post_init__",
+                            failing_below_window)
+        code, _, err = run_cli(capsys, command, "--space", OH_JSON,
+                               "--n", NINE_POINT_GRID)
+        assert code == want_code
+        assert ("planted failure" in err) == (command == "table")
 
 
 class TestOneHeaderPerFormat:
