@@ -9,10 +9,11 @@ computes
 * sharp power-envelope regularity diagnostics for increasing tables.
 
 The central object is :class:`TailIntegral`, which stores ``h`` *exactly*
-per piece of ``w``: on each piece the tail integral is
-``const + coef (t/anchor)^q``, or, where ``q`` is near 0, a series in ``q``
-that is exact at ``q = 0``, so evaluation and the composed integrals used
-by the invariant formulas carry no quadrature error.  :func:`tail_fn`
+as one record ``(const, coef, q, anchor)`` per piece of ``w``: on each
+piece the tail integral is ``const + coef (t/anchor)^q``, or, where ``q``
+is near 0, ``h`` at the piece's right end plus a series in ``q`` that is
+exact at ``q = 0``, so evaluation and the composed integrals used by the
+invariant formulas carry no quadrature error.  :func:`tail_fn`
 exposes a sampled piecewise-power view of the same function for callers
 that need a :class:`MonotoneFn`.
 """
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .monotone_fn import (
     _KNOT_MERGE_RTOL,
+    _SERIES_CUT,
     MonotoneFn,
     _local_power,
     _log_ratio,
@@ -73,10 +75,6 @@ DEFAULT_REG_WINDOW = (0.02, 0.98)
 _BISECT_REL_TOL = 1e-13
 _MAX_DOUBLINGS = 200
 
-#: Segment pieces with ``|q| ln(t1/t0)`` below this are evaluated through
-#: ``_segment_integral``, whose series in ``q`` covers the same range.
-_NEAR_LOG = 1e-3
-
 
 @dataclass(frozen=True)
 class TailIntegral:
@@ -87,22 +85,19 @@ class TailIntegral:
     density:
         The underlying density `w` (tail exponent < -1).
     pieces:
-        Triples ``(const, coef, q)``, one per piece of `density` in the
-        :class:`MonotoneFn` layout (``bisect_right(density.knots, t)`` is
-        the piece of `t`); on piece `k`, ``H(t) = const + coef (t/a)^q``
-        with anchor ``a`` the piece's first knot (``t_1`` for the head).
-    near_log:
-        Pairs ``(k, h)`` for the segment pieces whose ``q`` is so close to
-        0 that ``const`` and ``coef`` (both of order ``1/q``) cancel, down
-        to ``q = 0`` exactly; their triples hold ``const = coef = 0``.
-        `h` is ``H`` at the right end of piece `k`, and :meth:`eval` adds
-        the density's integral up to there (``_segment_integral``'s
-        series, exact at ``q = 0``).
+        Records ``(const, coef, q, anchor)``, one per piece of `density`
+        in the :class:`MonotoneFn` layout (``bisect_right(density.knots,
+        t)`` is the piece of `t`): on the piece ``H(t) = const + coef
+        (t/anchor)^q``, `anchor` being its first knot (``t_1`` for the
+        head).  A near-log piece, whose ``q`` is so close to 0 that
+        ``const`` and ``coef`` (both of order ``1/q``) would cancel, down
+        to ``q = 0`` exactly, has ``coef = None`` and `const` ``H`` at its
+        right end, to which :meth:`eval` adds the density's integral up to
+        there (``_segment_integral``'s series, exact at ``q = 0``).
     """
 
     density: MonotoneFn
-    pieces: tuple[tuple[float, float, float], ...]
-    near_log: tuple[tuple[int, float], ...] = ()
+    pieces: tuple[tuple[float, float | None, float, float], ...]
 
     @classmethod
     def from_density(cls, w: MonotoneFn) -> "TailIntegral":
@@ -122,36 +117,29 @@ class TailIntegral:
                 f"tail exponent {w.right_exponent} >= -1: tail integral diverges"
             )
         knots, vals = w.knots, w.values
-        m = len(knots)
-        pieces: list[tuple[float, float, float]] = []
-        near_log: list[tuple[int, float]] = []
         # Beyond the last knot: H(t) = coef (t/t_m)^q with q = e_inf + 1 < 0.
         q_inf = w.right_exponent + 1.0
         h_right = -vals[-1] * knots[-1] / q_inf
-        pieces.append((0.0, h_right, q_inf))
+        pieces = [(0.0, h_right, q_inf, knots[-1])]
         h_next = h_right  # H at the left edge of the piece just added
-        for i in range(m - 2, -1, -1):
+        for i in range(len(knots) - 2, -1, -1):
             t0, t1, v0, e = knots[i], knots[i + 1], vals[i], w.segment_exponents[i]
             q = e + 1.0
             # Every chord exponent within 1e-9 of -1 lands here too, since
             # ln(t1/t0) < 1455 for floats.
-            if abs(q) * math.log(t1 / t0) < _NEAR_LOG:
-                pieces.append((0.0, 0.0, q))
-                near_log.append((i + 1, h_next))
+            if abs(q) * math.log(t1 / t0) < _SERIES_CUT:
+                pieces.append((h_next, None, q, t0))
                 h_next = h_next + _segment_integral(v0, t0, e, t0, t1)
             else:
                 scale = v0 * t0 / q  # -scale is -v0 * t0 / q, bit for bit
                 const = h_next + scale * (t1 / t0) ** q
-                pieces.append((const, -scale, q))
+                pieces.append((const, -scale, q, t0))
                 h_next = const - scale
         # Constant head: H(t) = H(t_1) + v_1 (t_1 - t) on (0, t_1].
-        pieces.append((h_next + vals[0] * knots[0], -vals[0] * knots[0], 1.0))
+        pieces.append((h_next + vals[0] * knots[0], -vals[0] * knots[0], 1.0,
+                       knots[0]))
         pieces.reverse()
-        return cls(density=w, pieces=tuple(pieces), near_log=tuple(near_log))
-
-    @cached_property
-    def _near_log_right(self) -> dict[int, float]:
-        return dict(self.near_log)
+        return cls(density=w, pieces=tuple(pieces))
 
     @cached_property
     def _knot_levels(self) -> list[float]:
@@ -173,16 +161,14 @@ class TailIntegral:
         t = float(t)
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"abscissa must be a real >= 0, got {t}")
-        knots = self.density.knots
-        k = bisect_right(knots, t)
-        right = self._near_log_right.get(k)
-        if right is not None:
-            w, i = self.density, k - 1
-            return right + _segment_integral(
-                w.values[i], knots[i], w.segment_exponents[i], t, knots[k]
+        w = self.density
+        k = bisect_right(w.knots, t)
+        const, coef, q, anchor = self.pieces[k]
+        if coef is None:
+            return const + _segment_integral(
+                w.values[k - 1], anchor, w.segment_exponents[k - 1], t, w.knots[k]
             )
-        const, coef, q = self.pieces[k]
-        return const + coef * (t / knots[k - 1 if k else 0]) ** q
+        return const + coef * (t / anchor) ** q
 
     def eval_many(self, ts: Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`eval`."""
@@ -190,17 +176,15 @@ class TailIntegral:
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
             raise DomainError("abscissas must be finite reals >= 0")
         out = np.empty_like(arr)
-        knots = self.density.knots
-        idx = np.searchsorted(knots, arr, side="right")
-        for k, (const, coef, q) in enumerate(self.pieces):
+        idx = np.searchsorted(self.density.knots, arr, side="right")
+        for k, (const, coef, q, anchor) in enumerate(self.pieces):
             mask = idx == k
             if not np.any(mask):
                 continue
-            if k in self._near_log_right:
+            if coef is None:
                 out[mask] = [self.eval(float(t)) for t in arr[mask]]
             else:
-                out[mask] = const + coef * (
-                    arr[mask] / knots[k - 1 if k else 0]) ** q
+                out[mask] = const + coef * (arr[mask] / anchor) ** q
         return out
 
     def integral_of_composed(self, tau: MonotoneFn, lo: float, hi: float) -> float:
@@ -244,21 +228,17 @@ class TailIntegral:
     def _located_segment(self, k: int, v0: float, t0: float, m_exp: float,
                          x: float, y: float) -> float:
         """_composed_segment given tau's piece ``v0 (s/t0)^m_exp``, H's piece `k`."""
-        right = self._near_log_right.get(k)
-        if right is not None:
-            return self._near_log_segment(k, right, v0, t0, m_exp, x, y)
-        const, coef, q = self.pieces[k]
-        knots = self.density.knots
+        const, coef, q, anchor = self.pieces[k]
+        if coef is None:
+            return self._series_segment(k, v0, t0, m_exp, x, y)
         return const * (y - x) + _segment_integral(
-            coef * (v0 / knots[k - 1 if k else 0]) ** q, t0, m_exp * q, x, y
+            coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
         )
 
-    def _near_log_segment(
-        self, k: int, right: float, v0: float, t0: float, m_exp: float,
-        x: float, y: float,
-    ) -> float:
+    def _series_segment(self, k: int, v0: float, t0: float, m_exp: float,
+                        x: float, y: float) -> float:
         """:meth:`_composed_segment` on the near-log piece `k`, whose
-        right end has ``H = right``.
+        record holds ``H = right`` at its right end.
 
         On the piece ``H(t) = right + v_i t_i S(L1) - v_i t_i S(L(t))``
         with ``L(t) = ln(t/t_i)``, ``L1 = L(t_{i+1})`` and
@@ -267,11 +247,11 @@ class TailIntegral:
         in ``ln s``, and ``s sum_r (-m)^r j!/(j-r)! L^(j-r)`` is an
         antiderivative of its ``j``-th power.
         """
-        w, i = self.density, k - 1
-        scale = w.values[i] * w.knots[i]
-        q = w.segment_exponents[i] + 1.0
-        a = math.log(v0 / w.knots[i])
-        l1 = math.log(w.knots[i + 1] / w.knots[i])
+        right, _, q, anchor = self.pieces[k]
+        w = self.density
+        scale = w.values[k - 1] * anchor
+        a = math.log(v0 / anchor)
+        l1 = math.log(w.knots[k] / anchor)
         head = sum(q ** (j - 1) * l1**j / math.factorial(j) for j in range(1, 5))
 
         def antiderivative(s: float) -> float:
@@ -405,10 +385,9 @@ def _growth_root(hh: TailIntegral, s: float) -> float | None:
     hundredth of :data:`_ROOT_BAND`."""
     knots = hh.density.knots
     k = bisect_left(hh._knot_levels, s)
-    if k in hh._near_log_right:
+    const, coef, q, anchor = hh.pieces[k]
+    if coef is None:
         return None
-    const, coef, q = hh.pieces[k]
-    anchor = knots[k - 1 if k else 0]
     try:
         if k == 0:
             t = s * const / (1.0 - s * coef / anchor)
@@ -449,9 +428,8 @@ def _solve_growth(hh: TailIntegral, s: float) -> float:
     if root is not None:
         band_lo, band_hi = root - _ROOT_BAND * root, root + _ROOT_BAND * root
         k = bisect_right(knots, band_lo)
-        if k == bisect_right(knots, band_hi) and k not in hh._near_log_right:
-            const, coef, q = hh.pieces[k]
-            anchor = knots[k - 1 if k else 0]
+        const, coef, q, anchor = hh.pieces[k]
+        if k == bisect_right(knots, band_hi) and coef is not None:
 
             def tail(t: float) -> float:
                 return const + coef * (t / anchor) ** q

@@ -149,14 +149,9 @@ class _Quadrant:
         tail_a = TailIntegral.from_density(w_a)
         tau_ab = compose(b, inverse_fn(a))
         if a == b and w_a == w_b:
-            quad = cls(a, a, tail_a, tail_a, tau_ab, tau_ab)
-        else:
-            quad = cls(a, b, tail_a, TailIntegral.from_density(w_b), tau_ab,
-                       compose(a, inverse_fn(b)))
-        # The cuts of both composed integrals do not depend on n.
-        quad.tail_b.composed_table(quad.tau_ab)
-        quad.tail_a.composed_table(quad.tau_ba)
-        return quad
+            return cls(a, a, tail_a, tail_a, tau_ab, tau_ab)
+        return cls(a, b, tail_a, TailIntegral.from_density(w_b), tau_ab,
+                   compose(a, inverse_fn(b)))
 
     def contributions(
         self, n: int

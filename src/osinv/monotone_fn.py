@@ -73,6 +73,10 @@ _DIRECTIONS = ("nondecreasing", "nonincreasing")
 #: Relative tolerance below which two abscissas are treated as one knot.
 _KNOT_MERGE_RTOL = 1e-13
 
+#: Below this ``|p| |ln(t/t0)|``, :func:`_segment_integral` integrates
+#: ``(t/t0)^(p-1)`` through its series in `p`, exact at ``p = 0``.
+_SERIES_CUT = 1e-3
+
 
 @dataclass(frozen=True)
 class MonotoneFn:
@@ -505,13 +509,14 @@ def _segment_integral(v0: float, t0: float, e: float, x: float, y: float) -> flo
         return -v0 * t0 * _ratio_pow(x, t0, p) / p
     if x == 0.0:
         return v0 * t0 * _ratio_pow(y, t0, p) / p
-    # The series needs |p| max(|ln(y/t0)|, |ln(x/t0)|) < 1e-3, and that max is
-    # >= ln(y/x)/2 >= (y-x)/(2y): past this gate (a factor 2 for rounding) no log
-    # is taken.  (y-x)/y keeps its digits for subnormal y; 4e-3*y would vanish.
-    if (y - x) / y * abs(p) < 4e-3:
+    # The series needs |p| max(|ln(y/t0)|, |ln(x/t0)|) < _SERIES_CUT, and that
+    # max is >= ln(y/x)/2 >= (y-x)/(2y): past this gate (a factor 2 for rounding)
+    # no log is taken.  (y-x)/y keeps its digits for subnormal y, where a bound
+    # scaled by y would vanish.
+    if (y - x) / y * abs(p) < 4.0 * _SERIES_CUT:
         big = _log_ratio(y, t0)
         small = _log_ratio(x, t0)
-        if abs(p) * max(abs(big), abs(small)) < 1e-3:
+        if abs(p) * max(abs(big), abs(small)) < _SERIES_CUT:
             return v0 * t0 * (
                 (big - small)
                 + p * (big * big - small * small) / 2.0

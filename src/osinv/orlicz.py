@@ -603,19 +603,11 @@ def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
     grid.add(_left_flank(t1, v1, e_left))
     pts = _merge_close(sorted(grid))
 
-    values: list[float] = []
-    acc = 0.0
-    prev: float | None = None
-    for t in pts:
-        if t <= t1:
-            values.append(v1 * (t / t1) ** e_left / e_left)
-        else:
-            start = prev if prev is not None and prev > t1 else t1
-            if not values or prev is None or prev <= t1:
-                acc = v1 / e_left
-            acc += integral(integrand, start, t)
-            values.append(acc)
-        prev = t
+    values = [v1 * (t / t1) ** e_left / e_left for t in pts if t <= t1]
+    acc, k = v1 / e_left, len(values)  # pts[k - 1] is t1, a grid point
+    for x, y in zip(pts[k - 1:], pts[k:]):
+        acc += integral(integrand, x, y)
+        values.append(acc)
     out_body = make_piecewise(
         pts, values, right_exponent=body.right_exponent,
         direction="nondecreasing",

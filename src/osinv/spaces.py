@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, replace
 from typing import Any
@@ -51,12 +52,6 @@ __all__ = [
 
 #: Descriptor kinds, i.e. the coarse classification of a structure.
 KINDS = ("column", "row", "column_cap_row", "weighted")
-
-#: Catalog families that take the parameter ``p``.
-_P_FAMILIES = ("column_p", "row_p", "cr_p")
-
-#: Catalog families that take no parameter.
-_PLAIN_FAMILIES = ("oh", "c", "r", "c_cap_r")
 
 #: Exponent window for construction-time regularity gates.  A structure
 #: is regular when both fundamental functions have local exponents
@@ -163,11 +158,7 @@ class SpaceDescriptor:
                     f"{name}(1) = {v1!r}; fundamental functions must be "
                     "normalised to 1 at 1"
                 )
-            if max(f.exponents) > 1.0 + _NORM_TOL:
-                raise BadParameter(
-                    f"{name} grows superlinearly somewhere; phi(n)/n must "
-                    "be nonincreasing"
-                )
+            _check_sublinear(f, name)
         if self.kind == "weighted":
             report = (check_space_regularity(self, _SPACE_WINDOW)
                       if _report is None else _report)
@@ -178,6 +169,13 @@ class SpaceDescriptor:
                     self.phi_c, self.phi_r)
 
 
+def _check_sublinear(f: MonotoneFn, name: str) -> None:
+    """Reject a table `name` with a chord exponent above 1."""
+    if max(f.exponents) > 1.0 + _NORM_TOL:
+        raise BadParameter(f"{name} grows superlinearly somewhere; phi(n)/n "
+                           "must be nonincreasing")
+
+
 def _power_fn(exponent: float) -> MonotoneFn:
     """Exact representation of ``n -> n**exponent`` on ``[1, inf)``."""
     return make_piecewise(
@@ -186,12 +184,21 @@ def _power_fn(exponent: float) -> MonotoneFn:
     )
 
 
-def _family_label(family: str, p: float | None) -> str:
-    plain = {"oh": "OH", "c": "C", "r": "R", "c_cap_r": "C_cap_R"}
-    if family in plain:
-        return plain[family]
-    prefix = {"column_p": "C", "row_p": "R", "cr_p": "CR"}[family]
-    return f"{prefix}_{p:g}"
+_Family = namedtuple("_Family", "kind label exponents dual")
+
+#: The catalog families by selector: descriptor kind, label (followed by
+#: ``_p`` where the family takes ``p``), the exponents of ``(phi_c, phi_r)``
+#: (a function of ``p`` where it takes one; ``1 - 1/p`` is ``1/p'``), and
+#: the antidual's family (None where that is no catalog family).
+_FAMILIES = {
+    "column_p": _Family("weighted", "C", lambda p: (1.0 - 1.0 / p, 1.0 / p), "row_p"),
+    "row_p": _Family("weighted", "R", lambda p: (1.0 / p, 1.0 - 1.0 / p), "column_p"),
+    "cr_p": _Family("weighted", "CR", lambda p: (1.0 - 1.0 / p,) * 2, "cr_p"),
+    "oh": _Family("weighted", "OH", (0.5, 0.5), "oh"),
+    "c": _Family("column", "C", (1.0, 0.0), "r"),
+    "r": _Family("row", "R", (0.0, 1.0), "c"),
+    "c_cap_r": _Family("column_cap_row", "C_cap_R", (1.0, 1.0), None),
+}
 
 
 def catalog(kind: str, p: float | None = None) -> SpaceDescriptor:
@@ -218,7 +225,12 @@ def catalog(kind: str, p: float | None = None) -> SpaceDescriptor:
         Unknown family, a ``p`` outside ``(1, oo)``, a missing ``p``
         for a parametric family, or a ``p`` given for a plain one.
     """
-    if kind in _P_FAMILIES:
+    try:
+        family = _FAMILIES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise BadParameter(f"unknown catalog family {kind!r}") from None
+    exponents, label = family.exponents, family.label
+    if callable(exponents):
         if p is None:
             raise BadParameter(f"family {kind!r} needs the parameter p")
         p = float(p)
@@ -226,40 +238,17 @@ def catalog(kind: str, p: float | None = None) -> SpaceDescriptor:
             raise BadParameter(
                 f"p = {p!r} outside the open interval (1, oo)"
             )
-        e_dual = 1.0 - 1.0 / p  # exponent 1/p' of the conjugate index
-        e_same = 1.0 / p
-        if kind == "column_p":
-            ec, er = e_dual, e_same
-        elif kind == "row_p":
-            ec, er = e_same, e_dual
-        else:  # cr_p
-            ec = er = e_dual
-        return SpaceDescriptor(
-            kind="weighted",
-            phi_c=_power_fn(ec),
-            phi_r=_power_fn(er),
-            label=_family_label(kind, p),
-            p=p,
-            family=kind,
-        )
-    if kind in _PLAIN_FAMILIES:
-        if p is not None:
-            raise BadParameter(f"family {kind!r} takes no parameter")
-        table = {
-            "oh": ("weighted", 0.5, 0.5),
-            "c": ("column", 1.0, 0.0),
-            "r": ("row", 0.0, 1.0),
-            "c_cap_r": ("column_cap_row", 1.0, 1.0),
-        }
-        desc_kind, ec, er = table[kind]
-        return SpaceDescriptor(
-            kind=desc_kind,
-            phi_c=_power_fn(ec),
-            phi_r=_power_fn(er),
-            label=_family_label(kind, None),
-            family=kind,
-        )
-    raise BadParameter(f"unknown catalog family {kind!r}")
+        exponents, label = exponents(p), f"{label}_{p:g}"
+    elif p is not None:
+        raise BadParameter(f"family {kind!r} takes no parameter")
+    return SpaceDescriptor(
+        kind=family.kind,
+        phi_c=_power_fn(exponents[0]),
+        phi_r=_power_fn(exponents[1]),
+        label=label,
+        p=p,
+        family=kind,
+    )
 
 
 def _aggregate_regularity(
@@ -365,6 +354,9 @@ def from_fundamental(
 
     Raises
     ------
+    BadParameter
+        A rescaled input grows superlinearly somewhere (a chord exponent
+        above 1), wherever that chord lies.
     NotRegular
         Some local exponent of a rescaled input falls outside (0, 1) —
         for example ``phi(n) = n`` (an endpoint structure, not a
@@ -374,6 +366,8 @@ def from_fundamental(
     """
     pc = _rescaled_to_one(phi_c, "phi_c")
     pr = _rescaled_to_one(phi_r, "phi_r")
+    _check_sublinear(pc, "phi_c")
+    _check_sublinear(pr, "phi_r")
     report = _aggregate_regularity(pc, pr, _SPACE_WINDOW)
     if not report.passed:
         raise _not_regular(
@@ -458,16 +452,6 @@ def _dual_fn(f: MonotoneFn, name: str, label: str) -> MonotoneFn:
 
 _DUAL_KIND = {"column": "row", "row": "column"}
 
-_DUAL_FAMILY = {
-    "column_p": "row_p",
-    "row_p": "column_p",
-    "cr_p": "cr_p",
-    "oh": "oh",
-    "c": "r",
-    "r": "c",
-    "fundamental": "fundamental",
-}
-
 
 def _dual_label(label: str) -> str:
     if label.startswith("dual(") and label.endswith(")"):
@@ -488,12 +472,13 @@ def dual(desc: SpaceDescriptor) -> SpaceDescriptor:
     ``row_p`` at the same ``p``, and the dual of ``cr_p`` is
     ``cr_{p'}`` at the conjugate index.
     """
-    family = _DUAL_FAMILY.get(desc.family) if desc.family else None
-    if family is not None and family != "fundamental":
+    entry = _FAMILIES.get(desc.family)
+    if entry is not None and entry.dual is not None:
         p = desc.p
-        if family == "cr_p":
-            p = p / (p - 1.0)
-        return catalog(family, p)
+        if callable(entry.exponents) and entry.dual == desc.family:
+            p = p / (p - 1.0)  # n / n^(1/p') = n^(1/p): its own dual at p'
+        return catalog(entry.dual, p)
+    family = "fundamental" if desc.family == "fundamental" else None
     label = _dual_label(desc.label)
     return SpaceDescriptor(
         kind=_DUAL_KIND.get(desc.kind, desc.kind),
@@ -527,10 +512,11 @@ def descriptor_to_json(desc: SpaceDescriptor) -> dict[str, Any]:
         JSON form represents it.
     """
     out: dict[str, Any]
-    if desc.family in _P_FAMILIES:
-        out = {"kind": desc.family, "p": desc.p}
-    elif desc.family in _PLAIN_FAMILIES:
+    entry = _FAMILIES.get(desc.family)
+    if entry is not None:
         out = {"kind": desc.family}
+        if callable(entry.exponents):
+            out["p"] = desc.p
     else:
         # A weighted descriptor passed this gate when it was built.
         if desc.kind != "weighted" and not check_space_regularity(
@@ -630,10 +616,10 @@ def descriptor_from_json(obj: Mapping[str, Any]) -> SpaceDescriptor:
         phi_c = _fn_from_json(obj, "phi_c")
         phi_r = _fn_from_json(obj, "phi_r")
         desc = from_fundamental(phi_c, phi_r)
-    elif kind in _P_FAMILIES or kind in _PLAIN_FAMILIES:
+    elif kind in _FAMILIES:
         p = obj.get("p")
         _reject_booleans("'p'", p)
-        if kind in _P_FAMILIES and not isinstance(p, (int, float)):
+        if callable(_FAMILIES[kind].exponents) and not isinstance(p, (int, float)):
             raise ParseError(f"family {kind!r} needs a numeric 'p'")
         try:
             desc = catalog(kind, None if p is None else _floats("'p'", p)[0])

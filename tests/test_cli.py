@@ -479,10 +479,11 @@ class TestOverflowingRatiosExitThree:
 
 class TestErrorsNameTheirTable:
     """A table whose value at 1 overflows, or whose values leave the
-    float range when divided by it, a table whose antidual ``n/phi`` is
-    flat somewhere, and a table that fails the regularity gate are
-    reported against the function at fault: the first two exit 3, the
-    last two 2 (no weight represents them)."""
+    float range when divided by it, a table with a superlinear chord, a
+    table whose antidual ``n/phi`` is flat somewhere, and a table that
+    fails the regularity gate are reported against the function at
+    fault: the first three exit 3, the last two 2 (no weight represents
+    them)."""
 
     PLAIN = {"knots": [1.0], "values": [1.0], "right_exponent": 0.5}
 
@@ -536,6 +537,23 @@ class TestErrorsNameTheirTable:
             + " and ".join(f"{side} has exponents in [0.5, 1]"
                            for side in sides) + "\n"
         )
+
+    @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
+    @pytest.mark.parametrize("table", [
+        {"knots": [1.0, 10.0], "values": [1.0, 31.6227766],
+         "right_exponent": 0.5},
+        # Past the window [1, 1e6] the regularity gate reads.
+        {"knots": [1.0, 1e7, 1e8],
+         "values": [1.0, 3162.2776601683795, 3162.2776601683795 * 31.6227766],
+         "right_exponent": 0.5},
+    ], ids=["inside-window", "past-window"])
+    def test_superlinear_chord(self, capsys, side, table) -> None:
+        # A chord exponent of 1.5 over one decade is a bad table wherever
+        # it lies, not a space that fails the regularity gate.
+        code, out, err = self._run(capsys, side, table)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {side} grows superlinearly somewhere; "
+                       "phi(n)/n must be nonincreasing\n")
 
     @pytest.mark.parametrize("side", ["phi_c", "phi_r"])
     def test_flat_stretch_of_the_antidual(self, capsys, side) -> None:

@@ -127,8 +127,8 @@ class TestTailIntegral:
         w = make_piecewise([math.e, math.e**2], [1.0, 0.367883119984248],
                            right_exponent=-4.0, direction="nonincreasing")
         hh = TailIntegral.from_density(w)
-        assert hh.near_log and not TailIntegral.from_density(
-            two_piece_weight()).near_log
+        assert _series_pieces(hh) and not _series_pieces(
+            TailIntegral.from_density(two_piece_weight()))
         ts = [0.5, 2.0, math.e, 4.0, 7.0, math.e**2, 9.0]
         for t in ts:
             assert hh.eval(t) == pytest.approx(integral(w, t, math.inf),
@@ -228,6 +228,11 @@ class TestIntegralOfComposed:
         )
 
 
+def _series_pieces(hh: TailIntegral) -> list[int]:
+    """The near-log pieces of `hh`: those whose record has no ``coef``."""
+    return [k for k, (_, coef, _, _) in enumerate(hh.pieces) if coef is None]
+
+
 def _near_log_weight(q: float) -> "make_piecewise":
     """w = 1 head, chord exponent about ``q - 1`` on [e, e^2], s^-4 tail."""
     return make_piecewise([math.e, math.e**2], [1.0, math.exp(q - 1.0)],
@@ -299,7 +304,7 @@ def _former_log_tail(knots, values) -> TailIntegral:
     w = make_piecewise(knots, values, right_exponent=-3.0,
                        direction="nonincreasing")
     hh = TailIntegral.from_density(w)
-    assert [k for k, _ in hh.near_log] == [1]
+    assert _series_pieces(hh) == [1]
     return hh
 
 
@@ -342,7 +347,7 @@ class TestNearLogComposed:
     def test_matches_mpmath(self, tau_knot, tau_value, tau_exp, lo, hi, q):
         w = _near_log_weight(q)
         hh = TailIntegral.from_density(w)
-        assert hh.near_log
+        assert _series_pieces(hh)
         tau = make_piecewise([tau_knot], [tau_value], right_exponent=tau_exp)
         exact = _mp_composed(w, tau, lo, hi)
         assert hh.integral_of_composed(tau, lo, hi) == pytest.approx(
@@ -473,13 +478,12 @@ def _loop_integral_of_composed(hh: TailIntegral, tau, lo: float, hi: float):
         tau_mid = v0 * (mid / t0) ** m_exp
         knots = hh.density.knots
         k = sum(1 for t in knots if t <= tau_mid)
-        if k in dict(hh.near_log):
+        const, coef, q, _ = hh.pieces[k]
+        if coef is None:
             # Near-log pieces have their own closed form, checked
             # against mpmath in TestNearLogComposed.
-            total += hh._near_log_segment(
-                k, dict(hh.near_log)[k], v0, t0, m_exp, x, y)
+            total += hh._series_segment(k, v0, t0, m_exp, x, y)
             continue
-        const, coef, q = hh.pieces[k]
         anchor = knots[k - 1] if k else knots[0]
         total += const * (y - x) + _segment_integral(
             coef * (v0 / anchor) ** q, t0, m_exp * q, x, y
@@ -558,7 +562,7 @@ class TestComposedTableMatchesLoop:
         w = make_piecewise(knots, [1.0 / t ** (1.0 - 1e-4) for t in knots],
                            right_exponent=-2.0, direction="nonincreasing")
         hh = TailIntegral.from_density(w)
-        assert len(hh.near_log) == len(knots) - 1
+        assert len(_series_pieces(hh)) == len(knots) - 1
         tau = make_piecewise([0.7 * 1.5**i for i in range(14)],
                              [0.7 * 1.5 ** (1.1 * i) for i in range(14)],
                              right_exponent=1.1)
@@ -839,13 +843,13 @@ class TestSolveGrowthBitwise:
         w = make_piecewise([1.0, 10.0], [1.0, 0.1 * (1.0 + 1e-12)],
                            right_exponent=-3.0, direction="nonincreasing")
         hh = TailIntegral.from_density(w)
-        assert hh.near_log
+        assert _series_pieces(hh)
         _assert_solves_bitwise(hh, _levels(hh))
 
     @pytest.mark.parametrize("q", [1e-5, -3e-7, 9.5e-4])
     def test_near_log_piece(self, q):
         hh = TailIntegral.from_density(_near_log_weight(q))
-        assert hh.near_log
+        assert _series_pieces(hh)
         _assert_solves_bitwise(hh, _levels(hh))
 
     @settings(max_examples=60, deadline=None)
@@ -955,7 +959,7 @@ def _mp_piece_root(hh: TailIntegral, s: float, k: int, t: float) -> float:
     in ``ln t`` from `t`."""
     knots = hh.density.knots
     with mpmath.workdps(40):
-        const, coef, q = map(mpmath.mpf, hh.pieces[k])
+        const, coef, q = map(mpmath.mpf, hh.pieces[k][:3])
         s_mp, t = mpmath.mpf(s), mpmath.mpf(t)
         anchor = mpmath.mpf(knots[k - 1 if k else 0])
         for _ in range(50):
@@ -1040,7 +1044,7 @@ class TestGrowthRoot:
     ], ids=["q=0", "q=1e-5", "q=-3e-7", "q=9.5e-4"])
     def test_none_on_near_log_pieces(self, w):
         hh = TailIntegral.from_density(w)
-        (k, _), = hh.near_log
+        k, = _series_pieces(hh)
         t0, t1 = hh.density.knots[k - 1], hh.density.knots[k]
         for t in np.geomspace(t0, t1, 7)[1:-1].tolist():
             assert growth._growth_root(hh, t / hh.eval(t)) is None

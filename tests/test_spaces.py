@@ -580,6 +580,54 @@ class TestDescriptorJson:
             descriptor_to_json(dual(catalog("c_cap_r")))
 
 
+class TestFamilyTable:
+    """``spaces._FAMILIES`` is the one list of catalog families: every
+    entry builds, survives a JSON round trip, and has the antidual the
+    table names, and anything else is not a family."""
+
+    FAMILIES = list(spaces._FAMILIES)
+    P = 3.0
+
+    def _build(self, family: str) -> SpaceDescriptor:
+        takes_p = callable(spaces._FAMILIES[family].exponents)
+        return catalog(family, self.P if takes_p else None)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_builds_and_round_trips(self, family):
+        d = self._build(family)
+        assert (d.family, d.kind) == (family, spaces._FAMILIES[family].kind)
+        wire = json.loads(json.dumps(descriptor_to_json(d)))
+        assert descriptor_from_json(wire) == d
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_writes_p_only_for_a_parametric_family(self, family):
+        wire = descriptor_to_json(self._build(family))
+        if callable(spaces._FAMILIES[family].exponents):
+            assert wire["p"] == self.P
+        else:
+            assert "p" not in wire
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dual_is_the_tables(self, family):
+        d = dual(self._build(family))
+        want = spaces._FAMILIES[family].dual
+        if want is None:
+            assert (d.family, d.p) == (None, None)
+            return
+        # cr_p is its own antidual at the conjugate index 3/2.
+        p = {"column_p": 3.0, "row_p": 3.0, "cr_p": 1.5}.get(family)
+        assert (d.family, d.p) == (want, p)
+        assert d == catalog(want, p)
+
+    @pytest.mark.parametrize("kind", [
+        "oh ", "OH", "fundamental", "", 3, None, ("oh",), ["oh"],
+        {"kind": "oh"},
+    ])
+    def test_anything_else_is_a_bad_parameter(self, kind):
+        with pytest.raises(BadParameter, match="unknown catalog family"):
+            catalog(kind)
+
+
 class TestRegularityGateOncePerDescriptor:
     """The regularity gate runs once per descriptor: a ``table`` or
     ``fit`` request builds its space and the antidual (2 gates), a
