@@ -11,15 +11,17 @@ Piece layout.  A table with knots ``t_1 < ... < t_m`` has ``m + 1`` power
 pieces ``v (t/t_a)^e``.  Piece 0 is the head below ``t_1``, anchored at
 ``(t_1, v_1)``.  Piece ``k >= 1`` starts at ``t_k`` with anchor
 ``(t_k, v_k)`` and exponent ``MonotoneFn.exponents[k - 1]``; the last
-piece, from ``t_m`` on, is the right tail.  The head exponent is not part
-of the table: it is 0 for the table's own constant head, and callers that
-extend the function below ``t_1`` as a pure power (Orlicz functions) pass
-the first piece's exponent.
+piece, from ``t_m`` on, is the right tail.  The head exponent is 0 for
+the table's own constant head; callers that extend the function below
+``t_1`` as a pure power (Orlicz functions) use the first piece's exponent
+instead.
 Scalars bisect (:func:`_local_power`, :func:`generalized_inverse`);
 :func:`compose` walks its ascending abscissas, stepping from one point's
 piece to the next, and so does the composed-integral table of
-``growth.TailIntegral`` over its ascending cuts; the cached arrays
-``MonotoneFn._table`` serve vectorized lookups.
+``growth.TailIntegral`` over its ascending cuts.  Arrays take one lookup,
+:func:`_pieces_at`, in a piece table such as the cached
+``MonotoneFn._table``: the knots as search edges, then per piece its
+anchor value, anchor abscissa and exponent.
 
 Every operation in this module — evaluation, generalized inversion,
 composition, reciprocal, and integration — is closed form per segment, so
@@ -155,17 +157,13 @@ class MonotoneFn:
         return self.segment_exponents + (self.right_exponent,)
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Search edges (the knots), then per piece its anchor abscissa,
-        anchor value and exponent; piece 0 is the constant head."""
-        edges = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        return (
-            edges,
-            np.concatenate((edges[:1], edges)),
-            np.concatenate((values[:1], values)),
-            np.asarray((0.0, *self.exponents), dtype=float),
-        )
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The piece table that :func:`_pieces_at` reads: the search edges
+        (the knots), then the rows of anchor values, anchor abscissas and
+        exponents, a column per piece; piece 0 is the constant head."""
+        k, v = self.knots, self.values
+        return np.array(k, dtype=float), np.array(
+            ((v[0], *v), (k[0], *k), (0.0, *self.exponents)), dtype=float)
 
     @property
     def left_value(self) -> float:
@@ -245,9 +243,21 @@ def evaluate_many(f: MonotoneFn, ts: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(ts) if not isinstance(ts, np.ndarray) else ts, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("abscissas must be positive finite reals")
-    edges, anchor_t, anchor_v, expo = f._table
-    idx = np.searchsorted(edges, arr, side="right")
-    return anchor_v[idx] * (arr / anchor_t[idx]) ** expo[idx]
+    _, v0, t0, e = _pieces_at(f._table, arr)
+    return v0 * (arr / t0) ** e
+
+
+def _pieces_at(
+    table: tuple[np.ndarray, np.ndarray], ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of `table` (see :attr:`MonotoneFn._table`) holding the
+    entries of `ts`: their indices, then their anchor values, anchor
+    abscissas and exponents, so that each piece reads ``v0 (t/t0)^e``
+    there.  One search finds the pieces and one gather reads them."""
+    edges, rows = table
+    idx = np.searchsorted(edges, ts, side="right")
+    v0, t0, e = rows.take(idx, axis=1)
+    return idx, v0, t0, e
 
 
 def generalized_inverse(f: MonotoneFn, y: float) -> float:

@@ -20,7 +20,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -38,6 +38,7 @@ from .monotone_fn import (
     MonotoneFn,
     _local_power,
     _merge_close,
+    _pieces_at,
     _solve_on_segment,
     generalized_inverse,
     integral,
@@ -96,7 +97,8 @@ class OrliczFn:
 
     Evaluation reads `body`'s piece layout (see :mod:`osinv.monotone_fn`)
     with :attr:`left_exponent` as the head exponent: :meth:`eval` through
-    its scalar lookup, :meth:`eval_many` through its array table.
+    the scalar bisection, every array reader through ``_pieces_at`` on
+    :attr:`_table`.
     """
 
     body: MonotoneFn
@@ -133,8 +135,17 @@ class OrliczFn:
         v0, t0, e = _local_power(self.body, t, self.left_exponent)
         return v0 * (t / t0) ** e
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """`body`'s piece table with :attr:`left_exponent` as the head
+        exponent."""
+        edges, rows = self.body._table
+        rows = rows.copy()
+        rows[2, 0] = self.left_exponent
+        return edges, rows
+
     def eval_many(self, ts: Iterable[float]) -> np.ndarray:
-        """Vectorized :meth:`eval`: one lookup in `body`'s piece table."""
+        """Vectorized :meth:`eval`: one lookup in the piece table."""
         arr = np.asarray(ts, dtype=float)
         if not arr.size:
             return np.zeros_like(arr)
@@ -142,44 +153,27 @@ class OrliczFn:
         lo, hi = flat.min(), flat.max()
         if not (lo >= 0.0 and hi < math.inf):
             raise DomainError("arguments must be finite reals >= 0")
-        # Edges below `a` are at most every key and those from `b` on
-        # exceed every key, so only edges[a:b] need searching.
-        edges = self.body._table[0]
-        a, b = np.searchsorted(edges, (lo, hi), side="right")
-        idx = np.searchsorted(edges[a:b], flat, side="right") + a
-        out = self._power_terms(flat, *self._gather(idx))
+        out = self._power_terms(flat, *_pieces_at(self._table, flat))
         if lo == 0.0:  # phi(-0.0) is +0.0 too, whatever the exponent
             out[flat == 0.0] = 0.0
         return out.reshape(arr.shape)
 
-    def _gather(
-        self, idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """The anchor values, anchor abscissas and exponents of the pieces
-        `idx` of `body`'s table, then the mask of the head entries (None
-        when there are none)."""
-        _, anchor_t, anchor_v, expo = self.body._table
-        head = idx == 0
-        return (anchor_v[idx], anchor_t[idx], expo[idx],
-                head if head.any() else None)
-
     def _power_terms(
         self,
         flat: np.ndarray,
-        anchor_v: np.ndarray,
-        anchor_t: np.ndarray,
-        expo: np.ndarray,
-        head: np.ndarray | None,
+        idx: np.ndarray,
+        v0: np.ndarray,
+        t0: np.ndarray,
+        e: np.ndarray,
     ) -> np.ndarray:
-        """``phi`` at the entries of `flat` from their gathered pieces
-        (see :meth:`_gather`)."""
-        out = anchor_v * (flat / anchor_t) ** expo
-        if head is not None:
-            # The head piece (idx 0), constant in the table, is the power
-            # of the left exponent here.  It is taken with that exponent
-            # as a scalar: numpy takes fast paths for some scalars
-            # (``square`` for 2.0) whose last bit differs from an
-            # array-exponent power.
+        """``phi`` at the entries of `flat` from their pieces (see
+        :func:`~osinv.monotone_fn._pieces_at`)."""
+        out = v0 * (flat / t0) ** e
+        head = idx == 0
+        if head.any():
+            # The head piece is taken again with its exponent as a
+            # scalar: numpy takes fast paths for some scalars (``square``
+            # for 2.0) whose last bit differs from an array-exponent power.
             out[head] = (
                 self.body.values[0]
                 * (flat[head] / self.body.knots[0]) ** self.left_exponent
@@ -233,12 +227,8 @@ def _sup_doubling_ratio(phi: OrliczFn) -> float:
 
 def _log_phi(phi: OrliczFn, ts: np.ndarray) -> np.ndarray:
     """``ln phi`` at the positive entries of `ts`, from their pieces."""
-    edges = phi.body._table[0]
-    anchor_v, anchor_t, expo, head = phi._gather(
-        np.searchsorted(edges, ts, side="right"))
-    if head is not None:
-        expo[head] = phi.left_exponent
-    return np.log(anchor_v) + expo * np.log(ts / anchor_t)
+    _, v0, t0, e = _pieces_at(phi._table, ts)
+    return np.log(v0) + e * np.log(ts / t0)
 
 
 def make_orlicz(body: MonotoneFn) -> OrliczFn:
@@ -348,7 +338,6 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
         return lo
 
     root = _modular_root(phi, arr, lo, hi)
-    edges = phi.body._table[0]
     # Each step takes one square root, of the midpoint that becomes an end.
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for _ in range(200):
@@ -357,8 +346,8 @@ def sequence_norm(phi: OrliczFn, x: Iterable[float]) -> float:
             over = mid < root
         else:
             ts = arr / mid
-            idx = np.searchsorted(edges, ts, side="right")
-            over = np.add.reduce(phi._power_terms(ts, *phi._gather(idx))) > 1.0
+            terms = phi._power_terms(ts, *_pieces_at(phi._table, ts))
+            over = np.add.reduce(terms) > 1.0
         if over:
             lo, sqrt_lo = mid, math.sqrt(mid)
         else:
@@ -382,17 +371,12 @@ def _modular_root(
     the exponent drops a step can leave the bracket ``M(a) > 1 >= M(b)``,
     and is replaced (see :func:`_log_newton_root`).
     """
-    edges = phi.body._table[0]
-
     def step_at(lam: float) -> float | None:
         ts = arr / lam
-        pieces = phi._gather(np.searchsorted(edges, ts, side="right"))
-        terms = phi._power_terms(ts, *pieces)
-        _, _, expo, head = pieces
-        if head is not None:
-            expo[head] = phi.left_exponent
+        idx, v0, t0, e = _pieces_at(phi._table, ts)
+        terms = phi._power_terms(ts, idx, v0, t0, e)
         m = float(np.add.reduce(terms))
-        slope = float(np.dot(expo, terms))
+        slope = float(np.dot(e, terms))
         if 0.0 < m < math.inf and 0.0 < slope < math.inf:
             return math.log(m) * m / slope
         return None

@@ -229,57 +229,6 @@ class TestEvalManyPieceTable:
                 phi.eval_many(bad)
 
 
-def _full_edge_eval_many(phi: OrliczFn, ts) -> np.ndarray:
-    """Reference: ``eval_many`` with the piece lookup over every edge of
-    the table."""
-    arr = np.asarray(ts, dtype=float)
-    flat = arr.reshape(-1)
-    idx = np.searchsorted(phi.body._table[0], flat, side="right")
-    out = phi._power_terms(flat, *phi._gather(idx))
-    out[flat == 0.0] = 0.0
-    return out.reshape(arr.shape)
-
-
-def _narrow_probes(phi: OrliczFn, i: int, j: int) -> list[np.ndarray]:
-    """Inputs whose range covers only knots ``i..j``: those knots and
-    their 1-ulp neighbours, alone, with zeros, as one point and in 2-d,
-    plus inputs entirely below and entirely above the table."""
-    knots = np.asarray(phi.body.knots)
-    span = knots[i:j + 1]
-    near = np.concatenate([span, np.nextafter(span, 0.0),
-                           np.nextafter(span, np.inf)])
-    return [
-        span, near, np.concatenate([near, [0.0, -0.0]]),
-        np.array([-0.0, 0.0]), span[:1], np.nextafter(span[-1:], np.inf),
-        near.reshape(3, -1), near[::-1].reshape(-1, 1),
-        knots[0] * np.array([1e-9, 0.5, 1.0 - 2**-52]),
-        knots[-1] * np.array([1.0 + 2**-52, 2.0, 1e9]),
-    ]
-
-
-class TestEvalManyNarrowedLookup:
-    """``eval_many`` searches only the edges inside its input's range;
-    the result must be, to the bit, that of a search over every edge."""
-
-    @given(orlicz_tables(), st.data())
-    @settings(deadline=None, max_examples=100)
-    def test_random_tables(self, phi, data):
-        m = len(phi.body.knots)
-        i = data.draw(st.integers(0, m - 1))
-        j = data.draw(st.integers(i, m - 1))
-        for ts in _narrow_probes(phi, i, j):
-            assert _same_bits(phi.eval_many(ts), _full_edge_eval_many(phi, ts))
-
-    def test_tabulated_functions(self):
-        for phi in (psi(), from_weight(OH_WEIGHT)):
-            m = len(phi.body.knots)
-            for i, j in ((0, 0), (0, 3), (100, 100), (100, 140),
-                         (m - 4, m - 1), (m - 1, m - 1), (0, m - 1)):
-                for ts in _narrow_probes(phi, i, j):
-                    assert _same_bits(phi.eval_many(ts),
-                                      _full_edge_eval_many(phi, ts))
-
-
 class TestFromWeight:
     def test_quartic_region(self):
         phi = from_weight(OH_WEIGHT)
