@@ -39,6 +39,7 @@ from .monotone_fn import (
     _local_power,
     _merge_close,
     _pieces_at,
+    _segment_integral,
     _solve_on_segment,
     generalized_inverse,
     integral,
@@ -589,8 +590,18 @@ def smooth_from_raw(phi_tilde: OrliczFn | MonotoneFn) -> OrliczFn:
 
     values = [v1 * (t / t1) ** e_left / e_left for t in pts if t <= t1]
     acc, k = v1 / e_left, len(values)  # pts[k - 1] is t1, a grid point
+    # One walk of the integrand's pieces (i holds x): an interval inside a
+    # piece is the one segment integral() would take, and one across a
+    # knot that _merge_close dropped goes through integral().
+    knots, vals, expo = integrand.knots, integrand.values, integrand.exponents
+    i, last = 0, len(knots) - 1
     for x, y in zip(pts[k - 1:], pts[k:]):
-        acc += integral(integrand, x, y)
+        while i < last and knots[i + 1] <= x:
+            i += 1
+        if i < last and knots[i + 1] < y:
+            acc += integral(integrand, x, y)
+        else:
+            acc += _segment_integral(vals[i], knots[i], expo[i], x, y)
         values.append(acc)
     out_body = make_piecewise(
         pts, values, right_exponent=body.right_exponent,

@@ -168,11 +168,14 @@ def pi1_of_map(
     """Completely-1-summing norm of the matrix `x` as a map.
 
     Equals :func:`schatten_orlicz_norm` of `x` for the Orlicz function
-    reconstructed from ``pi1_fundamental(domain, codomain, .)``, so it
-    reproduces the fundamental sequence exactly at grid dimensions
-    ``1, 2, 4, ..., 2**20`` and is correct up to universal constants in
-    between and off the diagonal.  Padding `x` with zero rows or columns
-    does not change the value.
+    reconstructed from ``pi1_fundamental(domain, codomain, .)``, so on
+    the identity at grid dimensions ``1, 2, 4, ..., 2**20`` it
+    reproduces the fundamental sequence up to the iterative solve of the
+    Luxemburg norm: within 4.9e-13 relative over 13 x 13 catalog pairs
+    at ``n <= 128`` (the worst, OH to ``cr_p`` 1.5 at ``n = 16``).  It
+    is correct up to universal constants in between and off the
+    diagonal.  Padding `x` with zero rows or columns does not change the
+    value.
 
     Raises
     ------

@@ -870,6 +870,37 @@ class TestSolveGrowthBitwise:
         assert which in str(want.value)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("k", [-3, 0, 1, 17])
+    def test_roots_at_a_power_of_two(self, k):
+        # The doubling or halving ends at a power of two read off the
+        # root.  A root on 2**k or an ulp from it puts that power in the
+        # band, one just past it the power before the end; k = 0 is a
+        # root at 1.  Roots a few bands away take the one-step bracket.
+        edge = 2.0**k
+        ts = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        ts += [edge * (1.0 + d) for d in (-3e-12, -5e-13, 5e-13, 3e-12)]
+        for w in (power_weight(1.2), two_piece_weight(),
+                  *_knotted_densities(0, 12)):
+            hh = TailIntegral.from_density(w)
+            _assert_solves_bitwise(hh, [t / hh.eval(t) for t in ts])
+
+    @pytest.mark.parametrize("k", [-201, -200, -199, 198, 199, 200])
+    def test_roots_at_the_step_limit(self, k):
+        # A root of 1.5 * 2**k ends the doubling at 2**(k+1) or the
+        # halving at 2**k: within the 200 steps, on the last one, or
+        # past it, which raises as the full search does.
+        hh = TailIntegral.from_density(power_weight(1.2))
+        t = 1.5 * 2.0**k
+        s = t / hh.eval(t)
+        if k in (-201, 200):
+            with pytest.raises(BracketFailure) as want:
+                _full_lookup_solve_growth(hh, s)
+            with pytest.raises(BracketFailure) as got:
+                _solve_growth(hh, s)
+            assert str(got.value) == str(want.value)
+        else:
+            assert _solve_growth(hh, s) == _full_lookup_solve_growth(hh, s)
+
     def test_band_straddling_a_knot(self, monkeypatch):
         # Roots at a knot and one ulp to either side: the band holds
         # points of two pieces, which take the full lookup.

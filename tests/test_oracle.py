@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osinv.oracle
 import osinv.verify
 from osinv import catalog, pi1_fundamental
 from osinv.errors import BadCutoff, BadParameter, DomainError
@@ -29,6 +30,7 @@ from osinv.orlicz import (
     make_orlicz,
     power_orlicz,
     psi,
+    rescaled_norm,
     sequence_norm,
 )
 from osinv.oracle import (
@@ -485,26 +487,30 @@ def _orlicz_tables(draw):
                                       direction="nondecreasing"))
 
 
-def _scaled_power(value_at_one: float):
-    """``phi(t) = value_at_one * t``: tiny values put the crossing at the
-    first candidate, huge ones leave the modular above 1 throughout."""
+def _scaled_power(value_at_one: float, exponent: float = 1.0):
+    """``phi(t) = value_at_one * t**exponent``: tiny values put the
+    crossing at the first candidate, huge ones leave the modular above 1
+    throughout."""
     return make_orlicz(make_piecewise([1.0], [value_at_one],
-                                      right_exponent=1.0))
+                                      right_exponent=exponent))
 
 
-def _crossing_at(k: int, x: list[float], exact: bool):
+def _crossing_at(k: int, x: list[float], exact: bool, exponent: float = 1.0):
     """A `_scaled_power` whose full-grid modular on `x` first reaches 1
     at candidate `k`: exactly 1 there if `exact`, else crossing at the
     cell's geometric midpoint.  k = 10,000 leaves every candidate over."""
     xs = np.asarray(x, dtype=float)
     lams = np.geomspace(xs.max() / 1e3, 1e3 * xs.sum(), 10_000)
+    scale = np.sum(xs**exponent)
     if k == lams.size:
-        return _scaled_power(2.0 * float(lams[-1] / xs.sum()))
+        return _scaled_power(2.0 * float(lams[-1] ** exponent / scale),
+                             exponent)
     if not exact:
-        return _scaled_power(float(np.sqrt(lams[k - 1] * lams[k]) / xs.sum()))
-    c = float(lams[k] / xs.sum())
+        cell = np.sqrt(lams[k - 1] * lams[k])
+        return _scaled_power(float(cell**exponent / scale), exponent)
+    c = float(lams[k] ** exponent / scale)
     for _ in range(64):  # step c an ulp at a time toward a modular of 1
-        phi = _scaled_power(c)
+        phi = _scaled_power(c, exponent)
         m = phi.eval_many(xs / lams[k]).sum()
         if m == 1.0:
             return phi
@@ -512,9 +518,28 @@ def _crossing_at(k: int, x: list[float], exact: bool):
     raise AssertionError(f"no scale puts candidate {k}'s modular at 1")
 
 
+def _probed(monkeypatch, phi, x) -> tuple[float, list[int]]:
+    """The scan's value on `x`, and the candidates it probed in order."""
+    probed = []
+
+    def recording_grid(start, stop):
+        candidate = _scan_grid(start, stop)
+
+        def recorded(k: int):
+            probed.append(k)
+            return candidate(k)
+
+        return recorded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(osinv.oracle, "_scan_grid", recording_grid)
+        value = orlicz_norm_scan(phi, x)
+    return value, probed
+
+
 class TestScanMatchesFullGrid:
-    """The scan bisects the grid for the first crossing; its result must
-    be, to the bit, the full-grid scan's."""
+    """The scan searches the grid for the first crossing, steered by
+    secants; its result must be, to the bit, the full-grid scan's."""
 
     PHIS = (power_orlicz(1.5), power_orlicz(2.0), psi(), PHI_R_OH,
             power_orlicz(1.0))
@@ -609,6 +634,75 @@ class TestScanMatchesFullGrid:
             assert (_first_not_over(phi, x), k) == (5000, 5001)
         assert orlicz_norm_scan(phi, x) == want
 
+    @pytest.mark.parametrize("exponent, k, step", [
+        (1.0, 3000, 1), (1.0, 6789, 1),
+        (2.0, 4321, 2), (2.0, 6789, 2), (2.0, 7000, 2),
+    ])
+    @pytest.mark.parametrize(
+        "x", [[1.0], [2.0, 1.0, 0.5, 0.25]], ids=["one", "four"]
+    )
+    def test_modular_of_one_where_the_first_secant_lands(
+        self, monkeypatch, x, exponent, k, step
+    ) -> None:
+        # ln M of a pure power is linear in the index, so the first
+        # secant (the unit-slope step, for exponent 1) lands on k, whose
+        # modular is exactly 1 and counts as crossed; from ln M = 0 the
+        # next probe is the one below, which closes the bracket.
+        phi = _crossing_at(k, x, True, exponent)
+        want, k_ref = _full_grid_scan(phi, x)
+        assert k_ref == k
+        value, probed = _probed(monkeypatch, phi, x)
+        assert probed[step:] == [k, k - 1]
+        assert value == want
+
+    def test_unit_slope_step_is_exact_for_the_identity(self, monkeypatch):
+        # For phi(t) = t the unit-slope step from the middle candidate
+        # lands next to the crossing, and one more probe closes it.
+        rng = np.random.default_rng(7)
+        phi = power_orlicz(1.0)
+        for _ in range(60):
+            x = rng.lognormal(0.0, 2.0, size=int(rng.integers(1, 40)))
+            value, probed = _probed(monkeypatch, phi, x)
+            assert value == _full_grid_scan(phi, x)[0]
+            assert probed[0] == 5000 and len(probed) <= 3
+
+    @pytest.mark.parametrize("c, extreme", [(1e-300, math.inf), (1e300, 0.0)])
+    @pytest.mark.parametrize(
+        "x", [[1.0], [3.0, 1.0, 0.1]], ids=["one", "three"]
+    )
+    def test_probes_whose_modular_is_zero_or_overflows(
+        self, monkeypatch, x, c, extreme
+    ) -> None:
+        # phi(t) = c t**200 over- or underflows across the grid: the
+        # unit-slope step reaches a candidate whose modular is inf or 0,
+        # and the search bisects from there.
+        phi = _scaled_power(c, 200.0)
+        with np.errstate(over="ignore", under="ignore"):
+            want, k = _full_grid_scan(phi, x)
+            _, modular = _full_grid_modular(phi, np.asarray(x))
+            value, probed = _probed(monkeypatch, phi, x)
+        assert 0 < k < 10_000
+        assert extreme in modular[probed]
+        assert value == want
+
+    @pytest.mark.parametrize("phi", PHIS, ids=["p15", "p2", "psi", "oh", "p1"])
+    @pytest.mark.parametrize(
+        "x", [[1e308, 1e308], [1e306, 0.0, -1e306], [5e-324, 1e-323],
+              [-1e-321, 0.0]],
+        ids=["upper-end-overflows", "upper-with-zero", "lower-end-underflows",
+             "lower-with-zero"],
+    )
+    def test_both_rescaled_paths(self, phi, x) -> None:
+        # A grid end out of the float range: the entries are scaled by a
+        # power of two, then searched as any others.
+        xs = np.abs(np.asarray(x))
+        xs = xs[xs > 0.0]
+        e = math.frexp(float(xs.max()))[1]
+        with np.errstate(over="ignore"):
+            want = rescaled_norm(lambda f, a: _full_grid_scan(f, a)[0],
+                                 phi, xs, e)
+        assert orlicz_norm_scan(phi, x) == want
+
     def test_entries_spanning_many_decades(self) -> None:
         rng = np.random.default_rng(12)
         for phi in self.PHIS:
@@ -635,7 +729,7 @@ class TestScanMatchesFullGrid:
         st.lists(st.floats(-9.0, 9.0), min_size=1, max_size=30),
     )
     def test_crossed_candidates_form_a_suffix(self, phi, log_x) -> None:
-        # What the bisection rests on: past the first candidate whose
+        # What the search rests on: past the first candidate whose
         # computed modular is at most 1, every one's is.
         _, modular = _full_grid_modular(phi, 10.0 ** np.array(log_x))
         under = modular <= 1.0
@@ -698,9 +792,10 @@ class TestScanWork:
         # bisection-vs-scan check.  Scanning in ascending chunks from the
         # first candidate takes 10,197,956; skipping the candidates whose
         # largest term exceeds 1, then doubling chunks, took 1,264,491;
-        # bisecting the grid took 28,222 in 1,435 calls, and takes
-        # 26,253 in 1,335 once candidate 0 waits for the search to reach
-        # it.
+        # bisecting the grid took 28,222 in 1,435 calls, and 26,253 in
+        # 1,335 (at most 14 in one scan) once candidate 0 waited for the
+        # search to reach it; the secant-steered search takes 10,464 in
+        # 519, at most 8 in one scan.
         count = calls = 0
         per_scan = []
         inside = False
@@ -733,6 +828,7 @@ class TestScanWork:
         assert len(per_scan) == 100
         assert count <= 30_000 and max(per_scan) <= 15
         assert count <= 26_300 and calls <= 1_340 and max(per_scan) <= 14
+        assert count <= 10_500 and calls <= 520 and max(per_scan) <= 8
 
 
 class TestOrliczNormScan:

@@ -23,7 +23,7 @@ from osinv.errors import (
     TooFewPoints,
 )
 from osinv import orlicz
-from osinv.monotone_fn import evaluate_many, make_piecewise
+from osinv.monotone_fn import _merge_close, evaluate_many, integral, make_piecewise
 from osinv.orlicz import (
     OrliczFn,
     from_fundamental_sequence,
@@ -37,6 +37,7 @@ from osinv.orlicz import (
     sequence_norm,
     smooth_from_raw,
 )
+from osinv.util import log_grid
 
 OH_WEIGHT = make_piecewise(
     [1.0], [1.0], right_exponent=-2.0, direction="nonincreasing"
@@ -801,7 +802,70 @@ class TestFromFundamentalSequence:
             from_fundamental_sequence({0.5: 1.0, 4.0: 2.0})
 
 
+def _per_interval_smooth(raw) -> tuple[list, list, float]:
+    """Reference table (knots, values, right exponent) of
+    :func:`smooth_from_raw` on a raw table of two or more knots: one
+    :func:`integral` lookup of ``raw(s)/s`` per tabulation interval."""
+    phi = make_orlicz(raw)
+    body, e_left = phi.body, phi.left_exponent
+    t1, v1 = body.knots[0], body.values[0]
+    ratio = [v / k for v, k in zip(body.values, body.knots)]
+    for j in range(1, len(ratio)):
+        ratio[j] = max(ratio[j], ratio[j - 1])
+    integrand = make_piecewise(list(body.knots), ratio,
+                               right_exponent=body.right_exponent - 1.0)
+    t_hi = max(body.knots[-1], orlicz.GRID_SPAN[1], t1 * 10.0)
+    grid = {float(t) for t in log_grid(t1, t_hi)} | set(body.knots)
+    grid.add(orlicz._left_flank(t1, v1, e_left))
+    pts = _merge_close(sorted(grid))
+    values = [v1 * (t / t1) ** e_left / e_left for t in pts if t <= t1]
+    acc, k = v1 / e_left, len(values)
+    for x, y in zip(pts[k - 1:], pts[k:]):
+        acc += integral(integrand, x, y)
+        values.append(acc)
+    return pts, values, body.right_exponent
+
+
+def _raw_table(knots, exps, v0: float, right: float):
+    values = [v0]
+    for (t0, t1), e in zip(zip(knots, knots[1:]), exps):
+        values.append(values[-1] * (t1 / t0) ** e)
+    return make_piecewise(list(knots), values, right_exponent=right)
+
+
 class TestSmoothFromRaw:
+    def _assert_matches_reference(self, raw) -> None:
+        phi = smooth_from_raw(raw)
+        knots, values, right = _per_interval_smooth(raw)
+        assert list(phi.body.knots) == knots
+        assert list(phi.body.values) == values
+        assert phi.body.right_exponent == right
+
+    def test_table_matches_per_interval_integrals(self):
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            m = int(rng.integers(2, 9))
+            knots = np.cumprod(10.0 ** rng.uniform(0.05, 1.5, size=m))
+            knots *= 10.0 ** rng.uniform(-5.0, 1.0)
+            exps = rng.uniform(1.0, 4.0, size=m - 1)
+            if i % 4 == 0:  # exponent-1 pieces, whose ratios are clamped
+                exps[::2] = 1.0
+            self._assert_matches_reference(_raw_table(
+                knots.tolist(), exps, float(rng.uniform(0.5, 2.0)),
+                float(rng.uniform(1.0, 4.0))))
+
+    @pytest.mark.parametrize("offset", [-5e-14, -1e-15, 1e-15, 5e-14])
+    def test_knot_within_the_merge_tolerance_of_a_grid_point(self, offset):
+        # A raw knot just below a log-grid point displaces it; one just
+        # above is dropped, and the interval across it takes integral().
+        grid = log_grid(1e-3, orlicz.GRID_SPAN[1])
+        point = float(grid[int(np.searchsorted(grid, 0.1))])
+        knot = point * (1.0 + offset)
+        raw = _raw_table([1e-3, knot, 10.0], [2.5, 1.5], 1.3, 3.0)
+        self._assert_matches_reference(raw)
+        table = smooth_from_raw(raw).body.knots
+        assert (knot in table, point in table) == (offset < 0, offset > 0)
+
     def test_pure_square_halves(self):
         phi = smooth_from_raw(power_orlicz(2.0))
         assert phi.eval(3.0) == pytest.approx(4.5, rel=1e-12)
