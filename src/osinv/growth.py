@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     BracketFailure,
     DirectionError,
@@ -169,23 +167,6 @@ class TailIntegral:
                 w.values[k - 1], anchor, w.segment_exponents[k - 1], t, w.knots[k]
             )
         return const + coef * (t / anchor) ** q
-
-    def eval_many(self, ts: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`eval`."""
-        arr = np.asarray(ts, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
-            raise DomainError("abscissas must be finite reals >= 0")
-        out = np.empty_like(arr)
-        idx = np.searchsorted(self.density.knots, arr, side="right")
-        for k, (const, coef, q, anchor) in enumerate(self.pieces):
-            mask = idx == k
-            if not np.any(mask):
-                continue
-            if coef is None:
-                out[mask] = [self.eval(float(t)) for t in arr[mask]]
-            else:
-                out[mask] = const + coef * (arr[mask] / anchor) ** q
-        return out
 
     def integral_of_composed(self, tau: MonotoneFn, lo: float, hi: float) -> float:
         """Exact ``integral of H(tau(s))`` over ``[lo, hi]``.
@@ -412,19 +393,14 @@ def _growth_root(hh: TailIntegral, s: float) -> float | None:
 def _solve_growth(hh: TailIntegral, s: float) -> float:
     """Unique root of ``t = s H(t)`` (the map ``t - s H(t)`` is increasing).
 
-    A bracket from 1 to a power of two, then a geometric bisection, both
-    replayed from the root of :func:`_growth_root`: a point farther than
-    :data:`_ROOT_BAND` from it takes its side from it, and a point inside
-    the band is evaluated with the arithmetic of :meth:`TailIntegral.eval`
-    (the piece's own expression where the band lies inside one piece).
-    The power of two is where a search from 1 by doubling or halving
-    stops.  With a root that is the least power at or above it (the
-    greatest at or below it, when halving), read off ``math.frexp`` in
-    one step.  The search runs step by step when there is no root, when
-    the root is 1, when that power or the one before it lies in the band,
-    and when it is ``2**200`` or ``2**-200`` or beyond, so that
-    :class:`BracketFailure` is raised as before.  So the root is
-    bit-identical to a search that evaluates every step.
+    A bracket search from 1 by doubling or halving, then a geometric
+    bisection, replayed from the root of :func:`_growth_root`: a point
+    farther than :data:`_ROOT_BAND` from it takes its side from it, and
+    a point inside the band is evaluated with the arithmetic of
+    :meth:`TailIntegral.eval` (the piece's own expression where the band
+    lies inside one piece).  So the root, and any
+    :class:`BracketFailure`, is that of a search that evaluates every
+    step, as it does when there is no root.
     """
     knots = hh.density.knots
     root = _growth_root(hh, s)
@@ -446,35 +422,21 @@ def _solve_growth(hh: TailIntegral, s: float) -> float:
         return t - root  # the sign of t - s H(t) there
 
     lo = hi = 1.0
-    j = 0  # 2**j ends the doubling (j > 0) or halving (j < 0); 0 searches
-    if root is not None:
-        mant, e = math.frexp(root)
-        j = e - (mant == 0.5) if root > 1.0 else e - 1
-        if abs(j) >= _MAX_DOUBLINGS or any(
-            band_lo <= math.ldexp(1.0, i) <= band_hi
-            for i in (j, j - 1 if j > 0 else j + 1)
-        ):
-            j = 0
-    if j > 0:
-        hi = math.ldexp(1.0, j)
-    elif j < 0:
-        lo = math.ldexp(1.0, j)
-    else:
-        grow = f(1.0) < 0.0
-        for _ in range(_MAX_DOUBLINGS):
-            if grow:
-                hi *= 2.0
-                if f(hi) >= 0.0:
-                    break
-            else:
-                lo /= 2.0
-                if f(lo) <= 0.0:
-                    break
+    grow = f(1.0) < 0.0
+    for _ in range(_MAX_DOUBLINGS):
+        if grow:
+            hi *= 2.0
+            if f(hi) >= 0.0:
+                break
         else:
-            raise BracketFailure(
-                f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} "
-                + ("doublings" if grow else "halvings")
-            )
+            lo /= 2.0
+            if f(lo) <= 0.0:
+                break
+    else:
+        raise BracketFailure(
+            f"no sign change of t - s*h(t) after {_MAX_DOUBLINGS} "
+            + ("doublings" if grow else "halvings")
+        )
     # Each step takes one square root, of the midpoint that becomes an end,
     # and tests f(mid) < 0 inline.
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)

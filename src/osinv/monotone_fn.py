@@ -467,30 +467,6 @@ def crossing_below(f: MonotoneFn, y: float) -> float:
     return _solve_on_segment(f.knots[j], vals[j], f.segment_exponents[j], y)
 
 
-def _crossings_below(f: MonotoneFn, ys: np.ndarray) -> np.ndarray:
-    """:func:`crossing_below` at each level of `ys`, bit for bit: one
-    ``searchsorted`` on the ascending negated values finds its pieces,
-    and each solve takes its IEEE operations, the power by libm ``pow``
-    on Python floats (numpy's ``**`` may differ in the last bit).
-    Invalid levels, and solves that raise, take the scalar loop."""
-    ys = np.asarray(ys, dtype=float)
-    if f.direction == "nonincreasing" and np.all((ys > 0.0) & (ys < math.inf)):
-        vals = np.asarray(f.values)
-        j = np.searchsorted(-vals, -ys, side="right") - 1
-        hit = j >= 0  # the others lie above the maximum: crossing 0
-        j = j[hit]
-        try:
-            inv = [1.0 / e for e in np.asarray(f.exponents)[j].tolist()]
-            powers = list(map(operator.pow, (ys[hit] / vals[j]).tolist(), inv))
-        except ArithmeticError:
-            pass
-        else:
-            out = np.zeros(ys.shape)
-            out[hit] = np.asarray(f.knots)[j] * np.array(powers)
-            return out
-    return np.array([crossing_below(f, float(y)) for y in ys])
-
-
 def _log_ratio(x: float, t0: float) -> float:
     """``log(x / t0)`` for ``x > 0``, also where ``x / t0`` underflows to 0."""
     r = x / t0

@@ -14,14 +14,15 @@ quantities the slow, obvious way so the two can be compared:
   for the Luxemburg norm's modular crossing, whose output equals a full
   scan's, the oracle for the bisection solver.
 
-The two search routines evaluate each candidate decomposition with
-exact tail masses and level crossings (those primitives are validated
-independently by :func:`riemann_integral`); every reported value is the
-exact objective of a concrete candidate, so refining a search grid with
-nested points can only lower the result.  Neither search scores a
-candidate known to be infeasible or recomputes a tail mass or crossing
-it has, and both keep the bits of a full search (see each function).
-Grid minima and argmins tie-break toward the smallest coordinates.
+The two search routines evaluate each candidate decomposition with exact
+tail masses and level crossings that this module computes from the
+densities' knots, values and exponents alone, not with the library code
+they check; every reported value is the exact objective of a concrete
+candidate, so refining a search grid with nested points can only lower
+the result.  Neither search scores a candidate known to be infeasible or
+recomputes a tail mass or crossing it has, and both keep the bits of a
+full search (see each function).  Grid minima and argmins tie-break
+toward the smallest coordinates.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BadCutoff, BadParameter, DomainError
-from .growth import TailIntegral
-from .monotone_fn import (MonotoneFn, _crossings_below, crossing_below,
-                          evaluate_many)
+from .errors import BadCutoff, BadParameter, DivergentTail, DomainError
+from .monotone_fn import MonotoneFn, evaluate_many
 from .orlicz import OrliczFn, quiet_sum, rescaled_norm
 from .spaces import WeightPair
 from .util import _check_dimension
@@ -55,6 +54,62 @@ _LATTICE_PER_DECADE = 96
 
 # Scan resolution of orlicz_norm_scan.
 _SCAN_POINTS = 10_000
+
+
+def _tail_masses(w: MonotoneFn) -> Callable[[np.ndarray], np.ndarray]:
+    """``H(t) = integral of w over [t, inf)`` for a nonincreasing `w`, as a
+    function of arrays of ``t >= 0``.  On the piece from knot ``a``, with
+    exponent ``e``, to the next knot ``b`` (``inf`` past the last),
+    ``integral of v (s/a)^e over [t, b] = v (t/a)^e t E(e + 1, ln(b/t))``
+    with ``E(p, l) = expm1(p l)/p`` and ``E(0, l) = l``: every term is
+    positive, so nothing cancels near ``e = -1``.  Below the first knot
+    ``v_1 (t_1 - t)`` is added to ``H(t_1)``.
+
+    Raises
+    ------
+    DivergentTail
+        Tail exponent >= -1 (the integral diverges).
+    """
+    if w.right_exponent >= -1.0:
+        raise DivergentTail(
+            f"tail exponent {w.right_exponent} >= -1: tail integral diverges"
+        )
+    knots, vals, exps = map(np.asarray, (w.knots, w.values, w.exponents))
+    ends = np.append(knots[1:], math.inf)
+
+    def to_end(j: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``integral of w over [t, ends[j]]``, `t` on piece `j`."""
+        p, span = exps[j] + 1.0, np.log(ends[j] / t)
+        e_pl = np.divide(np.expm1(p * span), p, out=span, where=p != 0.0)
+        return vals[j] * (t / knots[j]) ** exps[j] * t * e_pl
+
+    at_knots = np.cumsum(to_end(np.arange(knots.size), knots)[::-1])[::-1]
+    at_ends = np.append(at_knots[1:], 0.0)
+
+    def tail(ts: np.ndarray) -> np.ndarray:
+        j = np.searchsorted(knots, ts, side="right") - 1
+        head, inside = j < 0, j >= 0
+        out = np.empty(ts.shape)
+        out[head] = vals[0] * (knots[0] - ts[head]) + at_knots[0]
+        out[inside] = to_end(j[inside], ts[inside]) + at_ends[j[inside]]
+        return out
+
+    return tail
+
+
+def _crossings(w: MonotoneFn, ys: np.ndarray) -> np.ndarray:
+    """``sup{t : w(t) >= y}`` at each level ``y > 0`` of `ys`, for a
+    nonincreasing `w` whose tail is not flat: ``t_j (y/v_j)^(1/e_j)`` from
+    the last knot ``j`` with ``v_j >= y``, whose exponent is then nonzero,
+    and 0 above the maximum."""
+    vals = np.asarray(w.values)
+    j = np.searchsorted(-vals, -ys, side="right") - 1
+    hit = j >= 0
+    j = j[hit]
+    out = np.zeros(ys.shape)
+    out[hit] = (np.asarray(w.knots)[j]
+                * (ys[hit] / vals[j]) ** (1.0 / np.asarray(w.exponents)[j]))
+    return out
 
 
 def _clean_abs(x: Iterable[float]) -> np.ndarray:
@@ -97,7 +152,7 @@ def aux_diag_norm(
     """
     if tau_points < 1:
         raise BadParameter(f"need at least one grid point, got {tau_points}")
-    row_tail = TailIntegral.from_density(p.ur_fn)
+    row_tail = _tail_masses(p.ur_fn)
     xs = _clean_abs(x)
     if xs.size == 0:
         return 0.0
@@ -109,7 +164,7 @@ def aux_diag_norm(
         raise DomainError("entries spread too widely: sum/min must stay "
                           "below 1.34e+154 to square to a float") from None
     taus = np.concatenate(([0.0], np.geomspace(1e-4, tau_hi, tau_points)))
-    h_vals = row_tail.eval_many(taus)
+    h_vals = row_tail(taus)
     budgets = np.unique(np.outer(xs, np.sqrt(1.0 + taus)).ravel())
     budgets = budgets[np.searchsorted(budgets, xs.max() * (1.0 - 1e-9)):]
 
@@ -164,37 +219,37 @@ def indicator_search(
     tie-breaking toward the smallest coordinates.
 
     A strip's ``H(min(cross, t*))`` is ``H(cross)`` or ``H(t*)``, both
-    computed once (``eval_many`` is elementwise, so the bits hold), and
-    the crossings are :func:`crossing_below`'s, bit for bit.
+    computed once, and ``H(t*)`` is the corner's own tail mass; the
+    helpers act elementwise, so the bits are those of one value at a time.
 
     Raises
     ------
     BadParameter
         ``n < 1`` or ``grid < 2``.
+    DivergentTail
+        Either density's tail exponent is >= -1.
     """
     n = _check_dimension(n)
     if grid < 2:
         raise BadParameter(f"need at least a 2x2 corner grid, got {grid}")
-    col = uE.uc_fn
-    row = vF.ur_fn
-    col_tail = TailIntegral.from_density(col)
-    row_tail = TailIntegral.from_density(row)
+    col, row = uE.uc_fn, vF.ur_fn
+    col_tail = _tail_masses(col)
+    row_tail = _tail_masses(row)
 
     edges, mids, widths = _lattice()
-    col_mid = evaluate_many(col, mids)
-    # Where the row density drops below each column level (0 when the
-    # level is above the row's maximum).
-    cross = _crossings_below(row, col_mid)
-    h_cross = row_tail.eval_many(cross)
+    # The column levels at the lattice's lower end, then at its midpoints,
+    # where the row density drops below them (0 above the row's maximum).
+    levels = evaluate_many(col, np.concatenate(([_LATTICE_LO], mids)))
+    crossings = _crossings(row, levels)
+    h_crossings = row_tail(crossings)
+    # Constant head below the lattice: the column density is flat there.
+    head = (levels[0] * crossings[0] + h_crossings[0]) * _LATTICE_LO
+    col_mid, cross, h_cross = levels[1:], crossings[1:], h_crossings[1:]
     # Full row integral of min(col(s), row(.)) at each s-midpoint.
     full_min = col_mid * cross + h_cross
     below = np.concatenate(([0.0], np.cumsum(full_min * widths)))
-    # Constant head below the lattice: the column density is flat there.
-    y0 = float(evaluate_many(col, np.array([_LATTICE_LO]))[0])
-    t0 = crossing_below(row, y0)
-    head = (y0 * t0 + row_tail.eval(t0)) * _LATTICE_LO
 
-    col_tails = col_tail.eval_many(edges)
+    col_tails = col_tail(edges)
     nf = float(n)
     span = np.geomspace(0.25, max(16.0, 4.0 * nf), grid)
     corner_idx = np.unique(
@@ -202,12 +257,11 @@ def indicator_search(
     )
     s_corners = edges[corner_idx]
     t_corners = s_corners
-    h_corners = row_tail.eval_many(t_corners)
+    h_corners = row_tail(t_corners)
 
     values = np.empty((corner_idx.size, t_corners.size))
     for j, t_star in enumerate(t_corners):
-        tj = float(t_star)
-        row_tail_j = row_tail.eval(tj)
+        tj, row_tail_j = float(t_star), h_corners[j]
         clipped = np.minimum(cross, tj)
         h_clipped = np.where(cross <= tj, h_cross, h_corners[j])
         strip = col_mid * clipped + h_clipped - row_tail_j

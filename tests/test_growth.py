@@ -133,16 +133,7 @@ class TestTailIntegral:
         for t in ts:
             assert hh.eval(t) == pytest.approx(integral(w, t, math.inf),
                                                rel=1e-14)
-        assert list(hh.eval_many(ts)) == [hh.eval(t) for t in ts]
         assert hh.mass == pytest.approx(integral(w, 0.0, math.inf), rel=1e-14)
-
-    @given(decaying_weights())
-    def test_eval_many_matches_eval(self, w):
-        hh = TailIntegral.from_density(w)
-        ts = np.geomspace(1e-3, 1e4, 37)
-        many = hh.eval_many(ts)
-        for t, v in zip(ts, many):
-            assert v == pytest.approx(hh.eval(float(t)), rel=1e-13)
 
     @given(decaying_weights())
     def test_zero_gives_mass_bitwise(self, w):
@@ -150,16 +141,11 @@ class TestTailIntegral:
         mass = hh.mass
         assert hh.eval(0.0) == mass
         assert hh.eval(-0.0) == mass
-        many = hh.eval_many([0.0, w.knots[0], 1.0])
-        assert many[0].tobytes() == np.float64(mass).tobytes()
-        assert many[1] == hh.eval(w.knots[0])
 
     def test_negative_abscissa_rejected(self):
         hh = TailIntegral.from_density(two_piece_weight())
         with pytest.raises(DomainError):
             hh.eval(-1e-300)
-        with pytest.raises(DomainError):
-            hh.eval_many([0.0, -1.0])
         with pytest.raises(DomainError):
             hh.eval(math.nan)
 
@@ -206,7 +192,7 @@ class TestIntegralOfComposed:
         inner = make_piecewise([1.0], [2.0], right_exponent=inner_exp)
         exact = hh.integral_of_composed(inner, 0.5, hi)
         s = np.geomspace(0.5, hi, 20001)
-        vals = hh.eval_many(evaluate_many(inner, s))
+        vals = [hh.eval(t) for t in evaluate_many(inner, s)]
         approx = float(np.trapezoid(vals, s))
         assert exact == pytest.approx(approx, rel=2e-6)
 
@@ -368,7 +354,6 @@ class TestNearLogComposed:
             mass = float(h(mpmath.mpf(0)))
         for t, v in zip(ts, want):
             assert hh.eval(t) == pytest.approx(v, rel=1e-13, abs=0.0), t
-        assert list(hh.eval_many(ts)) == [hh.eval(t) for t in ts]
         assert hh.mass == pytest.approx(mass, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
@@ -872,10 +857,11 @@ class TestSolveGrowthBitwise:
 
     @pytest.mark.parametrize("k", [-3, 0, 1, 17])
     def test_roots_at_a_power_of_two(self, k):
-        # The doubling or halving ends at a power of two read off the
-        # root.  A root on 2**k or an ulp from it puts that power in the
-        # band, one just past it the power before the end; k = 0 is a
-        # root at 1.  Roots a few bands away take the one-step bracket.
+        # The doubling or halving ends at the first power of two past
+        # the root.  A root on 2**k or an ulp from it puts that power in
+        # the band, one just past it the power before the end; k = 0 is
+        # a root at 1.  At roots a few bands away every step takes its
+        # side from the root.
         edge = 2.0**k
         ts = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
         ts += [edge * (1.0 + d) for d in (-3e-12, -5e-13, 5e-13, 3e-12)]

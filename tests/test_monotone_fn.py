@@ -28,7 +28,6 @@ from osinv.errors import (
 from osinv.monotone_fn import (
     MonotoneFn,
     _LogLogDesign,
-    _crossings_below,
     _local_power,
     _solve_on_segment,
     compose,
@@ -427,82 +426,6 @@ class TestCrossingBelow:
         assert evaluate(w, s) == pytest.approx(y, rel=1e-9) or evaluate(
             w, s
         ) > y * (1 - 1e-12)
-
-
-def _each_crossing(w: MonotoneFn, ys: list[float]) -> list[float] | type:
-    """The scalar crossings of `ys`, or the type of the first error."""
-    try:
-        return [crossing_below(w, y) for y in ys]
-    except OsinvError as exc:
-        return type(exc)
-
-
-def _all_crossings(w: MonotoneFn, ys: list[float]) -> list[float] | type:
-    try:
-        return _crossings_below(w, np.array(ys)).tolist()
-    except OsinvError as exc:
-        return type(exc)
-
-
-class TestCrossingsBelow:
-    """The vectorised crossings equal the scalar ones bit for bit."""
-
-    @staticmethod
-    def _levels(w: MonotoneFn, fracs: list[float]) -> list[float]:
-        """Levels at every value and 1 ulp to either side, between
-        values, above the maximum, past the last knot, and drawn."""
-        vals = np.asarray(w.values)
-        return np.concatenate([
-            vals, np.nextafter(vals, 0.0), np.nextafter(vals, np.inf),
-            np.sqrt(vals[1:] * vals[:-1]),
-            [2.0 * vals[0], vals[-1] / 3.0, vals[-1] * 1e-6],
-            vals[0] * np.asarray(fracs),
-        ]).tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(monotone_fns(direction="nonincreasing", max_knots=8),
-           st.lists(st.floats(1e-9, 1.5), max_size=20))
-    def test_matches_crossing_below(self, w, fracs):
-        ys = self._levels(w, fracs)
-        assert _all_crossings(w, ys) == _each_crossing(w, ys)
-        # Without the flat tail's levels, which raise for the whole call.
-        finite = [y for y in ys if not (w.right_exponent == 0.0
-                                        and y <= w.values[-1])]
-        assert _all_crossings(w, finite) == _each_crossing(w, finite)
-
-    def test_flat_run_and_levels_above_the_maximum(self):
-        w = make_piecewise([1.0, 2.0, 4.0, 8.0], [4.0, 2.0, 2.0, 1.0],
-                           right_exponent=-1.0, direction="nonincreasing")
-        got = _crossings_below(w, np.array([5.0, 4.0, 2.0, 1.5, 0.5]))
-        assert got.tolist() == [0.0, 1.0, 4.0, crossing_below(w, 1.5), 16.0]
-
-    def test_overflowing_solve_keeps_the_scalar_error(self):
-        w = make_piecewise([1.0], [1.0], right_exponent=-1e-300,
-                           direction="nonincreasing")
-        with pytest.raises(Unbounded) as scalar:
-            crossing_below(w, 0.5)
-        with pytest.raises(Unbounded) as vector:
-            _crossings_below(w, np.array([2.0, 0.5]))
-        assert str(vector.value) == str(scalar.value)
-
-    def test_underflowing_level_ratio_is_unbounded(self):
-        # 1e-300 / 1e300 underflows to 0 before the power -1.
-        w = make_piecewise([1.0], [1e300], right_exponent=-1.0,
-                           direction="nonincreasing")
-        with pytest.raises(Unbounded, match="beyond float range") as scalar:
-            crossing_below(w, 1e-300)
-        with pytest.raises(Unbounded) as vector:
-            _crossings_below(w, np.array([0.5, 1e-300]))
-        assert str(vector.value) == str(scalar.value)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_invalid_levels_raise_as_the_scalar(self, bad):
-        with pytest.raises(DomainError):
-            _crossings_below(power_fn(-2.0), np.array([0.5, bad]))
-
-    def test_direction_error(self):
-        with pytest.raises(DirectionError):
-            _crossings_below(power_fn(1.0), np.array([0.5]))
 
 
 class TestIntegral:

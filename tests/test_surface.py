@@ -1,9 +1,10 @@
 """The public surface: the README's examples run as doctests, the top
-level holds exactly the names the README lists, and every name a module
-exports resolves."""
+level holds exactly the names the README lists, every name a module
+exports resolves, and the oracles import only what they do not check."""
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -14,7 +15,18 @@ import pytest
 
 import osinv
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+#: What ``oracle.py`` may take from the package: the oracles compute tail
+#: masses and crossings themselves, so that they check the library's.
+ORACLE_IMPORTS = {
+    "errors": None,  # any error class
+    "monotone_fn": {"MonotoneFn", "evaluate_many"},
+    "orlicz": {"OrliczFn", "quiet_sum", "rescaled_norm"},
+    "spaces": {"WeightPair"},
+    "util": {"_check_dimension"},
+}
 
 
 def test_readme_python_blocks_run_as_doctests():
@@ -55,3 +67,19 @@ def test_top_level_holds_exactly_the_readme_names():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_oracle_imports_stay_on_the_allowlist():
+    tree = ast.parse((ROOT / "src" / "osinv" / "oracle.py").read_text())
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "osinv" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "osinv"):
+            module = (node.module or "").removeprefix("osinv.")
+            taken.setdefault(module, set()).update(a.name for a in node.names)
+    assert set(taken) <= set(ORACLE_IMPORTS)
+    for module, names in taken.items():
+        allowed = ORACLE_IMPORTS[module]
+        assert allowed is None or names <= allowed, (module, names - allowed)
