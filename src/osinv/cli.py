@@ -43,6 +43,7 @@ from .errors import NotRegular, OsinvError, ParseError
 from .invariants import SweepResult, sweep
 from .monotone_fn import evaluate
 from .spaces import SpaceDescriptor, descriptor_from_json, descriptor_to_json
+from .util import MAX_N
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = [
@@ -53,10 +54,6 @@ __all__ = [
     "parse_n_grid",
     "parse_space_descriptor",
 ]
-
-#: Largest dimension an n-grid may hold: the top of the range over which
-#: the invariants are checked exact (OH ``pi1`` against its closed form).
-MAX_N = 2**60
 
 #: Most points a ``geometric:a:b:count`` grid may ask for; every point is
 #: built before duplicates collapse, so the count bounds the work.

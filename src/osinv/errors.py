@@ -24,7 +24,6 @@ __all__ = [
     "BracketFailure",
     "Inconsistent",
     "ParseError",
-    "BadCutoff",
 ]
 
 
@@ -89,7 +88,3 @@ class ParseError(OsinvError):
 
     The descriptor text or file, the n-grid, or the output path.
     """
-
-
-class BadCutoff(OsinvError):
-    """Quadrature cutoff missing or too small for the requested tail."""

@@ -168,8 +168,8 @@ class TailIntegral:
             )
         return const + coef * (t / anchor) ** q
 
-    def integral_of_composed(self, tau: MonotoneFn, lo: float, hi: float) -> float:
-        """Exact ``integral of H(tau(s))`` over ``[lo, hi]``.
+    def integral_of_composed(self, tau: MonotoneFn, hi: float) -> float:
+        """Exact ``integral of H(tau(s))`` over ``[0, hi]``.
 
         `tau` must be nondecreasing.  The range is split at `tau`'s knots
         and at the preimages under `tau` of this integral's piece edges, so
@@ -179,11 +179,10 @@ class TailIntegral:
         """
         if tau.direction != "nondecreasing":
             raise DirectionError("composed integral needs nondecreasing inner fn")
-        lo = float(lo)
         hi = float(hi)
-        if not (0.0 <= lo < hi) or not math.isfinite(hi):
-            raise DomainError(f"need 0 <= lo < hi (finite), got {lo}, {hi}")
-        return self.composed_table(tau).integral(self, lo, hi)
+        if not (0.0 < hi < math.inf):
+            raise DomainError(f"need 0 < hi < inf, got {hi}")
+        return self.composed_table(tau).integral(self, hi)
 
     def composed_table(self, tau: MonotoneFn) -> "_ComposedTable":
         """The cut table of ``H(tau(s))`` (see :class:`_ComposedTable`).
@@ -254,14 +253,14 @@ class TailIntegral:
 class _ComposedTable:
     """Cut points of ``H(tau(s))`` on the half line, with running integrals.
 
-    ``raw`` holds, sorted, `tau`'s knots and the positive preimages under
-    `tau` of ``H``'s piece edges; none depends on the integration range.
-    ``merged`` is ``raw`` behind a leading 0 with near-duplicates dropped,
-    and ``prefix[j]`` is the integral over ``[0, merged[j]]`` summed one
-    segment at a time from the left.  Greedy merging of a prefix of the
-    cuts gives a prefix of ``merged``, so an integral from 0 is a prefix
-    value plus at most one partial segment, with the same float
-    operations in the same order as splitting ``[0, hi]`` afresh.
+    ``merged`` holds 0, then, sorted with near-duplicates dropped, `tau`'s
+    knots and the positive preimages under `tau` of ``H``'s piece edges;
+    none depends on the integration range.  ``prefix[j]`` is the integral
+    over ``[0, merged[j]]`` summed one segment at a time from the left.
+    Greedy merging of a prefix of the cuts gives a prefix of ``merged``,
+    so an integral over ``[0, hi]`` is a prefix value plus at most one
+    partial segment, with the same float operations in the same order as
+    splitting ``[0, hi]`` afresh.
     ``prefix`` grows only as far as queries reach, in a walk that resumes
     where the last stopped, so no segment is evaluated that the range asked
     for does not contain; a lock keeps extensions from interleaving.  The
@@ -279,22 +278,14 @@ class _ComposedTable:
                 continue
             if pre > 0.0:
                 cuts.append(pre)
-        self.raw = sorted(cuts)
-        self.merged = _merge_close([0.0] + self.raw)
+        self.merged = _merge_close([0.0] + sorted(cuts))
         self.prefix = [0.0]
         self._walk = 0, 0, tau.values[0], tau.knots[0], 0.0  # see integral
         self._lock = threading.Lock()
 
-    def integral(self, hh: TailIntegral, lo: float, hi: float) -> float:
-        """``integral of H(tau(s))`` over ``[lo, hi]``, ``0 <= lo < hi``,
-        for the tail integral ``H = hh`` this table was built from."""
-        if lo > 0.0:
-            inner = self.raw[bisect_right(self.raw, lo):bisect_left(self.raw, hi)]
-            pts = _merge_close([lo] + inner + [hi])
-            total = 0.0
-            for x, y in zip(pts, pts[1:]):
-                total += hh._composed_segment(self.tau, x, y)
-            return total
+    def integral(self, hh: TailIntegral, hi: float) -> float:
+        """``integral of H(tau(s))`` over ``[0, hi]``, ``hi > 0``, for the
+        tail integral ``H = hh`` this table was built from."""
         merged, prefix = self.merged, self.prefix
         k = bisect_left(merged, hi) - 1
         if len(prefix) <= k:

@@ -160,12 +160,12 @@ class _Quadrant:
         nf = float(n)
         s_n = evaluate(self.a, nf)
         h_a = self.tail_a.eval(s_n)
-        lam2 = nf * self.tail_b.integral_of_composed(self.tau_ab, 0.0, s_n)
+        lam2 = nf * self.tail_b.integral_of_composed(self.tau_ab, s_n)
         if self.tail_b is self.tail_a:  # equal axes
             return lam2, lam2, nf * nf * h_a * h_a, s_n, s_n
         t_n = evaluate(self.b, nf)
         lam3 = nf * nf * h_a * self.tail_b.eval(t_n)
-        lam1 = nf * self.tail_a.integral_of_composed(self.tau_ba, 0.0, t_n)
+        lam1 = nf * self.tail_a.integral_of_composed(self.tau_ba, t_n)
         return lam1, lam2, lam3, s_n, t_n
 
 
@@ -232,7 +232,7 @@ def pi1_fundamental(
     NotRegular
         Either space is an endpoint structure (no canonical weights).
     BadParameter
-        ``n`` is not a positive integer.
+        ``n`` is not an integer from 1 to 2**60.
     """
     n = _check_dimension(n)
     return _report(_pair_quadrants(domain, codomain), n)
@@ -283,7 +283,7 @@ def exactness(desc: SpaceDescriptor, n: int) -> float:
     NotRegular
         `desc` is an endpoint structure.
     BadParameter
-        ``n`` is not a positive integer.
+        ``n`` is not an integer from 1 to 2**60.
     """
     n = _check_dimension(n)
     anti = dual(desc)
@@ -305,6 +305,8 @@ def projection(desc: SpaceDescriptor, n: int) -> float:
     ------
     NotRegular
         `desc` is an endpoint structure.
+    BadParameter
+        ``n`` is not an integer from 1 to 2**60.
     """
     n = _check_dimension(n)
     return n / pi1_fundamental(desc, desc, n).pi1
@@ -344,7 +346,7 @@ def sweep(
         Fewer than 3 distinct grid points, or upper points so close in
         ``log n`` that a slope fit over them is rank deficient.
     BadParameter
-        A grid point below 1.
+        A grid point below 1 or above 2**60.
     NotRegular
         Either space is an endpoint structure.
     """
@@ -353,8 +355,8 @@ def sweep(
         raise TooFewPoints(
             f"sweep needs at least 3 distinct grid points, got {len(ns)}"
         )
-    if ns[0] < 1:
-        raise BadParameter(f"grid points must be >= 1, got {ns[0]}")
+    _check_dimension(ns[0])
+    _check_dimension(ns[-1])
     window = max(3, (len(ns) + 1) // 2)
     design = _LogLogDesign(np.log(np.asarray(ns[-window:], dtype=float)))
     if design.rank < 2:

@@ -16,9 +16,13 @@ import numpy as np
 
 from .errors import BadParameter
 
-__all__ = ["log_grid", "POINTS_PER_DECADE"]
+__all__ = ["log_grid", "MAX_N", "POINTS_PER_DECADE"]
 
 POINTS_PER_DECADE = 64
+
+#: Largest dimension the invariants accept: the top of the range over
+#: which they are checked exact (OH ``pi1`` against its closed form).
+MAX_N = 2**60
 
 #: Relative distance from a solver's root beyond which a bisection step
 #: takes its side from that root instead of evaluating.  The replay
@@ -33,14 +37,17 @@ _NEWTON_RTOL, _NEWTON_STEPS = 1e-15, 60
 
 
 def _check_dimension(n: object) -> int:
-    """`n` as an ``int``: any positive integer that is not a ``bool``,
-    numpy's integer types included."""
+    """`n` as an ``int``: any integer from 1 to :data:`MAX_N` that is not
+    a ``bool``, numpy's integer types included."""
     try:
         k = operator.index(n)
     except TypeError:
         k = 0
     if isinstance(n, bool) or k < 1:
         raise BadParameter(f"dimension must be a positive integer, got {n!r}")
+    if k > MAX_N:
+        raise BadParameter(f"dimension must be at most 2**60 = {MAX_N}, "
+                           f"got a {k.bit_length()}-bit integer")
     return k
 
 

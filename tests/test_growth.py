@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osinv import growth
+from osinv.cli import main
 from osinv.errors import (
     BracketFailure,
     DirectionError,
@@ -160,29 +162,34 @@ class TestTailIntegral:
 
 
 class TestIntegralOfComposed:
+    # Each inner function is constant on (0, 1], so H(tau(s)) is H(tau(1))
+    # there and the integral over [0, X] adds that to the one over [1, X].
+
     def test_identity_inner(self):
         hh = TailIntegral.from_density(power_weight(2.0))
         ident = make_piecewise([1.0], [1.0], right_exponent=1.0)
-        # H(s) = 1/s beyond 1, so the integral over [1, X] is ln X.
-        assert hh.integral_of_composed(ident, 1.0, 50.0) == pytest.approx(
-            math.log(50.0), rel=1e-13
+        # H(1) = 1 and H(s) = 1/s beyond 1: the integral over [0, X] is
+        # 1 + ln X.
+        assert hh.integral_of_composed(ident, 50.0) == pytest.approx(
+            1.0 + math.log(50.0), rel=1e-13
         )
 
     def test_sqrt_inner(self):
         hh = TailIntegral.from_density(power_weight(2.0))
         root = make_piecewise([1.0], [1.0], right_exponent=0.5)
-        # H(sqrt(s)) = s^{-1/2} beyond 1: integral over [1, X] = 2(sqrt X - 1).
+        # H(sqrt(s)) = s^{-1/2} beyond 1: integral over [0, X] = 2 sqrt X - 1.
         x = 400.0
-        assert hh.integral_of_composed(root, 1.0, x) == pytest.approx(
-            2.0 * (math.sqrt(x) - 1.0), rel=1e-13
+        assert hh.integral_of_composed(root, x) == pytest.approx(
+            2.0 * math.sqrt(x) - 1.0, rel=1e-13
         )
 
     def test_log_piece_inner_identity(self):
         hh = TailIntegral.from_density(log_segment_weight())
         ident = make_piecewise([1.0], [1.0], right_exponent=1.0)
-        # Integral over [1,10] of (0.5 + ln 10 - ln t) dt = 13.5 - ln 10.
-        assert hh.integral_of_composed(ident, 1.0, 10.0) == pytest.approx(
-            13.5 - math.log(10.0), rel=1e-13
+        # H(1) = 0.5 + ln 10 over [0, 1], and the integral over [1, 10] of
+        # (0.5 + ln 10 - ln t) dt = 13.5 - ln 10: 14 in all.
+        assert hh.integral_of_composed(ident, 10.0) == pytest.approx(
+            14.0, rel=1e-13
         )
 
     @given(decaying_weights(), st.floats(0.3, 0.9), st.floats(2.0, 50.0))
@@ -190,17 +197,19 @@ class TestIntegralOfComposed:
     def test_against_trapezoid(self, w, inner_exp, hi):
         hh = TailIntegral.from_density(w)
         inner = make_piecewise([1.0], [2.0], right_exponent=inner_exp)
-        exact = hh.integral_of_composed(inner, 0.5, hi)
+        exact = hh.integral_of_composed(inner, hi)
         s = np.geomspace(0.5, hi, 20001)
         vals = [hh.eval(t) for t in evaluate_many(inner, s)]
-        approx = float(np.trapezoid(vals, s))
+        # The inner function is 2 on (0, 0.5]: the integrand is H(2) there.
+        approx = 0.5 * hh.eval(2.0) + float(np.trapezoid(vals, s))
         assert exact == pytest.approx(approx, rel=2e-6)
 
     def test_requires_finite_range(self):
         hh = TailIntegral.from_density(power_weight(2.0))
         ident = make_piecewise([1.0], [1.0], right_exponent=1.0)
-        with pytest.raises(DomainError):
-            hh.integral_of_composed(ident, 1.0, math.inf)
+        for hi in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hh.integral_of_composed(ident, hi)
 
     def test_log_piece_from_zero(self):
         # tau = 2 on (0, 1] lands in the q = 0 near-log piece of H, so the
@@ -209,7 +218,7 @@ class TestIntegralOfComposed:
         tau = make_piecewise([1.0], [2.0], right_exponent=1.0)
         # H(t) = 0.5 + ln(10/t) on [1, 10]: the integral is 5 (0.5 + ln 5)
         # - (5 ln 5 - 4) = 6.5.
-        assert hh.integral_of_composed(tau, 0.0, 5.0) == pytest.approx(
+        assert hh.integral_of_composed(tau, 5.0) == pytest.approx(
             6.5, rel=1e-13
         )
 
@@ -335,10 +344,13 @@ class TestNearLogComposed:
         hh = TailIntegral.from_density(w)
         assert _series_pieces(hh)
         tau = make_piecewise([tau_knot], [tau_value], right_exponent=tau_exp)
-        exact = _mp_composed(w, tau, lo, hi)
-        assert hh.integral_of_composed(tau, lo, hi) == pytest.approx(
+        exact = _mp_composed(w, tau, 0.0, hi)
+        assert hh.integral_of_composed(tau, hi) == pytest.approx(
             exact, rel=1e-13
         )
+        if lo:  # [lo, hi] on its own, undiluted by [0, lo]
+            assert _loop_integral_of_composed(hh, tau, lo, hi) == (
+                pytest.approx(_mp_composed(w, tau, lo, hi), rel=1e-13))
 
     @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
     def test_former_log_eval(self, knots, values):
@@ -373,10 +385,14 @@ class TestNearLogComposed:
         # lo and hi scale the piece's ends and map back through tau.
         lo = (lo * knots[0] / tau_value) ** (1.0 / tau_exp) if lo else 0.0
         hi = (hi * knots[1] / tau_value) ** (1.0 / tau_exp)
-        exact = _mp_composed(hh.density, tau, lo, hi)
-        assert hh.integral_of_composed(tau, lo, hi) == pytest.approx(
+        exact = _mp_composed(hh.density, tau, 0.0, hi)
+        assert hh.integral_of_composed(tau, hi) == pytest.approx(
             exact, rel=1e-13, abs=0.0
         )
+        if lo:  # [lo, hi] on its own, undiluted by [0, lo]
+            assert _loop_integral_of_composed(hh, tau, lo, hi) == (
+                pytest.approx(_mp_composed(hh.density, tau, lo, hi),
+                              rel=1e-13, abs=0.0))
 
     @pytest.mark.parametrize("knots, values", _FORMER_LOG_CHORDS)
     def test_former_log_solve_growth(self, knots, values):
@@ -476,6 +492,19 @@ def _loop_integral_of_composed(hh: TailIntegral, tau, lo: float, hi: float):
     return total
 
 
+#: A fundamental pair whose composed tables overflow past their last
+#: reached cuts (see test_prefix_walks_only_the_queried_segments).
+_FAR_CUTS = {
+    "kind": "fundamental",
+    "phi_c": {"knots": [0.001, 1e300],
+              "values": [1.0, 3.172733526444528e165],
+              "right_exponent": 0.999999},
+    "phi_r": {"knots": [0.12328467394420686, 1e50],
+              "values": [4.668665335940499e20, 8.389901612049193e40],
+              "right_exponent": 0.999999},
+}
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -504,14 +533,8 @@ class TestComposedTableMatchesLoop:
         his.append(finite[-1] * 10.0)
         his = data.draw(st.permutations(his))
         for hi in his:
-            assert _outcome(hh.integral_of_composed, tau, 0.0, hi) == (
+            assert _outcome(hh.integral_of_composed, tau, hi) == (
                 _outcome(_loop_integral_of_composed, hh, tau, 0.0, hi))
-        for lo, hi in zip(his, his[1:]):
-            lo, hi = min(lo, hi), max(lo, hi)
-            if lo == hi:
-                continue
-            assert _outcome(hh.integral_of_composed, tau, lo, hi) == (
-                _outcome(_loop_integral_of_composed, hh, tau, lo, hi))
 
     @staticmethod
     def _each_order(hh: TailIntegral, tau, his: list[float], rng) -> None:
@@ -522,7 +545,7 @@ class TestComposedTableMatchesLoop:
         for order in (sorted(his), sorted(his, reverse=True),
                       rng.sample(his, len(his))):
             fresh = TailIntegral.from_density(hh.density)
-            assert [_outcome(fresh.integral_of_composed, tau, 0.0, hi)
+            assert [_outcome(fresh.integral_of_composed, tau, hi)
                      for hi in order] == [want[hi] for hi in order]
 
     @pytest.mark.parametrize("m", [25, 200])
@@ -591,10 +614,10 @@ class TestComposedTableMatchesLoop:
         hh = TailIntegral.from_density(two_piece_weight())
         tau = make_piecewise([1.0, 3.0], [1.0, 9.0], right_exponent=1.0)
         for hi in (3.0, 3.0 * (1 + 5e-14), 3.0 * (1 - 5e-14), 3.0 * (1 + 2e-13)):
-            assert hh.integral_of_composed(tau, 0.0, hi) == (
+            assert hh.integral_of_composed(tau, hi) == (
                 _loop_integral_of_composed(hh, tau, 0.0, hi))
-        assert hh.integral_of_composed(tau, 0.0, 3.0 * (1 + 5e-14)) == (
-            hh.integral_of_composed(tau, 0.0, 3.0))
+        assert hh.integral_of_composed(tau, 3.0 * (1 + 5e-14)) == (
+            hh.integral_of_composed(tau, 3.0))
 
     def test_concurrent_queries_share_one_table(self):
         # Threads extending one table's running integrals at once must
@@ -608,13 +631,13 @@ class TestComposedTableMatchesLoop:
                              right_exponent=0.6)
         his = [1.0 + 0.37 * i for i in range(1, 240)]
         want = {h: TailIntegral.from_density(w).integral_of_composed(
-            tau, 0.0, h) for h in his}
+            tau, h) for h in his}
         shared = TailIntegral.from_density(w)
         shared.composed_table(tau)
         got: dict[int, list[tuple[float, float]]] = {}
 
         def worker(k: int) -> None:
-            got[k] = [(h, shared.integral_of_composed(tau, 0.0, h))
+            got[k] = [(h, shared.integral_of_composed(tau, h))
                       for h in his[k % 3::3] + his]
 
         old = sys.getswitchinterval()
@@ -632,11 +655,32 @@ class TestComposedTableMatchesLoop:
         assert len(got) == 8
         assert all(v == want[h] for k in got for h, v in got[k])
 
+    @pytest.mark.parametrize(
+        "grid", ["1,2,3", "geometric:16:1152921504606846976:9"])
+    def test_prefix_walks_only_the_queried_segments(self, monkeypatch,
+                                                    capsys, grid):
+        # Past the cuts these sweeps reach, the composed segments of this
+        # pair (found by a seeded fuzz of hostile tables) overflow in
+        # _located_segment: a prefix filled eagerly would raise there.
+        built = []
+        init = growth._ComposedTable.__init__
+
+        def recorded(self, hh, tau):
+            init(self, hh, tau)
+            built.append(self)
+
+        monkeypatch.setattr(growth._ComposedTable, "__init__", recorded)
+        assert main(["table", "--space", json.dumps(_FAR_CUTS),
+                     "--n", grid]) == 0
+        assert capsys.readouterr().err == ""
+        walked = [(len(t.prefix) - 1, len(t.merged) - 1) for t in built]
+        assert walked == [(3, 5), (2, 5), (2, 4), (3, 5)]
+
     def test_table_is_kept_per_inner_function(self):
         hh = TailIntegral.from_density(two_piece_weight())
         tau = make_piecewise([1.0, 3.0], [1.0, 9.0], right_exponent=1.0)
         table = hh.composed_table(tau)
-        hh.integral_of_composed(tau, 0.0, 50.0)
+        hh.integral_of_composed(tau, 50.0)
         assert hh.composed_table(tau) is table
         assert table.merged[0] == 0.0 and len(table.prefix) <= len(table.merged)
         other = make_piecewise([1.0], [1.0], right_exponent=0.5)

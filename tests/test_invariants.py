@@ -163,6 +163,18 @@ class TestPi1Fundamental:
         with pytest.raises(BadParameter, match="positive integer"):
             pi1_fundamental(OH, OH, bad)
 
+    @pytest.mark.parametrize(
+        "big", [2**60 + 1, np.uint64(2**63), 10**200, 10**400],
+        ids=["2**60+1", "uint64-2**63", "10**200", "10**400"])
+    @pytest.mark.parametrize("invariant", [
+        exactness, projection, lambda d, n: pi1_fundamental(d, d, n),
+    ])
+    def test_rejects_dimension_above_2_to_the_60(self, invariant, big):
+        # Unchecked, 10**200 would give pi1 = inf and projection 0.0, and
+        # 10**400 a builtin OverflowError from float(n).
+        with pytest.raises(BadParameter, match=r"at most 2\*\*60"):
+            invariant(OH, big)
+
     @pytest.mark.parametrize("invariant", [
         exactness, projection, lambda d, n: pi1_fundamental(d, d, n),
     ])
@@ -463,9 +475,9 @@ class TestSweep:
                 s_n, t_n = evaluate(a, n), evaluate(b, n)
                 lams.append((
                     n * tail_a.integral_of_composed(
-                        compose(a, inverse_fn(b)), 0.0, t_n),
+                        compose(a, inverse_fn(b)), t_n),
                     n * tail_b.integral_of_composed(
-                        compose(b, inverse_fn(a)), 0.0, s_n),
+                        compose(b, inverse_fn(a)), s_n),
                     n * n * tail_a.eval(s_n) * tail_b.eval(t_n),
                     s_n, t_n))
             (l1m, l2m, l3m, s_n, t_n), (l1p, l2p, l3p, _, _) = lams
@@ -555,6 +567,13 @@ class TestSweep:
     def test_rejects_nonpositive_grid_point(self):
         with pytest.raises(BadParameter):
             sweep(OH, n_grid=[0, 16, 64])
+
+    @pytest.mark.parametrize("big", [2**60 + 1, 10**200, 10**400],
+                             ids=["2**60+1", "10**200", "10**400"])
+    def test_rejects_grid_point_above_2_to_the_60(self, big):
+        # Unchecked, 10**200 would fail in the slope fit as NonPositive.
+        with pytest.raises(BadParameter, match=r"at most 2\*\*60"):
+            sweep(OH, n_grid=[1, 2, big])
 
     def test_works_on_derived_descriptor(self):
         desc = from_fundamental(

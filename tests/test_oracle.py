@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import osinv.oracle
 import osinv.verify
 from osinv import catalog, pi1_fundamental
-from osinv.errors import BadCutoff, BadParameter, DivergentTail, DomainError
+from osinv.errors import BadParameter, DivergentTail, DomainError
 from osinv.growth import TailIntegral
 from osinv.monotone_fn import (
     crossing_below,
@@ -220,6 +220,12 @@ class TestIndicatorSearch:
     def test_rejects_bad_dimensions(self, bad: object) -> None:
         with pytest.raises(BadParameter, match=re.escape(f"got {bad!r}")):
             indicator_search(OH_W, OH_W, bad)
+
+    @pytest.mark.parametrize("big", [2**60 + 1, 10**400],
+                             ids=["2**60+1", "10**400"])
+    def test_rejects_dimension_above_2_to_the_60(self, big: int) -> None:
+        with pytest.raises(BadParameter, match=r"at most 2\*\*60"):
+            indicator_search(OH_W, OH_W, big)
 
     def test_numpy_integer_dimension(self) -> None:
         assert (indicator_search(OH_W, OH_W, np.int64(16))
@@ -491,10 +497,6 @@ class TestCrossings:
 
 
 class TestRiemannIntegral:
-    def test_inverse_square_over_the_half_line(self) -> None:
-        value = riemann_integral(lambda u: u**-2.0, 1.0, math.inf, cutoff=1e9)
-        assert value == pytest.approx(1.0, abs=1e-4)
-
     def test_reciprocal_over_one_decade_of_e(self) -> None:
         value = riemann_integral(lambda u: 1.0 / u, 1.0, math.e, points=4096)
         assert value == pytest.approx(1.0, abs=1e-6)
@@ -515,34 +517,10 @@ class TestRiemannIntegral:
             approx = riemann_integral(f, 0.3, 50.0, points=8192)
             assert approx == pytest.approx(exact, rel=1e-4)
 
-    def test_steep_tail_needs_only_a_modest_cutoff(self) -> None:
-        f = make_piecewise(
-            [1.0, 4.0], [2.0, 1.0],
-            right_exponent=-8.0, direction="nonincreasing",
-        )
-        exact = integral(f, 0.5, math.inf)
-        approx = riemann_integral(f, 0.5, math.inf, points=8192, cutoff=1e4)
-        assert approx == pytest.approx(exact, rel=1e-4)
-
-    def test_infinite_limit_requires_a_cutoff(self) -> None:
-        with pytest.raises(BadCutoff):
-            riemann_integral(lambda u: u**-2.0, 1.0, math.inf)
-
-    def test_rejects_cutoff_below_the_lower_limit(self) -> None:
-        with pytest.raises(BadCutoff):
-            riemann_integral(lambda u: u**-2.0, 1.0, math.inf, cutoff=0.5)
-
-    def test_rejects_cutoff_with_a_visible_tail(self) -> None:
-        with pytest.raises(BadCutoff):
-            riemann_integral(lambda u: u**-2.0, 1.0, math.inf, cutoff=100.0)
-
-    def test_rejects_non_integrable_decay(self) -> None:
-        with pytest.raises(BadCutoff):
-            riemann_integral(lambda u: 1.0 / u, 1.0, math.inf, cutoff=1e5)
-
     @pytest.mark.parametrize(
         "a, b, kwargs",
-        [(0.0, 1.0, {}), (2.0, 1.0, {}), (1.0, 2.0, {"points": 1})],
+        [(0.0, 1.0, {}), (2.0, 1.0, {}), (1.0, 2.0, {"points": 1}),
+         (1.0, math.inf, {}), (1.0, math.nan, {})],
     )
     def test_rejects_bad_limits_and_grids(
         self, a: float, b: float, kwargs: dict

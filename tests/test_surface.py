@@ -1,6 +1,7 @@
 """The public surface: the README's examples run as doctests, the top
 level holds exactly the names the README lists, every name a module
-exports resolves, and the oracles import only what they do not check."""
+exports resolves, every error class is raised somewhere, and the
+oracles import only what they do not check."""
 
 from __future__ import annotations
 
@@ -83,3 +84,15 @@ def test_oracle_imports_stay_on_the_allowlist():
     for module, names in taken.items():
         allowed = ORACLE_IMPORTS[module]
         assert allowed is None or names <= allowed, (module, names - allowed)
+
+
+def test_every_error_class_is_raised():
+    # A class whose last raiser is deleted must go with it.
+    raised = set()
+    for path in (ROOT / "src" / "osinv").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert set(osinv.errors.__all__) - {"OsinvError"} - raised == set()
